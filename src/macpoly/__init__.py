@@ -3,9 +3,9 @@ family via sorted tableaux, integral forms via nonattacking fillings, and
 their quasisymmetric refinement."""
 
 from .mpoly import (ExactDivisionError, MPoly, RationalForm,
-                    VariableMismatchError, add, divided_difference,
-                    exact_div_xfree, mul, specialize, swap_vars,
-                    t_multinomial, t_pochhammer)
+                    VariableMismatchError, divided_difference,
+                    exact_div_xfree, specialize, swap_vars, t_multinomial,
+                    t_pochhammer)
 from .nonattacking import (AugmentedFilling, attacks, coinv,
                            coinversion_triples, e_general_q0, e_integral,
                            enumerate_na, is_nonattacking, is_ordered,

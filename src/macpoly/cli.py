@@ -7,10 +7,9 @@ Output is deterministic: identical requests produce identical bytes.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import product
+from itertools import permutations, product
 
 import click
 
@@ -73,7 +72,7 @@ def main():
                                    "QS", "atom"]))
 @click.option("--shape", required=True,
               help="comma-separated parts (partition or composition)")
-@click.option("--nvars", type=int, required=True)
+@click.option("--nvars", type=click.IntRange(min=0), required=True)
 @click.option("--method", type=click.Choice(["compact", "brute", "both"]),
               default="compact", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]),
@@ -132,7 +131,7 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
 @main.command("enumerate")
 @click.argument("kind", type=click.Choice(["fillings", "sorted", "nonattacking"]))
 @click.option("--shape", required=True)
-@click.option("--nvars", type=int, required=True)
+@click.option("--nvars", type=click.IntRange(min=0), required=True)
 @click.option("--basement", default=None,
               help="basement permutation for nonattacking diagrams")
 @click.option("--ordered", is_flag=True,
@@ -183,7 +182,7 @@ def _stats_line(rec):
 
 @main.command("family")
 @click.option("--shape", default=None, help="partition; families of all roots")
-@click.option("--nvars", type=int, default=None)
+@click.option("--nvars", type=click.IntRange(min=0), default=None)
 @click.option("--root", default=None,
               help="a sorted tableau, rows top-first, e.g. '2;1,3'")
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]),
@@ -348,15 +347,10 @@ def _check_quasisym(args):
 def _check_refinement(args):
     lam, n = args
     total = MPoly.zero(n)
-    for gamma in sorted({tuple(p) for p in _strong_rearrangements(lam)}):
+    for gamma in sorted(set(permutations(lam))):
         total = total + g_integral(gamma, n)
     ok = total == j_compact(lam, n)
     return (f"refinement {lam} n={n}", ok, "")
-
-
-def _strong_rearrangements(lam):
-    from itertools import permutations
-    return {p for p in permutations(lam)}
 
 
 def _check_schur(args):
@@ -366,7 +360,7 @@ def _check_schur(args):
     if j00 != schur_oracle(lam, n):
         return (f"schur J(0,0) {lam}", False, "")
     total = MPoly.zero(n)
-    for gamma in sorted({tuple(p) for p in _strong_rearrangements(lam)}):
+    for gamma in sorted(set(permutations(lam))):
         total = total + qs_gamma(gamma, n)
     ok = total == schur_oracle(lam, n)
     return (f"schur QS sum {lam}", ok, "")
@@ -440,8 +434,8 @@ def _strong_comps_upto(max_deg):
 @main.command("validate")
 @click.option("--suite", required=True)
 @click.option("--max", "max_size", type=int, default=4, show_default=True)
-@click.option("--jobs", type=int, default=None,
-              help="worker processes; MACPOLY_JOBS is the fallback")
+@click.option("--jobs", type=int, default=1, envvar="MACPOLY_JOBS",
+              show_envvar=True, help="worker processes")
 @click.option("--output", type=click.Path(), default=None)
 def cmd_validate(suite, max_size, jobs, output):
     """Run an identity suite; exits 3 when a property fails."""
@@ -450,8 +444,6 @@ def cmd_validate(suite, max_size, jobs, output):
         if name not in SUITES:
             raise click.UsageError(
                 f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))} or all")
-    if jobs is None:
-        jobs = int(os.environ.get("MACPOLY_JOBS", "1"))
 
     lines = []
     failed = False

@@ -8,11 +8,21 @@ so every identity in this package is checked exactly.
 
 :class:`RationalForm` pairs an MPoly numerator with an x-free denominator;
 it never reduces to lowest terms, and equality is by cross-multiplication.
+
+The compact formulas sum x^content(f) * w_f(q, t) over fillings f.
+:func:`accumulate` adds each term in place into one dict, dropping
+coefficients that cancel.  The weights w_f, sorted tuples of ``((e_q,
+e_t), c)`` pairs, come from two bounded caches filled on first use:
+:func:`t_multinomial_product`, keyed by ``(k, sorted multiplicities)``
+signatures and divided out of t-factorials by the remainder-checked
+:func:`exact_div_xfree`, and :func:`cell_product`, keyed by the sorted
+``(a, b)`` of a filling's cell factors ``1 - q^a t^b``.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 
 class VariableMismatchError(ValueError):
@@ -72,15 +82,11 @@ class MPoly:
 
     @classmethod
     def q(cls, nvars: int) -> "MPoly":
-        key = [0] * (nvars + 2)
-        key[nvars] = 1
-        return cls(nvars, {tuple(key): 1})
+        return cls.monomial(nvars, (0,) * nvars, 1, 0)
 
     @classmethod
     def t(cls, nvars: int) -> "MPoly":
-        key = [0] * (nvars + 2)
-        key[nvars + 1] = 1
-        return cls(nvars, {tuple(key): 1})
+        return cls.monomial(nvars, (0,) * nvars, 0, 1)
 
     @classmethod
     def monomial(cls, nvars: int, xexps, qexp: int = 0, texp: int = 0,
@@ -118,6 +124,13 @@ class MPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    def _like(self, terms: dict) -> "MPoly":
+        """Same variables, terms already free of zeros; skips validation."""
+        out = MPoly.__new__(MPoly)
+        out.nvars = self.nvars
+        out._terms = terms
+        return out
+
     def _check(self, other: "MPoly") -> None:
         if self.nvars != other.nvars:
             raise VariableMismatchError(
@@ -136,18 +149,12 @@ class MPoly:
                 terms[k] = nc
             else:
                 del terms[k]
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out._terms = terms
-        return out
+        return self._like(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return self._like({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -161,10 +168,7 @@ class MPoly:
         if isinstance(other, int):
             if other == 0:
                 return MPoly.zero(self.nvars)
-            out = MPoly.__new__(MPoly)
-            out.nvars = self.nvars
-            out._terms = {k: c * other for k, c in self._terms.items()}
-            return out
+            return self._like({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
@@ -177,10 +181,7 @@ class MPoly:
                     terms[k] = nc
                 else:
                     del terms[k]
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out._terms = terms
-        return out
+        return self._like(terms)
 
     __rmul__ = __mul__
 
@@ -315,14 +316,6 @@ class RationalForm:
     def from_json_dict(cls, data: dict) -> "RationalForm":
         return cls(MPoly.from_json_dict(data["numerator"]),
                    MPoly.from_json_dict(data["denominator"]))
-
-
-def add(p: MPoly, r: MPoly) -> MPoly:
-    return p + r
-
-
-def mul(p: MPoly, r: MPoly) -> MPoly:
-    return p * r
 
 
 def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
@@ -463,19 +456,15 @@ def t_pochhammer(k: int, nvars: int = 0) -> MPoly:
     """(1-t)(1-t^2)...(1-t^k); the empty product for k = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = MPoly.one(nvars)
-    one, t = MPoly.one(nvars), MPoly.t(nvars)
-    for j in range(1, k + 1):
-        out = out * (one - t ** j)
-    return out
+    return weight_poly(cell_product(tuple((0, j) for j in range(1, k + 1))),
+                       nvars)
 
 
-def _t_factorial(k: int, nvars: int) -> MPoly:
+def _t_factorial(k: int) -> MPoly:
     # [k]_t! = prod_{j<=k} (1 + t + ... + t^{j-1})
-    out = MPoly.one(nvars)
-    t = MPoly.t(nvars)
+    out = MPoly.one(0)
     for j in range(2, k + 1):
-        out = out * MPoly(nvars, {(0,) * nvars + (0, e): 1 for e in range(j)})
+        out = out * MPoly(0, {(0, e): 1 for e in range(j)})
     return out
 
 
@@ -487,7 +476,59 @@ def t_multinomial(n: int, parts, nvars: int = 0) -> MPoly:
     parts = list(parts)
     if any(m < 0 for m in parts) or sum(parts) != n:
         raise ValueError(f"parts {parts} do not sum to {n}")
-    num = _t_factorial(n, nvars)
-    for m in parts:
-        num = exact_div_xfree(num, _t_factorial(m, nvars))
-    return num
+    return weight_poly(t_multinomial_product(((n, tuple(sorted(parts))),)),
+                       nvars)
+
+
+# -- the weighted-filling kernel ---------------------------------------------
+
+ONE = (((0, 0), 1),)
+
+
+def _weight(p: MPoly):
+    return tuple(sorted(p.terms().items()))
+
+
+def weight_poly(w, nvars: int = 0) -> MPoly:
+    """A weight as an x-free MPoly over nvars variables."""
+    return MPoly(nvars, {(0,) * nvars + k: c for k, c in w})
+
+
+# The caches are keyed by shapes of fillings, not by fillings, so a bound of
+# a few thousand entries never evicts within one sum of this package's sizes.
+@lru_cache(maxsize=4096)
+def t_multinomial_product(signature):
+    """The product of t-multinomials over ``((k, sorted parts), ...)``."""
+    out = MPoly.one(0)
+    for k, parts in signature:
+        num = _t_factorial(k)
+        for m in parts:
+            num = exact_div_xfree(num, _t_factorial(m))
+        out = out * num
+    return _weight(out)
+
+
+@lru_cache(maxsize=4096)
+def cell_product(factors):
+    """The product of 1 - q^a t^b over a sorted tuple of (a, b) pairs."""
+    out = MPoly.one(0)
+    for a, b in factors:
+        out = out * (MPoly.one(0) - MPoly.monomial(0, (), a, b))
+    return _weight(out)
+
+
+def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
+               texp: int = 0) -> None:
+    """Add x^content * q^qexp * t^texp * weight into a term dict in place,
+    deleting coefficients that cancel; ``MPoly(nvars, terms)`` reads it out.
+
+    Touches only the keys of one small weight, where ``MPoly.__add__``
+    would copy the whole growing sum.
+    """
+    for (a, b), c in weight:
+        key = content + (a + qexp, b + texp)
+        c += terms.get(key, 0)
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]

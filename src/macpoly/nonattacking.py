@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .mpoly import MPoly, t_pochhammer
-from .shapes import (Cell, Composition, Permutation, arm, beta_perm,
+from .mpoly import MPoly, accumulate, cell_product, weight_poly
+from .shapes import (Cell, Composition, Permutation, arm, beta_perm, cells,
                      check_composition, check_partition,
                      check_permutation, inc_sort, leg, multiplicities)
-from .tableaux import ccw
+from .tableaux import _maj, _reading_pos, ccw, x_content
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,7 @@ class AugmentedFilling:
                 for r in range(1, self.shape[i - 1] + 1)]
 
     def x_weight(self, nvars: int) -> MPoly:
-        exps = [0] * nvars
-        for col in self.cols:
-            for e in col:
-                if e > nvars:
-                    raise ValueError(
-                        f"entry {e} exceeds the variable count {nvars}")
-                exps[e - 1] += 1
-        return MPoly.monomial(nvars, exps)
+        return MPoly.monomial(nvars, x_content(self.cols, nvars))
 
     def rows(self) -> list[list[int | None]]:
         """Row-major entries, top row first, None outside the diagram."""
@@ -133,27 +126,20 @@ def is_ordered(f: AugmentedFilling) -> bool:
 
 
 def _reading_pos_aug(shape) -> dict[Cell, int]:
-    maxh = max(shape, default=0)
-    pos, k = {}, 0
-    for r in range(maxh, 0, -1):
-        for i in range(1, len(shape) + 1):
-            if shape[i - 1] >= r:
-                pos[(i, r)] = k
-                k += 1
+    pos = _reading_pos(shape)
     for i in range(1, len(shape) + 1):  # basement read last
-        pos[(i, 0)] = k
-        k += 1
+        pos[(i, 0)] = len(pos)
     return pos
 
 
-def coinversion_triples(f: AugmentedFilling) -> list[tuple[Cell, ...]]:
-    """The coinversion triples, each as (third cell, upper cell, lower cell);
-    degenerate ones as (left cell, right cell)."""
-    shape = f.shape
+def _coinversion_plan(shape, has_base: bool) -> list:
+    """The candidate triples of a diagram, in the order coinversion_triples
+    lists them, as (cells, want): a kind-A triple is a coinversion when
+    ccw(...) is False, a kind-B one when it is True, and a degenerate
+    bottom-row pair (want None) when the right entry is not the smaller.
+    Depends on the diagram only, so sums build it once per shape."""
     n = len(shape)
-    rpos = _reading_pos_aug(shape)
-    has_base = f.basement is not None
-    out: list[tuple[Cell, ...]] = []
+    plan: list = []
     for u in range(1, n + 1):
         for r in range(1, shape[u - 1] + 1):
             upper, lower = (u, r), (u, r - 1)
@@ -162,49 +148,42 @@ def coinversion_triples(f: AugmentedFilling) -> list[tuple[Cell, ...]]:
                 if not (r <= shape[v - 1] <= shape[u - 1]):
                     continue
                 if lower_ok:
-                    tri = (((v, r), f.entry(v, r)), (upper, f.entry(*upper)),
-                           (lower, f.entry(*lower)))
-                    if not ccw(tri, rpos):  # kind A: clockwise
-                        out.append(((v, r), upper, lower))
-                elif f.entry(v, 1) >= f.entry(u, 1):  # degenerate pair
-                    out.append(((u, 1), (v, 1)))
+                    plan.append((((v, r), upper, lower), False))
+                else:
+                    plan.append((((u, 1), (v, 1)), None))
             for v in range(1, u):
                 if shape[v - 1] >= shape[u - 1]:
                     continue
                 third_ok = shape[v - 1] >= r - 1 >= 1 or (r == 1 and has_base)
                 if lower_ok and third_ok:
-                    tri = (((v, r - 1), f.entry(v, r - 1)),
-                           (upper, f.entry(*upper)), (lower, f.entry(*lower)))
-                    if ccw(tri, rpos):  # kind B: counterclockwise
-                        out.append(((v, r - 1), upper, lower))
-    return out
+                    plan.append((((v, r - 1), upper, lower), True))
+    return plan
+
+
+def _coinversions(f: AugmentedFilling, plan, rpos):
+    entry = f.entry
+    for cells, want in plan:
+        if want is None:
+            if entry(*cells[1]) >= entry(*cells[0]):
+                yield cells
+        elif ccw(tuple((c, entry(*c)) for c in cells), rpos) == want:
+            yield cells
+
+
+def coinversion_triples(f: AugmentedFilling) -> list[tuple[Cell, ...]]:
+    """The coinversion triples, each as (third cell, upper cell, lower cell);
+    degenerate ones as (left cell, right cell)."""
+    plan = _coinversion_plan(f.shape, f.basement is not None)
+    return list(_coinversions(f, plan, _reading_pos_aug(f.shape)))
 
 
 def coinv(f: AugmentedFilling) -> int:
     return len(coinversion_triples(f))
 
 
-def descents_na(f: AugmentedFilling, against_basement: bool = False) -> list[Cell]:
-    shape = f.shape
-    out = []
-    for i in range(1, len(shape) + 1):
-        lo = 1 if (against_basement and f.basement is not None) else 2
-        for r in range(lo, shape[i - 1] + 1):
-            if f.entry(i, r) > f.entry(i, r - 1):
-                out.append((i, r))
-    return out
-
-
 def maj_na(f: AugmentedFilling) -> int:
     """Sum of leg+1 over descents; row 1 is never compared to the basement."""
-    shape = f.shape
-    return sum(leg(shape, s) + 1 for s in descents_na(f))
-
-
-def _maj_with_basement(f: AugmentedFilling) -> int:
-    """As maj_na, but row-1 cells may descend against the basement."""
-    shape = f.shape
-    return sum(leg(shape, s) + 1 for s in descents_na(f, against_basement=True))
+    return _maj(f.cols)
 
 
 def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
@@ -274,15 +253,21 @@ def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
 
 # -- scalar products --------------------------------------------------------
 
+def _poch_factors(parts) -> list[tuple[int, int]]:
+    """The cell factors (0, j), j <= m, of (t;t)_m per part multiplicity m."""
+    return [(0, j) for m in multiplicities(parts).values()
+            for j in range(1, m + 1)]
+
+
+def _factor_poly(factors, nvars: int) -> MPoly:
+    return weight_poly(cell_product(tuple(sorted(factors))), nvars)
+
+
 def pr1(mu, nvars: int = 0) -> MPoly:
     """Product over the diagram of mu of (1 - q^leg t^(arm+1))."""
     mu = check_partition(mu)
-    out = MPoly.one(nvars)
-    one, q, t = MPoly.one(nvars), MPoly.q(nvars), MPoly.t(nvars)
-    for i in range(1, len(mu) + 1):
-        for r in range(1, mu[i - 1] + 1):
-            out = out * (one - q ** leg(mu, (i, r)) * t ** (arm(mu, (i, r)) + 1))
-    return out
+    return _factor_poly([(leg(mu, c), arm(mu, c) + 1) for c in cells(mu)],
+                        nvars)
 
 
 def pr2(alpha, nvars: int = 0) -> MPoly:
@@ -290,30 +275,31 @@ def pr2(alpha, nvars: int = 0) -> MPoly:
     (1 - q^(leg+1) t^(arm+1)) over the non-bottom cells of the sorted diagram."""
     alpha = check_composition(alpha)
     shape = inc_sort(alpha)
-    out = MPoly.one(nvars)
-    for m in multiplicities(alpha).values():
-        out = out * t_pochhammer(m, nvars)
-    one, q, t = MPoly.one(nvars), MPoly.q(nvars), MPoly.t(nvars)
-    for i in range(1, len(shape) + 1):
-        for r in range(2, shape[i - 1] + 1):
-            out = out * (one - q ** (leg(shape, (i, r)) + 1)
-                         * t ** (arm(shape, (i, r)) + 1))
-    return out
+    return _factor_poly(_poch_factors(alpha)
+                        + [(leg(shape, c) + 1, arm(shape, c) + 1)
+                           for c in cells(shape) if c[1] >= 2], nvars)
 
 
-def _summand(f: AugmentedFilling, nvars: int) -> MPoly:
-    """x^f q^maj t^coinv times the per-cell factors above row 1."""
-    shape = f.shape
-    one, q, t = MPoly.one(nvars), MPoly.q(nvars), MPoly.t(nvars)
-    out = f.x_weight(nvars) * q ** maj_na(f) * t ** coinv(f)
-    for i in range(1, len(shape) + 1):
-        for r in range(2, shape[i - 1] + 1):
-            if f.entry(i, r) == f.entry(i, r - 1):
-                out = out * (one - q ** (leg(shape, (i, r)) + 1)
-                             * t ** (arm(shape, (i, r)) + 1))
-            else:
-                out = out * (one - t)
-    return out
+def _add_integral_terms(terms: dict, fillings, shape, basement, n: int) -> None:
+    """Add x^f q^maj t^coinv per filling, times, per cell above row 1,
+    1 - q^(leg+1) t^(arm+1) where it repeats the entry below and 1 - t
+    where it does not.  With a basement, row 1 must copy it, which makes
+    the filling ordered; a filling that does not raises."""
+    upper = [(i - 1, r - 1, (leg(shape, (i, r)) + 1, arm(shape, (i, r)) + 1))
+             for i, r in cells(shape) if r >= 2]
+    plan = _coinversion_plan(shape, basement is not None)
+    rpos = _reading_pos_aug(shape)
+    for f in fillings:
+        cols = f.cols
+        if basement is not None and (
+                any(col and col[0] != b for col, b in zip(cols, basement))
+                or not is_ordered(f)):
+            raise AssertionError(
+                f"filling {f.rows()} is not ordered on the basement {basement}")
+        factors = tuple(sorted(ab if cols[i][r] == cols[i][r - 1] else (0, 1)
+                               for i, r, ab in upper))
+        accumulate(terms, x_content(cols, n), cell_product(factors),
+                   _maj(cols), sum(1 for _ in _coinversions(f, plan, rpos)))
 
 
 def e_integral(alpha, n: int | None = None) -> MPoly:
@@ -324,22 +310,25 @@ def e_integral(alpha, n: int | None = None) -> MPoly:
     the basement, which makes every filling ordered.
     """
     alpha = check_composition(alpha)
-    if n is None:
-        n = len(alpha)
-    if n != len(alpha):
-        raise ValueError("the variable count must equal the number of parts")
-    shape = inc_sort(alpha)
-    basement = beta_perm(alpha)
-    total = MPoly.zero(n)
-    for f in enumerate_na(shape, basement, n):
-        for i in range(1, n + 1):  # forced bottom row, hence ordered
-            if shape[i - 1] >= 1:
-                assert f.entry(i, 1) == basement[i - 1]
-        assert is_ordered(f)
-        total = total + _summand(f, n)
-    for m in multiplicities(alpha).values():
-        total = total * t_pochhammer(m, n)
-    return total
+    return e_integral_sum([alpha], len(alpha) if n is None else n)
+
+
+def e_integral_sum(alphas, n: int) -> MPoly:
+    """The sum of :func:`e_integral` over compositions sharing one
+    increasing sort, as one accumulation scaled once by their common
+    (t;t) factors."""
+    alphas = [check_composition(a) for a in alphas]
+    shape = inc_sort(alphas[0]) if alphas else ()
+    terms: dict[tuple[int, ...], int] = {}
+    for alpha in alphas:
+        if n != len(alpha):
+            raise ValueError("the variable count must equal the number of parts")
+        if inc_sort(alpha) != shape:
+            raise ValueError(f"{alpha} does not sort to {shape}")
+        basement = beta_perm(alpha)
+        _add_integral_terms(terms, enumerate_na(shape, basement, n), shape,
+                            basement, n)
+    return MPoly(n, terms) * _factor_poly(_poch_factors(shape), n)
 
 
 def e_general_q0(alpha, basement, n: int) -> MPoly:
@@ -354,14 +343,14 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
     basement = check_permutation(basement)
     if len(alpha) != len(basement) or n != len(basement):
         raise ValueError("shape, basement and variable count must agree")
-    one_minus_t = MPoly.one(n) - MPoly.t(n)
-    t = MPoly.t(n)
-    total = MPoly.zero(n)
+    plan, rpos = _coinversion_plan(alpha, True), _reading_pos_aug(alpha)
+    terms: dict[tuple[int, ...], int] = {}
     for f in enumerate_na(alpha, basement, n, no_descents=True):
-        ndiff = sum(1 for (i, r) in f.cells()
-                    if f.entry(i, r) != f.entry(i, r - 1))
-        total = total + f.x_weight(n) * t ** coinv(f) * one_minus_t ** ndiff
-    return total
+        ndiff = sum(1 for col, b in zip(f.cols, basement)
+                    for r, e in enumerate(col) if e != (col[r - 1] if r else b))
+        accumulate(terms, x_content(f.cols, n), cell_product(((0, 1),) * ndiff),
+                   0, sum(1 for _ in _coinversions(f, plan, rpos)))
+    return MPoly(n, terms)
 
 
 def j_compact(mu, n: int) -> MPoly:
@@ -371,22 +360,19 @@ def j_compact(mu, n: int) -> MPoly:
     if n < len(mu):
         raise ValueError("need at least as many variables as parts")
     shape = (0,) * (n - len(mu)) + tuple(sorted(mu))
-    total = MPoly.zero(n)
-    for f in enumerate_na(shape, None, n, ordered_only=True):
-        total = total + _summand(f, n)
-    for m in multiplicities(mu).values():
-        total = total * t_pochhammer(m, n)
-    return total
+    terms: dict[tuple[int, ...], int] = {}
+    _add_integral_terms(terms, enumerate_na(shape, None, n, ordered_only=True),
+                        shape, None, n)
+    return MPoly(n, terms) * _factor_poly(_poch_factors(mu), n)
 
 
 def j_hhl(mu, n: int) -> MPoly:
     """Integral-form Macdonald polynomial as a sum over all nonattacking
     fillings of the partition diagram itself; the brute-force route."""
     mu = check_partition(mu)
-    total = MPoly.zero(n)
-    for f in enumerate_na(mu, None, n):
-        total = total + _summand(f, n)
-    return total * (MPoly.one(n) - MPoly.t(n)) ** len(mu)
+    terms: dict[tuple[int, ...], int] = {}
+    _add_integral_terms(terms, enumerate_na(mu, None, n), mu, None, n)
+    return MPoly(n, terms) * (MPoly.one(n) - MPoly.t(n)) ** len(mu)
 
 
 def p_poly(mu, n: int) -> "RationalForm":

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .mpoly import MPoly, RationalForm, divided_difference, specialize, swap_vars
-from .nonattacking import e_general_q0, e_integral, pr2
+from .mpoly import ONE, MPoly, RationalForm, accumulate, divided_difference
+from .nonattacking import coinv, e_general_q0, e_integral_sum, enumerate_na, pr2
 from .shapes import check_composition, identity_perm
+from .tableaux import x_content
 
 
 class NotQuasisymmetricError(ValueError):
@@ -48,10 +49,7 @@ def placements(gamma, n: int):
 def g_integral(gamma, n: int) -> MPoly:
     """The polynomial scalar multiple of G: the sum of integral forms over
     all placements of gamma among n variables."""
-    total = MPoly.zero(n)
-    for alpha in placements(gamma, n):
-        total = total + e_integral(alpha, n)
-    return total
+    return e_integral_sum(placements(gamma, n), n)
 
 
 def g_poly(gamma, n: int) -> RationalForm:
@@ -129,11 +127,6 @@ def hecke_T(p: MPoly, i: int) -> MPoly:
     return tt * p - factor * divided_difference(p, i)
 
 
-def hecke_si(p: MPoly, i: int) -> MPoly:
-    """The variable swap s_i, for checking symmetry-type identities."""
-    return swap_vars(p, i, i + 1)
-
-
 def demazure_t_atom(alpha, n: int) -> MPoly:
     """The q = 0, identity-basement polynomial for alpha (t-atom)."""
     alpha = check_composition(alpha)
@@ -144,8 +137,11 @@ def demazure_t_atom(alpha, n: int) -> MPoly:
 
 
 def qs_gamma(gamma, n: int) -> MPoly:
-    """Quasisymmetric Schur polynomial: t-atoms summed over placements, at t=0."""
-    total = MPoly.zero(n)
+    """Quasisymmetric Schur polynomial: t-atoms summed over placements, at
+    t=0, where a t-atom term x^f t^coinv (1-t)^ndiff leaves x^f if coinv = 0."""
+    terms: dict[tuple[int, ...], int] = {}
     for alpha in placements(gamma, n):
-        total = total + specialize(demazure_t_atom(alpha, n), {"t": 0})
-    return total
+        for f in enumerate_na(alpha, identity_perm(n), n, no_descents=True):
+            if coinv(f) == 0:
+                accumulate(terms, x_content(f.cols, n), ONE)
+    return MPoly(n, terms)

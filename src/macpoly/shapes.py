@@ -162,20 +162,9 @@ def identity_perm(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 
 
-def longest_perm(n: int) -> Permutation:
-    return tuple(range(n, 0, -1))
-
-
 def perm_length(w) -> int:
     """Number of inversions (Coxeter length)."""
     return sum(1 for a, b in combinations(w, 2) if a > b)
-
-
-def mult_si(w, i: int) -> Permutation:
-    """w * s_i: exchange positions i, i+1 of the one-line notation."""
-    w = list(w)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
 
 
 def apply_perm(w, vec) -> tuple:

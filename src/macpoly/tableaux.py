@@ -17,10 +17,11 @@ row of basement cells holding a value larger than every entry.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .mpoly import MPoly, t_multinomial
+from .mpoly import MPoly, accumulate, t_multinomial_product, weight_poly
 from .shapes import (Partition, canonical_w0_word, check_partition,
                      check_permutation)
 
@@ -92,49 +93,51 @@ def ccw(triple, rpos) -> bool:
 
 def inv(f: Filling) -> int:
     """Number of counterclockwise (inversion) triples, degenerate included."""
-    shape = f.shape
-    rpos = _reading_pos(shape)
+    return _inv(f.cols, _reading_pos(f.shape))
+
+
+def _inv(cols, rpos) -> int:
+    # Column v right of column u is no taller, so the pair shares rows
+    # 1..len(cols[v]); row 1 compares against the implicit basement.
     count = 0
-    live = list(range(1, len(shape) + 1))
-    maxh = max(shape, default=0)
-    for r in range(1, maxh + 1):
-        live = [i for i in live if shape[i - 1] >= r]
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                u, v = live[a], live[b]
-                if r == 1:
-                    if f.entry(u, 1) > f.entry(v, 1):
-                        count += 1
-                else:
-                    tri = (((v, r), f.entry(v, r)), ((u, r), f.entry(u, r)),
-                           ((u, r - 1), f.entry(u, r - 1)))
-                    if ccw(tri, rpos):
-                        count += 1
+    for u, cu in enumerate(cols, start=1):
+        for v in range(u + 1, len(cols) + 1):
+            cv = cols[v - 1]
+            if not cv:
+                break
+            if cu[0] > cv[0]:
+                count += 1
+            for r in range(2, len(cv) + 1):
+                if ccw((((v, r), cv[r - 1]), ((u, r), cu[r - 1]),
+                        ((u, r - 1), cu[r - 2])), rpos):
+                    count += 1
     return count
 
 
-def descents(f: Filling) -> list[tuple[int, int]]:
-    """Cells above row 1 whose entry exceeds the entry below."""
-    shape = f.shape
-    return [(i, r) for i in range(1, len(shape) + 1)
-            for r in range(2, shape[i - 1] + 1)
-            if f.entry(i, r) > f.entry(i, r - 1)]
-
-
 def maj(f: Filling) -> int:
-    """Sum of leg+1 over the descents."""
-    shape = f.shape
-    return sum(shape[i - 1] - r + 1 for i, r in descents(f))
+    """Sum of leg+1 over the cells above row 1 whose entry exceeds the
+    entry below."""
+    return _maj(f.cols)
 
 
-def x_weight(f: Filling, nvars: int) -> MPoly:
+def _maj(cols) -> int:
+    return sum(len(col) - k for col in cols for k in range(1, len(col))
+               if col[k] > col[k - 1])
+
+
+def x_content(cols, nvars: int) -> tuple[int, ...]:
+    """The x-exponents of a filling given by its columns."""
     exps = [0] * nvars
-    for col in f.cols:
+    for col in cols:
         for e in col:
             if e > nvars:
                 raise ValueError(f"entry {e} exceeds the variable count {nvars}")
             exps[e - 1] += 1
-    return MPoly.monomial(nvars, exps)
+    return tuple(exps)
+
+
+def x_weight(f: Filling, nvars: int) -> MPoly:
+    return MPoly.monomial(nvars, x_content(f.cols, nvars))
 
 
 def enumerate_fillings(shape, n: int):
@@ -220,28 +223,25 @@ def enumerate_sorted(shape, n: int):
     under the column order; runs are independent.
     """
     shape = check_partition(shape)
-    runs = components(shape)
     per_run = []
-    for lo, hi in runs:
-        h, w = shape[lo - 1], hi - lo + 1
-        cands = sorted(product(range(1, n + 1), repeat=h))
-
-        def chains(w=w, cands=cands):
-            def extend(seq):
-                if len(seq) == w:
-                    yield tuple(seq)
-                    return
-                for c in cands:
-                    if not seq or compare_columns(seq[-1], c) != GREATER:
-                        seq.append(c)
-                        yield from extend(seq)
-                        seq.pop()
-            yield from extend([])
-
-        per_run.append(list(chains()))
+    for lo, hi in components(shape):
+        cands = sorted(product(range(1, n + 1), repeat=shape[lo - 1]))
+        per_run.append(list(_chains([], hi - lo + 1, cands)))
     for combo in product(*per_run):
         cols = tuple(col for run in combo for col in run)
         yield Filling(cols)
+
+
+def _chains(seq, w: int, cands):
+    """Weakly increasing chains of w columns from cands that extend seq."""
+    if len(seq) == w:
+        yield tuple(seq)
+        return
+    for c in cands:
+        if not seq or compare_columns(seq[-1], c) != GREATER:
+            seq.append(c)
+            yield from _chains(seq, w, cands)
+            seq.pop()
 
 
 def _require_sorted(f: Filling) -> None:
@@ -249,27 +249,30 @@ def _require_sorted(f: Filling) -> None:
         raise ValueError("filling is not a sorted tableau")
 
 
+def _signature(cols, runs):
+    """Per same-height run: its width and sorted column multiplicities."""
+    return tuple((hi - lo + 1, tuple(sorted(Counter(cols[lo - 1:hi]).values())))
+                 for lo, hi in runs)
+
+
 def perm_t(f: Filling, nvars: int = 0) -> MPoly:
     """Product over same-height runs of t-multinomials of column multiplicities."""
     _require_sorted(f)
-    shape = f.shape
-    out = MPoly.one(nvars)
-    for lo, hi in components(shape):
-        mult: dict[tuple[int, ...], int] = {}
-        for i in range(lo, hi + 1):
-            mult[f.cols[i - 1]] = mult.get(f.cols[i - 1], 0) + 1
-        out = out * t_multinomial(hi - lo + 1, sorted(mult.values()), nvars)
-    return out
+    sig = _signature(f.cols, components(f.shape))
+    return weight_poly(t_multinomial_product(sig), nvars)
 
 
 def htilde_compact(shape, n: int) -> MPoly:
     """Modified Macdonald polynomial as the sum over sorted tableaux."""
     shape = check_partition(shape)
-    total = MPoly.zero(n)
-    q, t = MPoly.q(n), MPoly.t(n)
+    runs, rpos = components(shape), _reading_pos(shape)
+    terms: dict[tuple[int, ...], int] = {}
     for f in enumerate_sorted(shape, n):
-        total = total + x_weight(f, n) * t ** inv(f) * q ** maj(f) * perm_t(f, n)
-    return total
+        cols = f.cols
+        accumulate(terms, x_content(cols, n),
+                   t_multinomial_product(_signature(cols, runs)), _maj(cols),
+                   _inv(cols, rpos))
+    return MPoly(n, terms)
 
 
 # -- inversion-flip operators ----------------------------------------------
@@ -330,15 +333,6 @@ def pds(v, n: int | None = None) -> tuple[int, ...]:
     return tuple(reversed(kept))
 
 
-def apply_flip_word(f: Filling, word, expect_row: int | None = None) -> Filling:
-    """Apply a word of flip operators, rightmost letter first."""
-    for i in reversed(tuple(word)):
-        f, r = flip(f, i)
-        if expect_row is not None and r != expect_row:
-            raise AssertionError(f"operator acted at row {r}, expected {expect_row}")
-    return f
-
-
 # -- blocks, families, and the reverse algorithm ----------------------------
 
 def block_decomposition(f: Filling, r: int) -> list[tuple[int, int]]:
@@ -393,15 +387,30 @@ def _row_rearrangements(root_row, blocks, offset):
         yield row, pds(wtil)
 
 
-def _component_family(comp: Filling) -> list[Filling]:
+def _component_family(comp: Filling, edges: dict | None = None) -> list[Filling]:
+    """Members of one rectangular component's family, rows handled top
+    down; records the first flip reaching each member as
+    ``edges[child] = (parent, column, row)`` when given a dict."""
     h = comp.shape[0] if comp.cols else 0
     members = [comp]
     for r in range(h, 0, -1):
         blocks = block_decomposition(comp, r)
         root_row = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
         words = [w for _, w in _row_rearrangements(root_row, blocks, 1)]
-        members = [apply_flip_word(g, w, expect_row=r)
-                   for g in members for w in words]
+        new_members = []
+        for g in members:
+            for w in words:
+                cur = g
+                for letter in reversed(w):  # rightmost letter acts first
+                    nxt, rr = flip(cur, letter)
+                    if rr != r:
+                        raise AssertionError(
+                            f"operator acted at row {rr}, expected {r}")
+                    if edges is not None:
+                        edges.setdefault(nxt, (cur, letter, rr))
+                    cur = nxt
+                new_members.append(cur)
+        members = new_members
     return members
 
 
@@ -433,29 +442,9 @@ def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
     runs = components(f.shape)
     comps = [Filling(f.cols[lo - 1:hi]) for lo, hi in runs]
 
-    comp_edges: list[dict] = []
-    comp_members: list[list[Filling]] = []
-    for comp in comps:
-        h = comp.shape[0] if comp.cols else 0
-        members = [comp]
-        edges: dict[Filling, tuple[Filling, int, int]] = {}
-        for r in range(h, 0, -1):
-            blocks = block_decomposition(comp, r)
-            root_row = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
-            words = [w for _, w in _row_rearrangements(root_row, blocks, 1)]
-            new_members = []
-            for g in members:
-                for w in words:
-                    cur = g
-                    for letter in reversed(w):
-                        nxt, rr = flip(cur, letter)
-                        if nxt not in edges:
-                            edges[nxt] = (cur, letter, rr)
-                        cur = nxt
-                    new_members.append(cur)
-            members = new_members
-        comp_edges.append(edges)
-        comp_members.append(members)
+    comp_edges: list[dict] = [{} for _ in comps]
+    comp_members = [_component_family(comp, edges)
+                    for comp, edges in zip(comps, comp_edges)]
 
     def glue(pre, mid, suffix):
         return Filling(tuple(col for piece in pre + (mid,) + suffix

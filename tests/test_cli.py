@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from macpoly.cli import main
@@ -57,6 +58,26 @@ def test_usage_errors_exit_2():
     assert run("validate", "--suite", "unknown").exit_code == 2
     assert run("compute", "htilde", "--shape", "3,3,3", "--nvars", "3",
                "--method", "brute").exit_code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "htilde", "--shape", "2,1", "--nvars", "-1"),
+    ("compute", "J", "--shape", "1", "--nvars", "-3"),
+    ("enumerate", "sorted", "--shape", "2,1", "--nvars", "-1"),
+    ("enumerate", "nonattacking", "--shape", "1,1", "--nvars", "-1"),
+])
+def test_negative_nvars_is_a_usage_error(argv):
+    res = run(*argv)
+    assert res.exit_code == 2
+    assert "Invalid value for '--nvars'" in res.output
+
+
+def test_non_integer_macpoly_jobs_is_a_usage_error():
+    res = CliRunner().invoke(main, ["validate", "--suite", "pds", "--max", "2"],
+                             env={"MACPOLY_JOBS": "x"})
+    assert res.exit_code == 2
+    assert "MACPOLY_JOBS" in res.output and "'x'" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_cap_override():

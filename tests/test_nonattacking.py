@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
+
+import macpoly
+from macpoly import nonattacking
 
 from macpoly.mpoly import (MPoly, exact_div_xfree, specialize,
                            swap_vars, t_pochhammer)
@@ -316,3 +323,34 @@ def test_e_general_q0_matches_integral_route():
             scal = scal * t_pochhammer(m, n)
         lhs = scal * demazure_t_atom(alpha, n)
         assert lhs == specialize(e_integral(alpha, n), {"q": 0}), alpha
+
+
+# An unordered filling whose bottom row does not copy the basement (2, 1)
+# that the diagram of (1, 1) gets.
+_UNORDERED = """
+from macpoly import nonattacking
+from macpoly.nonattacking import AugmentedFilling, e_integral
+bad = AugmentedFilling((1, 1), ((1,), (2,)), (2, 1))
+nonattacking.enumerate_na = lambda *args, **kwargs: iter([bad])
+try:
+    e_integral((1, 1))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_e_integral_rejects_a_filling_off_the_basement(monkeypatch):
+    bad = AugmentedFilling((1, 1), ((1,), (2,)), (2, 1))
+    monkeypatch.setattr(nonattacking, "enumerate_na",
+                        lambda *args, **kwargs: iter([bad]))
+    with pytest.raises(AssertionError, match="not ordered on the basement"):
+        e_integral((1, 1))
+
+
+def test_e_integral_check_survives_python_O():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(macpoly.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNORDERED], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:")
