@@ -7,9 +7,10 @@ Output is deterministic: identical requests produce identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import permutations, product
+from itertools import chain, islice, permutations, product
 
 import click
 
@@ -38,19 +39,23 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def _parse_rows(text: str) -> Filling:
-    rows = [_parse_parts(chunk) for chunk in text.split(";")]
+    rows = [_parse_parts(chunk) for chunk in text.split(";")] \
+        if text.strip() else []
     try:
         return Filling.from_rows(rows)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
-def _emit(text: str, output):
+def _emit(lines, output):
+    """Write each line as it is produced, to the output file or stdout."""
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        click.echo(text, nl=False)
+        out = click.get_text_stream("stdout")
+        out.writelines(lines)
+        out.flush()
 
 
 def _render_poly(value, fmt: str) -> str:
@@ -125,7 +130,7 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
             click.echo(f"identity failure: compact and brute routes disagree "
                        f"for {selector} {shape}", err=True)
             sys.exit(IDENTITY_EXIT)
-    _emit(_render_poly(value, fmt), output)
+    _emit([_render_poly(value, fmt)], output)
 
 
 @main.command("enumerate")
@@ -145,34 +150,40 @@ def cmd_enumerate(kind, shape, nvars, basement, ordered, packed, fmt, output):
     """Stream objects with their statistics, one record per line."""
     from .tableaux import is_packed
     parts = _parse_parts(shape)
-    records = []
-    try:
+    base = tuple(_parse_parts(basement)) if basement else None
+
+    def records():
         if kind == "fillings":
             for f in enumerate_fillings(parts, nvars):
-                if packed and not is_packed(f):
-                    continue
-                records.append({"filling": f.to_json_dict(),
-                                "inv": inv(f), "maj": maj(f)})
+                if not packed or is_packed(f):
+                    yield {"filling": f.to_json_dict(), "inv": inv(f),
+                           "maj": maj(f)}
         elif kind == "sorted":
             for f in enumerate_sorted(parts, nvars):
-                if packed and not is_packed(f):
-                    continue
-                records.append({"filling": f.to_json_dict(), "inv": inv(f),
-                                "maj": maj(f),
-                                "perm_t": perm_t(f, nvars).to_json_dict()})
+                if not packed or is_packed(f):
+                    yield {"filling": f.to_json_dict(), "inv": inv(f),
+                           "maj": maj(f),
+                           "perm_t": perm_t(f, nvars).to_json_dict()}
         else:
-            base = tuple(_parse_parts(basement)) if basement else None
             for f in enumerate_na(parts, base, nvars, ordered_only=ordered):
-                records.append({"filling": f.to_json_dict(),
-                                "coinv": coinv(f), "maj": maj_na(f)})
+                yield {"filling": f.to_json_dict(), "coinv": coinv(f),
+                       "maj": maj_na(f)}
+
+    # The enumerators check their input before their first object, so
+    # taking the first record turns a bad input into a usage error before
+    # anything is written.
+    stream = records()
+    try:
+        first = list(islice(stream, 1))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if fmt == "json":
-        text = "".join(json.dumps(r) + "\n" for r in records)
-    else:
-        text = "".join(f"{r['filling']['rows']} {_stats_line(r)}\n"
-                       for r in records)
-    _emit(text, output)
+
+    def line(rec):
+        if fmt == "json":
+            return json.dumps(rec) + "\n"
+        return f"{rec['filling']['rows']} {_stats_line(rec)}\n"
+
+    _emit(map(line, chain(first, stream)), output)
 
 
 def _stats_line(rec):
@@ -210,7 +221,7 @@ def cmd_family(shape, nvars, root, fmt, output):
                 "members": [{"filling": g.to_json_dict(), "inv": inv(g),
                              "maj": maj(g)} for g in members],
             })
-        _emit("".join(json.dumps(r) + "\n" for r in records), output)
+        _emit([json.dumps(r) + "\n" for r in records], output)
         return
 
     lines = ["digraph families {"]
@@ -226,7 +237,7 @@ def cmd_family(shape, nvars, root, fmt, output):
             lines.append(f'  "{label[parent]}" -> "{label[child]}" '
                          f'[label="T_{i}^({r})"];')
     lines.append("}")
-    _emit("\n".join(lines) + "\n", output)
+    _emit(["\n".join(lines) + "\n"], output)
 
 
 # -- validation suites -------------------------------------------------------
@@ -435,7 +446,8 @@ def _strong_comps_upto(max_deg):
 @click.option("--suite", required=True)
 @click.option("--max", "max_size", type=int, default=4, show_default=True)
 @click.option("--jobs", type=int, default=1, envvar="MACPOLY_JOBS",
-              show_envvar=True, help="worker processes")
+              show_envvar=True,
+              help="worker processes, clamped to 1..the CPU count")
 @click.option("--output", type=click.Path(), default=None)
 def cmd_validate(suite, max_size, jobs, output):
     """Run an identity suite; exits 3 when a property fails."""
@@ -445,6 +457,7 @@ def cmd_validate(suite, max_size, jobs, output):
             raise click.UsageError(
                 f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))} or all")
 
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     lines = []
     failed = False
     for name in names:
@@ -460,7 +473,7 @@ def cmd_validate(suite, max_size, jobs, output):
                          + (f" ({detail})" if detail else ""))
             failed = failed or not ok
     text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit([text], output)
     if failed:
         sys.exit(IDENTITY_EXIT)
 

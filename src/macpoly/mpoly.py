@@ -16,7 +16,10 @@ e_t), c)`` pairs, come from two bounded caches filled on first use:
 :func:`t_multinomial_product`, keyed by ``(k, sorted multiplicities)``
 signatures and divided out of t-factorials by the remainder-checked
 :func:`exact_div_xfree`, and :func:`cell_product`, keyed by the sorted
-``(a, b)`` of a filling's cell factors ``1 - q^a t^b``.
+``(a, b)`` of a filling's cell factors ``1 - q^a t^b``.  The symmetric
+sums (``htilde``, ``J``) accumulate only the x-free weights of the fillings
+of each partition content nu, and :func:`expand_symmetric` writes them at
+the rearrangements of nu once, at the end.
 """
 
 from __future__ import annotations
@@ -532,3 +535,35 @@ def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
             terms[key] = c
         else:
             del terms[key]
+
+
+def _rearrangements(parts):
+    """Each distinct rearrangement of a sequence, once."""
+    if not parts:
+        yield ()
+        return
+    for v in sorted(set(parts)):
+        rest = list(parts)
+        rest.remove(v)
+        for tail in _rearrangements(rest):
+            yield (v,) + tail
+
+
+def expand_symmetric(nvars: int, coeffs) -> MPoly:
+    """The symmetric polynomial sum of coeffs[nu] * m_nu(x_1..x_nvars).
+
+    ``coeffs`` maps partitions nu with at most nvars parts to x-free
+    polynomials; each coefficient is written at every distinct
+    rearrangement of nu padded with zeros to nvars exponents.
+    """
+    terms: dict[tuple[int, ...], int] = {}
+    for nu, coeff in coeffs.items():
+        if len(nu) > nvars or coeff.nvars:
+            raise VariableMismatchError(
+                f"cannot expand {nu} with a coefficient in {coeff.nvars} "
+                f"x-variables over {nvars} variables")
+        qt = coeff.terms().items()
+        for xexps in _rearrangements(tuple(nu) + (0,) * (nvars - len(nu))):
+            for k, c in qt:
+                terms[xexps + k] = c
+    return MPoly.zero(nvars)._like(terms)

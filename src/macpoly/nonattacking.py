@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .mpoly import MPoly, accumulate, cell_product, weight_poly
+from .mpoly import (MPoly, accumulate, cell_product, expand_symmetric,
+                    weight_poly)
 from .shapes import (Cell, Composition, Permutation, arm, beta_perm, cells,
-                     check_composition, check_partition,
-                     check_permutation, inc_sort, leg, multiplicities)
+                     check_composition, check_partition, check_permutation,
+                     inc_sort, leg, multiplicities, partitions_of)
 from .tableaux import _maj, _reading_pos, ccw, x_content
 
 
@@ -187,12 +188,15 @@ def maj_na(f: AugmentedFilling) -> int:
 
 
 def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
-                 no_descents: bool = False):
+                 no_descents: bool = False, content=None):
     """All nonattacking fillings of the diagram with entries 1..n.
 
     ordered_only restricts the bottom row as in :func:`is_ordered`;
     no_descents keeps only fillings with no descent anywhere, the basement
-    included (the surviving set at q = 0).
+    included (the surviving set at q = 0).  With ``content``, only the
+    fillings holding the value v exactly ``content[v-1]`` times are built,
+    in the same order: entries range over 1..len(content), and a value's
+    remaining budget is checked before the other conditions.
     """
     shape = check_composition(shape)
     if basement is not None:
@@ -203,38 +207,44 @@ def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
             raise ValueError("basement entries must be the letters 1..n")
     if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
         raise ValueError("ordered enumeration needs a weakly increasing shape")
+    if content is None:
+        content = (sum(shape),) * n  # a budget that never binds
+    elif sum(content) != sum(shape):
+        raise ValueError(
+            f"content {tuple(content)} does not fill {sum(shape)} cells")
+    left = list(content[:n])
 
     ncols = len(shape)
     order = [(i, r) for r in range(1, max(shape, default=0) + 1)
              for i in range(1, ncols + 1) if shape[i - 1] >= r]
     entries: dict[Cell, int] = {}
+    # Per cell in order: the earlier cells and the basement values attacking
+    # it, a fixed bound on its entry, and (cell, d) pairs bounding it by
+    # entries[cell] - d: the cell below without descents, the previous
+    # same-height bottom cell when ordered.
+    plan = []
+    for k, (i, r) in enumerate(order):
+        hi, below = len(left), []
+        if no_descents and r >= 2:
+            below.append(((i, r - 1), 0))
+        if no_descents and r == 1 and basement is not None:
+            hi = min(hi, basement[i - 1])
+        if ordered_only and r == 1:
+            prev = max((j for j in range(1, i) if shape[j - 1] >= 1),
+                       default=None)
+            if prev is not None and shape[prev - 1] == shape[i - 1]:
+                below.append(((prev, 1), 1))
+        plan.append(([c for c in order[:k] if attacks((i, r), c)],
+                     {basement[j - 1] for j in range(1, ncols + 1)
+                      if attacks((i, r), (j, 0))} if basement else set(),
+                     hi, below))
 
-    def candidates(cell):
-        i, r = cell
-        for val in range(1, n + 1):
-            if no_descents and r >= 2 and val > entries[(i, r - 1)]:
-                continue
-            if no_descents and r == 1 and basement is not None \
-                    and val > basement[i - 1]:
-                continue
-            if ordered_only and r == 1:
-                prev = max((j for j in range(1, i) if shape[j - 1] >= 1),
-                           default=None)
-                if prev is not None and shape[prev - 1] == shape[i - 1] \
-                        and val >= entries[(prev, 1)]:
-                    continue
-            ok = True
-            for (j, s), w in entries.items():
-                if w == val and attacks(cell, (j, s)):
-                    ok = False
-                    break
-            if ok and basement is not None:
-                for j in range(1, ncols + 1):
-                    if basement[j - 1] == val and attacks(cell, (j, 0)):
-                        ok = False
-                        break
-            if ok:
-                yield val
+    def candidates(k):
+        earlier, blocked, hi, below = plan[k]
+        top = min([hi] + [entries[c] - d for c, d in below])
+        taken = blocked.union(entries[c] for c in earlier)
+        return [v for v in range(1, top + 1)
+                if left[v - 1] and v not in taken]
 
     def backtrack(k):
         if k == len(order):
@@ -243,9 +253,11 @@ def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
             yield AugmentedFilling(shape, cols, basement)
             return
         cell = order[k]
-        for val in candidates(cell):
+        for val in candidates(k):
             entries[cell] = val
+            left[val - 1] -= 1
             yield from backtrack(k + 1)
+            left[val - 1] += 1
             del entries[cell]
 
     yield from backtrack(0)
@@ -280,11 +292,13 @@ def pr2(alpha, nvars: int = 0) -> MPoly:
                            for c in cells(shape) if c[1] >= 2], nvars)
 
 
-def _add_integral_terms(terms: dict, fillings, shape, basement, n: int) -> None:
+def _add_integral_terms(terms: dict, fillings, shape, basement,
+                        n: int | None) -> None:
     """Add x^f q^maj t^coinv per filling, times, per cell above row 1,
     1 - q^(leg+1) t^(arm+1) where it repeats the entry below and 1 - t
-    where it does not.  With a basement, row 1 must copy it, which makes
-    the filling ordered; a filling that does not raises."""
+    where it does not; with n None, the fillings share one content and
+    only the x-free part is added.  With a basement, row 1 must copy it,
+    which makes the filling ordered; a filling that does not raises."""
     upper = [(i - 1, r - 1, (leg(shape, (i, r)) + 1, arm(shape, (i, r)) + 1))
              for i, r in cells(shape) if r >= 2]
     plan = _coinversion_plan(shape, basement is not None)
@@ -298,7 +312,8 @@ def _add_integral_terms(terms: dict, fillings, shape, basement, n: int) -> None:
                 f"filling {f.rows()} is not ordered on the basement {basement}")
         factors = tuple(sorted(ab if cols[i][r] == cols[i][r - 1] else (0, 1)
                                for i, r, ab in upper))
-        accumulate(terms, x_content(cols, n), cell_product(factors),
+        accumulate(terms, () if n is None else x_content(cols, n),
+                   cell_product(factors),
                    _maj(cols), sum(1 for _ in _coinversions(f, plan, rpos)))
 
 
@@ -355,15 +370,26 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
 
 def j_compact(mu, n: int) -> MPoly:
     """Integral-form Macdonald polynomial as a sum over ordered
-    nonattacking fillings of the increasing diagram."""
+    nonattacking fillings of the increasing diagram.
+
+    The sum is symmetric in x, so it is taken over the fillings of each
+    partition content nu only, scaled by the (t;t) factors, and expanded to
+    the rearrangements of nu last.
+    """
     mu = check_partition(mu)
     if n < len(mu):
         raise ValueError("need at least as many variables as parts")
     shape = (0,) * (n - len(mu)) + tuple(sorted(mu))
-    terms: dict[tuple[int, ...], int] = {}
-    _add_integral_terms(terms, enumerate_na(shape, None, n, ordered_only=True),
-                        shape, None, n)
-    return MPoly(n, terms) * _factor_poly(_poch_factors(mu), n)
+    scalar = _factor_poly(_poch_factors(mu), 0)
+    coeffs = {}
+    for nu in partitions_of(sum(mu)):
+        if len(nu) > n:
+            continue
+        terms: dict[tuple[int, int], int] = {}
+        _add_integral_terms(terms, enumerate_na(shape, None, n, ordered_only=True,
+                                                content=nu), shape, None, None)
+        coeffs[nu] = MPoly(0, terms) * scalar
+    return expand_symmetric(n, coeffs)
 
 
 def j_hhl(mu, n: int) -> MPoly:

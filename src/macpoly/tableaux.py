@@ -21,9 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .mpoly import MPoly, accumulate, t_multinomial_product, weight_poly
+from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
+                    weight_poly)
 from .shapes import (Partition, canonical_w0_word, check_partition,
-                     check_permutation)
+                     check_permutation, partitions_of)
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -59,8 +60,15 @@ class Filling:
 
     @classmethod
     def from_rows(cls, rows) -> "Filling":
-        """Inverse of :meth:`rows` (rows given top first, left-justified)."""
+        """Inverse of :meth:`rows` (rows given top first, left-justified).
+
+        The row lengths, bottom row first, must form a partition.
+        """
         rows = [tuple(r) for r in rows]
+        lengths = [len(r) for r in reversed(rows)]
+        if any(a < b for a, b in zip(lengths, lengths[1:])) or 0 in lengths:
+            raise ValueError(f"row lengths {lengths[::-1]} (top first) do not "
+                             "form a partition")
         ncols = len(rows[-1]) if rows else 0
         cols = []
         for i in range(ncols):
@@ -216,32 +224,50 @@ def components(shape) -> list[tuple[int, int]]:
     return runs
 
 
-def enumerate_sorted(shape, n: int):
+def enumerate_sorted(shape, n: int, content=None):
     """All sorted tableaux with entries in 1..n, built constructively.
 
-    Per same-height run, columns are chosen as weakly increasing chains
-    under the column order; runs are independent.
+    Columns are chosen left to right, each same-height run as a weakly
+    increasing chain under the column order.  With ``content``, only the
+    tableaux holding the value v exactly ``content[v-1]`` times are built,
+    in the same order: entries range over 1..len(content), and a value's
+    remaining budget is checked before the column order.
     """
     shape = check_partition(shape)
-    per_run = []
-    for lo, hi in components(shape):
-        cands = sorted(product(range(1, n + 1), repeat=shape[lo - 1]))
-        per_run.append(list(_chains([], hi - lo + 1, cands)))
-    for combo in product(*per_run):
-        cols = tuple(col for run in combo for col in run)
-        yield Filling(cols)
+    if content is None:
+        content = (sum(shape),) * n  # a budget that never binds
+    elif sum(content) != sum(shape):
+        raise ValueError(
+            f"content {tuple(content)} does not fill {sum(shape)} cells")
+    left = list(content[:n])
 
+    def columns(h):
+        """Columns of height h in lexicographic order, each holding its
+        entries out of the budget while it is in use."""
+        if not h:
+            yield ()
+            return
+        for v, budget in enumerate(left):
+            if budget:
+                left[v] -= 1
+                for rest in columns(h - 1):
+                    yield (v + 1,) + rest
+                left[v] += 1
 
-def _chains(seq, w: int, cands):
-    """Weakly increasing chains of w columns from cands that extend seq."""
-    if len(seq) == w:
-        yield tuple(seq)
-        return
-    for c in cands:
-        if not seq or compare_columns(seq[-1], c) != GREATER:
-            seq.append(c)
-            yield from _chains(seq, w, cands)
-            seq.pop()
+    cols: list[tuple[int, ...]] = []
+
+    def extend(j):
+        if j == len(shape):
+            yield Filling(tuple(cols))
+            return
+        prev = cols[-1] if j and shape[j - 1] == shape[j] else None
+        for c in columns(shape[j]):
+            if prev is None or compare_columns(prev, c) != GREATER:
+                cols.append(c)
+                yield from extend(j + 1)
+                cols.pop()
+
+    yield from extend(0)
 
 
 def _require_sorted(f: Filling) -> None:
@@ -263,16 +289,24 @@ def perm_t(f: Filling, nvars: int = 0) -> MPoly:
 
 
 def htilde_compact(shape, n: int) -> MPoly:
-    """Modified Macdonald polynomial as the sum over sorted tableaux."""
+    """Modified Macdonald polynomial as the sum over sorted tableaux.
+
+    The sum is symmetric in x, so it is taken over the tableaux of each
+    partition content nu only and expanded to the rearrangements of nu last.
+    """
     shape = check_partition(shape)
     runs, rpos = components(shape), _reading_pos(shape)
-    terms: dict[tuple[int, ...], int] = {}
-    for f in enumerate_sorted(shape, n):
-        cols = f.cols
-        accumulate(terms, x_content(cols, n),
-                   t_multinomial_product(_signature(cols, runs)), _maj(cols),
-                   _inv(cols, rpos))
-    return MPoly(n, terms)
+    coeffs = {}
+    for nu in partitions_of(sum(shape)):
+        if len(nu) > n:
+            continue
+        terms: dict[tuple[int, int], int] = {}
+        for f in enumerate_sorted(shape, n, content=nu):
+            cols = f.cols
+            accumulate(terms, (), t_multinomial_product(_signature(cols, runs)),
+                       _maj(cols), _inv(cols, rpos))
+        coeffs[nu] = MPoly(0, terms)
+    return expand_symmetric(n, coeffs)
 
 
 # -- inversion-flip operators ----------------------------------------------

@@ -120,6 +120,80 @@ def test_family_rejects_unsorted_root():
     assert run("family", "--root", "2,1").exit_code == 2
 
 
+def test_family_rejects_rows_that_are_not_a_partition():
+    res = run("family", "--root", "1,2;3")
+    assert res.exit_code == 2
+    assert "partition" in res.output
+    assert res.stdout == ""
+    assert json.loads(run("family", "--root", "").output)["size"] == 1
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, env, workers", [
+    ("1000", None, [3]), (None, "1000", [3]), ("2", None, [2]),
+    ("0", None, []), ("-5", None, []), ("1", None, [])])
+def test_validate_jobs_are_clamped_to_the_cpu_count(monkeypatch, jobs, env,
+                                                    workers):
+    import macpoly.cli as cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    args = ["validate", "--suite", "pds", "--max", "2"]
+    if jobs is not None:
+        args += ["--jobs", jobs]
+    res = CliRunner().invoke(main, args, env={"MACPOLY_JOBS": env})
+    assert res.exit_code == 0
+    assert _RecordingPool.created == workers
+
+
+def test_enumerate_streams_records_as_they_are_produced(monkeypatch):
+    import macpoly.cli as cli
+    from macpoly.tableaux import Filling
+
+    def two_then_fail(shape, n):
+        yield Filling(((1,),))
+        yield Filling(((2,),))
+        raise RuntimeError("stopped mid-stream")
+
+    monkeypatch.setattr(cli, "enumerate_fillings", two_then_fail)
+    res = run("enumerate", "fillings", "--shape", "1", "--nvars", "2")
+    assert isinstance(res.exception, RuntimeError)
+    assert [json.loads(line)["filling"]["rows"]
+            for line in res.stdout.splitlines()] == [[[1]], [[2]]]
+
+
+@pytest.mark.parametrize("args", [
+    ("nonattacking", "--shape", "2,1", "--nvars", "3", "--basement", "1,2"),
+    ("nonattacking", "--shape", "2,1", "--nvars", "3", "--ordered"),
+    ("sorted", "--shape", "1,2", "--nvars", "2"),
+    ("fillings", "--shape", "1,2", "--nvars", "2", "--packed"),
+])
+def test_enumerate_usage_error_writes_nothing(tmp_path, args):
+    res = run("enumerate", *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    target = tmp_path / "out.jsonl"
+    assert run("enumerate", *args, "--output", str(target)).exit_code == 2
+    assert not target.exists()
+
+
 def test_validate_suite_passes():
     res = run("validate", "--suite", "pds", "--max", "4")
     assert res.exit_code == 0

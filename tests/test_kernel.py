@@ -1,5 +1,6 @@
 """The weighted-filling kernel: digest regression against recorded outputs,
-the cached t-multinomials, and in-place accumulation."""
+the cached t-multinomials, in-place accumulation, enumeration restricted to
+one content, and the symmetric expansion."""
 
 import hashlib
 import random
@@ -7,12 +8,14 @@ from itertools import permutations, product
 
 import pytest
 
-from macpoly.mpoly import (ONE, MPoly, accumulate, cell_product,
-                           exact_div_xfree, t_multinomial, weight_poly)
-from macpoly.nonattacking import e_general_q0, e_integral, j_compact, j_hhl
-from macpoly.quasisym import g_integral, qs_gamma
+from macpoly.mpoly import (ONE, MPoly, VariableMismatchError, accumulate,
+                           cell_product, exact_div_xfree, expand_symmetric,
+                           t_multinomial, weight_poly)
+from macpoly.nonattacking import (e_general_q0, e_integral, enumerate_na,
+                                  j_compact, j_hhl)
+from macpoly.quasisym import g_integral, qs_gamma, qsym_expand
 from macpoly.shapes import partitions_of
-from macpoly.tableaux import htilde_compact
+from macpoly.tableaux import enumerate_sorted, htilde_compact, x_content
 
 
 def _weak(n, deg):
@@ -29,6 +32,12 @@ def _partition_lines(fn, m):
     """Every lambda |- m with l(lambda) <= n <= 5."""
     return [f"{lam} {n} {fn(lam, n).to_json()}\n"
             for lam in partitions_of(m) for n in range(len(lam), 6)]
+
+
+def _wide_lines(fn, m, extras):
+    """Every lambda |- m at n = m + e for each e in extras."""
+    return [f"{lam} {m + e} {fn(lam, m + e).to_json()}\n"
+            for lam in partitions_of(m) for e in extras]
 
 
 def _e_integral_lines():
@@ -56,6 +65,10 @@ CASES = {
     ("e_general_q0", 0): _e_general_q0_lines,
     ("g_integral", 0): lambda: _strong_lines(g_integral),
     ("qs_gamma", 0): lambda: _strong_lines(qs_gamma),
+    **{("htilde_compact at n=|lam|+1,+2", m):
+       (lambda m=m: _wide_lines(htilde_compact, m, (1, 2))) for m in range(1, 5)},
+    **{("j_compact at n=|lam|+1", m):
+       (lambda m=m: _wide_lines(j_compact, m, (1,))) for m in range(1, 5)},
 }
 
 
@@ -104,6 +117,24 @@ DIGESTS = {
         "0beb81eceeb6f54b06946737a36248e30f30969c997a433c92d83a43d8b09a20",
     ('qs_gamma', 0):
         "39e85c151e8a3a1a1a69307a70df41de94aefb79a03287293b462187446871a9",
+    # recorded from the accumulator summing over every content, before the
+    # sums were taken per partition content and expanded by symmetry
+    ('htilde_compact at n=|lam|+1,+2', 1):
+        "03e844b81dcd51edfec4c744316fb8334e0ff68f9adca2c7006971b067bdda2b",
+    ('htilde_compact at n=|lam|+1,+2', 2):
+        "b89b0c4f811ef2a6ffaa13694d37322c301bc34a77bda21f7f3ea1b6533de95a",
+    ('htilde_compact at n=|lam|+1,+2', 3):
+        "59901d1a567f9978d39bd33d3bbcf9594bfc4160449f6840b8b9ea166f62b65a",
+    ('htilde_compact at n=|lam|+1,+2', 4):
+        "2c5c56c3349c9d91da125f17bb067f7bd53e8ac614c6f0d9fdbc6d0212f3a19d",
+    ('j_compact at n=|lam|+1', 1):
+        "a9fec4e50804b5fc822933d6a2065c318c26afe34b11cab3a6deec7f52c7b8e9",
+    ('j_compact at n=|lam|+1', 2):
+        "f5d961e1dfe63285132bc169108c38085d8699a1671564f54e58a840669e307a",
+    ('j_compact at n=|lam|+1', 3):
+        "ca0da3f40e105fbdf81186211a16afca0291173f879b76fa2f475a72eb23e5d5",
+    ('j_compact at n=|lam|+1', 4):
+        "07e9b9b0bde2aa9e061cc16d0375f5aeb93e43c469dcbe4a4ff8805e0c2b27ce",
 }
 
 
@@ -163,3 +194,62 @@ def test_accumulate_drops_cancelled_terms_and_equals_the_add_chain():
         accumulate(terms, content, tuple((key, -c) for key, c in weight),
                    qexp, texp)
     assert terms == {}
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_content_enumeration_is_the_filtered_full_enumeration(m):
+    n = m
+    for lam in partitions_of(m):
+        j_shape = (0,) * (n - len(lam)) + tuple(sorted(lam))
+        enumerators = (
+            lambda **kw: enumerate_sorted(lam, n, **kw),
+            lambda **kw: enumerate_na(j_shape, None, n, ordered_only=True, **kw),
+            lambda **kw: enumerate_na(lam, None, n, **kw),
+        )
+        for enum in enumerators:
+            everything = list(enum())
+            for nu in partitions_of(m):
+                padded = nu + (0,) * (n - len(nu))
+                expected = [f for f in everything
+                            if x_content(f.cols, n) == padded]
+                assert list(enum(content=nu)) == expected
+
+
+def test_sorted_222_has_281_tableaux_of_partition_content():
+    assert len(list(enumerate_sorted((2, 2, 2), 6))) == 8436
+    assert sum(1 for nu in partitions_of(6)
+               for _ in enumerate_sorted((2, 2, 2), 6, content=nu)) == 281
+
+
+def test_content_must_fill_the_diagram():
+    with pytest.raises(ValueError):
+        next(enumerate_sorted((2, 1), 3, content=(2,)))
+    with pytest.raises(ValueError):
+        next(enumerate_na((1, 2), None, 3, content=(2, 2)))
+
+
+def test_expand_symmetric_writes_every_rearrangement():
+    coeff = MPoly(0, {(1, 0): 2, (0, 1): -1})
+    p = expand_symmetric(3, {(2, 1): coeff, (): MPoly.one(0)})
+    rearranged = set(permutations((2, 1, 0)))
+    assert len(p) == 2 * len(rearranged) + 1
+    for xexps in rearranged:
+        assert p.coefficient(xexps, 1, 0) == 2
+        assert p.coefficient(xexps, 0, 1) == -1
+    assert p.coefficient((0, 0, 0)) == 1
+    assert expand_symmetric(2, {}) == MPoly.zero(2)
+    with pytest.raises(VariableMismatchError):
+        expand_symmetric(1, {(1, 1): MPoly.one(0)})
+    with pytest.raises(VariableMismatchError):
+        expand_symmetric(2, {(1, 1): MPoly.one(2)})
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_g_integral_qsym_coefficients_do_not_depend_on_n(d):
+    for gamma in _strong(d):
+        seen = []
+        for n in (d, d + 1, d + 2):
+            exp = qsym_expand(g_integral(gamma, n))
+            seen.append({comp: {k[n:]: c for k, c in coeff.terms().items()}
+                         for comp, coeff in exp.coeffs.items()})
+        assert seen[0] == seen[1] == seen[2], gamma

@@ -30,6 +30,14 @@ def test_rows_roundtrip():
     assert f.cols == ((1, 2), (1,), (1,))
     assert Filling.from_rows(f.rows()) == f
     assert f.to_json_dict() == {"shape": [2, 1, 1], "rows": [[2], [1, 1, 1]]}
+    assert Filling.from_rows([]) == Filling(())
+
+
+@pytest.mark.parametrize("rows", [[(1, 2, 3), (1,)], [(1, 2), (3,)],
+                                  [(1,), (), (2,)], [()], [(1,), ()]])
+def test_from_rows_rejects_rows_that_are_not_a_partition(rows):
+    with pytest.raises(ValueError, match="partition"):
+        Filling.from_rows(rows)
 
 
 def test_inv_small_rows():
