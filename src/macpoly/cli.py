@@ -209,7 +209,10 @@ def cmd_family(shape, nvars, root, fmt, output):
             raise click.UsageError("--root is not a sorted tableau")
         roots = [f]
     else:
-        roots = list(enumerate_sorted(_parse_parts(shape), nvars))
+        try:
+            roots = list(enumerate_sorted(_parse_parts(shape), nvars))
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
 
     if fmt == "json":
         records = []
@@ -308,8 +311,7 @@ def _check_operators(args):
             pivot_ccw = (f.entry(i, 1) > f.entry(i + 1, 1)) if r == 1 else \
                 tableaux.ccw((((i + 1, r), f.entry(i + 1, r)),
                               ((i, r), f.entry(i, r)),
-                              ((i, r - 1), f.entry(i, r - 1))),
-                             tableaux._reading_pos(shape))
+                              ((i, r - 1), f.entry(i, r - 1))))
             expected = inv(f) - 1 if pivot_ccw else inv(f) + 1
             if inv(g) != expected:
                 return (f"inv step {lam} n={n}", False, f"{f.rows()} col {i}")
@@ -444,7 +446,8 @@ def _strong_comps_upto(max_deg):
 
 @main.command("validate")
 @click.option("--suite", required=True)
-@click.option("--max", "max_size", type=int, default=4, show_default=True)
+@click.option("--max", "max_size", type=click.IntRange(min=0), default=4,
+              show_default=True, metavar="INTEGER")
 @click.option("--jobs", type=int, default=1, envvar="MACPOLY_JOBS",
               show_envvar=True,
               help="worker processes, clamped to 1..the CPU count")

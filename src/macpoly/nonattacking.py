@@ -13,8 +13,9 @@ taller (kind A), or one row down further left, in a strictly shorter column
 upper cell.  A kind-A triple is a coinversion when its entries run
 clockwise, a kind-B triple when they run counterclockwise; bottom-row pairs
 of a basement-free diagram count as degenerate coinversions when the right
-entry is not the smaller one.  Ties are broken by reading order (rows top
-to bottom, the basement last, left to right within a row).
+entry is not the smaller one.  Ties are broken by reading order, the key
+(-row, col) of :func:`macpoly.tableaux.ccw`: rows top to bottom, left to
+right within a row, so the basement (row 0) comes last.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .mpoly import (MPoly, accumulate, cell_product, expand_symmetric,
                     weight_poly)
 from .shapes import (Cell, Composition, Permutation, arm, beta_perm, cells,
                      check_composition, check_partition, check_permutation,
-                     inc_sort, leg, multiplicities, partitions_of)
-from .tableaux import _maj, _reading_pos, ccw, x_content
+                     content_budget, inc_sort, leg, multiplicities,
+                     partitions_of)
+from .tableaux import _maj, ccw, x_content
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,6 @@ def is_ordered(f: AugmentedFilling) -> bool:
     return True
 
 
-def _reading_pos_aug(shape) -> dict[Cell, int]:
-    pos = _reading_pos(shape)
-    for i in range(1, len(shape) + 1):  # basement read last
-        pos[(i, 0)] = len(pos)
-    return pos
-
-
 def _coinversion_plan(shape, has_base: bool) -> list:
     """The candidate triples of a diagram, in the order coinversion_triples
     lists them, as (cells, want): a kind-A triple is a coinversion when
@@ -161,13 +156,13 @@ def _coinversion_plan(shape, has_base: bool) -> list:
     return plan
 
 
-def _coinversions(f: AugmentedFilling, plan, rpos):
+def _coinversions(f: AugmentedFilling, plan):
     entry = f.entry
     for cells, want in plan:
         if want is None:
             if entry(*cells[1]) >= entry(*cells[0]):
                 yield cells
-        elif ccw(tuple((c, entry(*c)) for c in cells), rpos) == want:
+        elif ccw(tuple((c, entry(*c)) for c in cells)) == want:
             yield cells
 
 
@@ -175,7 +170,7 @@ def coinversion_triples(f: AugmentedFilling) -> list[tuple[Cell, ...]]:
     """The coinversion triples, each as (third cell, upper cell, lower cell);
     degenerate ones as (left cell, right cell)."""
     plan = _coinversion_plan(f.shape, f.basement is not None)
-    return list(_coinversions(f, plan, _reading_pos_aug(f.shape)))
+    return list(_coinversions(f, plan))
 
 
 def coinv(f: AugmentedFilling) -> int:
@@ -207,16 +202,10 @@ def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
             raise ValueError("basement entries must be the letters 1..n")
     if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
         raise ValueError("ordered enumeration needs a weakly increasing shape")
-    if content is None:
-        content = (sum(shape),) * n  # a budget that never binds
-    elif sum(content) != sum(shape):
-        raise ValueError(
-            f"content {tuple(content)} does not fill {sum(shape)} cells")
-    left = list(content[:n])
+    left = content_budget(sum(shape), n, content)
 
     ncols = len(shape)
-    order = [(i, r) for r in range(1, max(shape, default=0) + 1)
-             for i in range(1, ncols + 1) if shape[i - 1] >= r]
+    order = cells(shape)
     entries: dict[Cell, int] = {}
     # Per cell in order: the earlier cells and the basement values attacking
     # it, a fixed bound on its entry, and (cell, d) pairs bounding it by
@@ -302,7 +291,6 @@ def _add_integral_terms(terms: dict, fillings, shape, basement,
     upper = [(i - 1, r - 1, (leg(shape, (i, r)) + 1, arm(shape, (i, r)) + 1))
              for i, r in cells(shape) if r >= 2]
     plan = _coinversion_plan(shape, basement is not None)
-    rpos = _reading_pos_aug(shape)
     for f in fillings:
         cols = f.cols
         if basement is not None and (
@@ -314,7 +302,7 @@ def _add_integral_terms(terms: dict, fillings, shape, basement,
                                for i, r, ab in upper))
         accumulate(terms, () if n is None else x_content(cols, n),
                    cell_product(factors),
-                   _maj(cols), sum(1 for _ in _coinversions(f, plan, rpos)))
+                   _maj(cols), sum(1 for _ in _coinversions(f, plan)))
 
 
 def e_integral(alpha, n: int | None = None) -> MPoly:
@@ -358,13 +346,13 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
     basement = check_permutation(basement)
     if len(alpha) != len(basement) or n != len(basement):
         raise ValueError("shape, basement and variable count must agree")
-    plan, rpos = _coinversion_plan(alpha, True), _reading_pos_aug(alpha)
+    plan = _coinversion_plan(alpha, True)
     terms: dict[tuple[int, ...], int] = {}
     for f in enumerate_na(alpha, basement, n, no_descents=True):
         ndiff = sum(1 for col, b in zip(f.cols, basement)
                     for r, e in enumerate(col) if e != (col[r - 1] if r else b))
         accumulate(terms, x_content(f.cols, n), cell_product(((0, 1),) * ndiff),
-                   0, sum(1 for _ in _coinversions(f, plan, rpos)))
+                   0, sum(1 for _ in _coinversions(f, plan)))
     return MPoly(n, terms)
 
 

@@ -116,6 +116,17 @@ def cells(shape) -> list[Cell]:
             for i in range(1, len(shape) + 1) if shape[i - 1] >= r]
 
 
+def content_budget(size: int, n: int, content) -> list[int]:
+    """How many more times each value 1..n may be placed while filling
+    `size` cells to the given content; without one, a budget that never
+    binds."""
+    if content is None:
+        return [size] * n
+    if sum(content) != size:
+        raise ValueError(f"content {tuple(content)} does not fill {size} cells")
+    return list(content[:n])
+
+
 def in_diagram(shape, cell: Cell) -> bool:
     i, r = cell
     return 1 <= i <= len(shape) and 1 <= r <= shape[i - 1]

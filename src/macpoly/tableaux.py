@@ -9,10 +9,11 @@ tableau, and both the brute-force and the compact formula for the modified
 Macdonald polynomial.
 
 Orientation of a triple of cells: rank the three entries, breaking ties by
-reading order (rows top to bottom, left to right within a row; earlier is
-smaller), and walk the cells from smallest to largest.  A counterclockwise
-walk is an inversion triple.  Row-1 pairs are judged against an implicit
-row of basement cells holding a value larger than every entry.
+reading order, the key (-row, col) (rows top to bottom, left to right within
+a row; earlier is smaller), and walk the cells from smallest to largest.  A
+counterclockwise walk is an inversion triple.  Row-1 pairs are judged
+against an implicit row of basement cells holding a value larger than every
+entry.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import permutations, product
 from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
                     weight_poly)
 from .shapes import (Partition, canonical_w0_word, check_partition,
-                     check_permutation, partitions_of)
+                     check_permutation, content_budget, partitions_of)
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -80,20 +81,16 @@ class Filling:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows()]}
 
 
-def _reading_pos(shape) -> dict[tuple[int, int], int]:
-    maxh = max(shape, default=0)
-    pos, k = {}, 0
-    for r in range(maxh, 0, -1):
-        for i in range(1, len(shape) + 1):
-            if shape[i - 1] >= r:
-                pos[(i, r)] = k
-                k += 1
-    return pos
+def ccw(triple) -> bool:
+    """triple: three ((col, row), entry) pairs; True iff counterclockwise.
 
+    Cells are ranked by (entry, -row, col), so equal entries are read top
+    row first, left to right:
 
-def ccw(triple, rpos) -> bool:
-    """triple: three ((col, row), entry) pairs; True iff counterclockwise."""
-    ranked = sorted(triple, key=lambda ce: (ce[1], rpos[ce[0]]))
+    >>> ccw((((2, 2), 1), ((1, 2), 1), ((1, 1), 1)))
+    False
+    """
+    ranked = sorted(triple, key=lambda ce: (ce[1], -ce[0][1], ce[0][0]))
     (x0, y0), (x1, y1), (x2, y2) = (c for c, _ in ranked)
     cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     return cross > 0
@@ -101,10 +98,10 @@ def ccw(triple, rpos) -> bool:
 
 def inv(f: Filling) -> int:
     """Number of counterclockwise (inversion) triples, degenerate included."""
-    return _inv(f.cols, _reading_pos(f.shape))
+    return _inv(f.cols)
 
 
-def _inv(cols, rpos) -> int:
+def _inv(cols) -> int:
     # Column v right of column u is no taller, so the pair shares rows
     # 1..len(cols[v]); row 1 compares against the implicit basement.
     count = 0
@@ -117,7 +114,7 @@ def _inv(cols, rpos) -> int:
                 count += 1
             for r in range(2, len(cv) + 1):
                 if ccw((((v, r), cv[r - 1]), ((u, r), cu[r - 1]),
-                        ((u, r - 1), cu[r - 2])), rpos):
+                        ((u, r - 1), cu[r - 2]))):
                     count += 1
     return count
 
@@ -189,10 +186,9 @@ def compare_columns(a, b) -> int:
     r = next(k for k in range(len(a)) if a[k] != b[k]) + 1
     if r == 1:
         return LESS if a[0] < b[0] else GREATER
-    # two-column gadget: left column at 0, right at 1; reading order fixes ties
-    rpos = {(0, r): 0, (1, r): 1, (0, r - 1): 2}
+    # two-column gadget: left column at 0, right at 1
     tri = (((1, r), b[r - 1]), ((0, r), a[r - 1]), ((0, r - 1), a[r - 2]))
-    return GREATER if ccw(tri, rpos) else LESS
+    return GREATER if ccw(tri) else LESS
 
 
 def is_sorted(f: Filling) -> bool:
@@ -234,12 +230,7 @@ def enumerate_sorted(shape, n: int, content=None):
     remaining budget is checked before the column order.
     """
     shape = check_partition(shape)
-    if content is None:
-        content = (sum(shape),) * n  # a budget that never binds
-    elif sum(content) != sum(shape):
-        raise ValueError(
-            f"content {tuple(content)} does not fill {sum(shape)} cells")
-    left = list(content[:n])
+    left = content_budget(sum(shape), n, content)
 
     def columns(h):
         """Columns of height h in lexicographic order, each holding its
@@ -295,7 +286,7 @@ def htilde_compact(shape, n: int) -> MPoly:
     partition content nu only and expanded to the rearrangements of nu last.
     """
     shape = check_partition(shape)
-    runs, rpos = components(shape), _reading_pos(shape)
+    runs = components(shape)
     coeffs = {}
     for nu in partitions_of(sum(shape)):
         if len(nu) > n:
@@ -304,7 +295,7 @@ def htilde_compact(shape, n: int) -> MPoly:
         for f in enumerate_sorted(shape, n, content=nu):
             cols = f.cols
             accumulate(terms, (), t_multinomial_product(_signature(cols, runs)),
-                       _maj(cols), _inv(cols, rpos))
+                       _maj(cols), _inv(cols))
         coeffs[nu] = MPoly(0, terms)
     return expand_symmetric(n, coeffs)
 
@@ -330,14 +321,13 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
     if not diffs:
         raise ValueError(f"columns {i}, {i + 1} are identical")
     r = diffs[0]
-    rpos = _reading_pos(shape)
 
     rr = r
     a[rr - 1], b[rr - 1] = b[rr - 1], a[rr - 1]
     while rr + 1 <= h:
         cells_above = (((i + 1, rr + 1), b[rr]), ((i, rr + 1), a[rr]))
-        before = ccw(cells_above + (((i, rr), b[rr - 1]),), rpos)
-        after = ccw(cells_above + (((i, rr), a[rr - 1]),), rpos)
+        before = ccw(cells_above + (((i, rr), b[rr - 1]),))
+        after = ccw(cells_above + (((i, rr), a[rr - 1]),))
         if before == after:
             break
         rr += 1
@@ -347,20 +337,16 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
     return Filling(tuple(cols)), r
 
 
-def pds(v, n: int | None = None) -> tuple[int, ...]:
+def pds(v) -> tuple[int, ...]:
     """Canonical reduced word for v: the rightmost-greedy subword of
     (s_1)(s_2 s_1)...(s_{n-1} ... s_1).
 
     Returned left to right; when used as an operator word, the rightmost
     letter acts first.
     """
-    v = check_permutation(v)
-    n = n or len(v)
-    if n != len(v):
-        raise ValueError("permutation length does not match n")
-    cur = list(v)
+    cur = list(check_permutation(v))
     kept = []
-    for i in reversed(canonical_w0_word(n)):
+    for i in reversed(canonical_w0_word(len(cur))):
         if cur[i - 1] > cur[i]:
             cur[i - 1], cur[i] = cur[i], cur[i - 1]
             kept.append(i)
@@ -405,15 +391,15 @@ def _shortest_rearranger(base, target):
     return tuple(p)
 
 
-def _row_rearrangements(root_row, blocks, offset):
+def _row_rearrangements(root_row, blocks):
     """Operator words for all block-respecting rearrangements of a row.
 
-    `blocks` are absolute column ranges; `offset` converts to row-local
-    indices.  Yields (rearranged_row, word) pairs, deterministically.
+    `blocks` are 1-based column ranges of the row.  Yields
+    (rearranged_row, word) pairs, deterministically.
     """
     segs = []
     for lo, hi in blocks:
-        seg = root_row[lo - offset:hi - offset + 1]
+        seg = root_row[lo - 1:hi]
         segs.append(sorted(set(permutations(seg))))
     for combo in product(*segs):
         row = tuple(v for seg in combo for v in seg)
@@ -430,7 +416,7 @@ def _component_family(comp: Filling, edges: dict | None = None) -> list[Filling]
     for r in range(h, 0, -1):
         blocks = block_decomposition(comp, r)
         root_row = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
-        words = [w for _, w in _row_rearrangements(root_row, blocks, 1)]
+        words = [w for _, w in _row_rearrangements(root_row, blocks)]
         new_members = []
         for g in members:
             for w in words:

@@ -16,8 +16,7 @@ from macpoly.shapes import multiplicities, partitions_of
 from macpoly.tableaux import (Filling, ccw, enumerate_fillings,
                               enumerate_sorted, family, flip, htilde_brute,
                               htilde_compact, inv, is_packed, is_sorted, maj,
-                              pds, perm_t, sort_filling, x_weight,
-                              _reading_pos)
+                              pds, perm_t, sort_filling, x_weight)
 
 
 def _report(num, desc, t0):
@@ -109,7 +108,6 @@ def test_criterion_4_operator_lemmas():
             for n in (1, 2, 3):
                 for f in enumerate_fillings(lam, n):
                     shape = f.shape
-                    rpos = _reading_pos(shape)
                     for i in range(1, len(shape)):
                         if shape[i - 1] != shape[i] or f.cols[i - 1] == f.cols[i]:
                             continue
@@ -122,7 +120,7 @@ def test_criterion_4_operator_lemmas():
                             pivot_ccw = ccw(
                                 (((i + 1, r), f.entry(i + 1, r)),
                                  ((i, r), f.entry(i, r)),
-                                 ((i, r - 1), f.entry(i, r - 1))), rpos)
+                                 ((i, r - 1), f.entry(i, r - 1))))
                         assert inv(g) == inv(f) + (-1 if pivot_ccw else 1)
                         checked += 1
     assert checked >= 300  # guard against a vacuous pass

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from macpoly.cli import main
 
@@ -80,6 +82,62 @@ def test_non_integer_macpoly_jobs_is_a_usage_error():
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def test_negative_validate_max_is_a_usage_error():
+    res = run("validate", "--suite", "pds", "--max", "-3")
+    assert res.exit_code == 2
+    assert "Invalid value for '--max'" in res.output
+    assert run("validate", "--suite", "pds", "--max", "0").exit_code == 0
+
+
+def _is_small(text):
+    """False for an option value that parses to integers too large for a
+    quick request; malformed values are always welcome."""
+    try:
+        parts = [int(p) for chunk in text.split(";") for p in chunk.split(",")
+                 if text.strip()]
+    except ValueError:
+        return True
+    return len(parts) <= 4 and sum(abs(p) for p in parts) <= 4
+
+
+# Option values: small integer lists, some well-formed and some not, short
+# strings over digits and separators, and a few fixed oddities.
+_LISTS = st.lists(st.integers(-1, 4), max_size=4).map(
+    lambda parts: ",".join(map(str, parts)))
+_VALUES = st.one_of(
+    _LISTS, st.lists(_LISTS, min_size=1, max_size=3).map(";".join),
+    st.integers(-2, 4).map(str),
+    st.text(alphabet="0123459,;- x+_.", max_size=8),
+    st.sampled_from(["", " ", ",", ";", "1,,2", "2;;1", "1;", "\u0661",
+                     "9" * 30, "1e3", "0x2", "nan"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from([
+           ("compute", "htilde"), ("compute", "J"), ("compute", "P"),
+           ("compute", "E-integral"), ("compute", "G"), ("compute", "QS"),
+           ("compute", "atom"), ("enumerate", "fillings"),
+           ("enumerate", "sorted"), ("enumerate", "nonattacking"),
+           ("family",)]),
+       shape=_VALUES, nvars=_VALUES, root=_VALUES, basement=_VALUES,
+       with_root=st.booleans(), with_basement=st.booleans())
+def test_malformed_option_values_never_raise(command, shape, nvars, root,
+                                             basement, with_root,
+                                             with_basement):
+    assume(all(map(_is_small, (shape, nvars, root, basement))))
+    argv = list(command)
+    if command == ("family",) and with_root:
+        argv += ["--root", root]
+    else:
+        argv += ["--shape", shape, "--nvars", nvars]
+    if command == ("enumerate", "nonattacking") and with_basement:
+        argv += ["--basement", basement]
+    res = run(*argv)
+    assert res.exit_code in (0, 2, 3), (argv, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), argv
+    assert "Traceback" not in res.output
+
+
 def test_cap_override():
     res = run("compute", "htilde", "--shape", "3,3,3", "--nvars", "2",
               "--method", "both", "--cap", "9")
@@ -126,6 +184,12 @@ def test_family_rejects_rows_that_are_not_a_partition():
     assert "partition" in res.output
     assert res.stdout == ""
     assert json.loads(run("family", "--root", "").output)["size"] == 1
+
+
+def test_family_rejects_a_shape_that_is_not_a_partition():
+    res = run("family", "--shape", "0", "--nvars", "0")
+    assert res.exit_code == 2
+    assert "not a partition" in res.output
 
 
 class _RecordingPool:

@@ -140,7 +140,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_outputs_match_recorded_digests(key):
-    assert case_digest(key) == DIGESTS[key]
+    assert case_digest(key) == DIGESTS[key], key
 
 
 def _t_factorial(k):

@@ -116,11 +116,3 @@ def test_partitions_of():
 def test_strip_zeros_and_mults():
     assert strip_zeros((0, 2, 0, 1)) == (2, 1)
     assert multiplicities((0, 2, 2, 1, 0)) == {2: 2, 1: 1}
-
-
-def test_doctests():
-    import doctest
-
-    import macpoly.shapes
-    failures, _ = doctest.testmod(macpoly.shapes)
-    assert failures == 0

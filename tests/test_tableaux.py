@@ -2,9 +2,12 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from macpoly.mpoly import MPoly, specialize, t_multinomial
-from macpoly.shapes import partitions_of, perm_length
+from macpoly.nonattacking import AugmentedFilling
+from macpoly.shapes import cells, is_partition, partitions_of, perm_length
 from macpoly.tableaux import (EQUAL, GREATER, LESS, Filling,
                               block_decomposition, compare_columns,
                               enumerate_fillings, enumerate_sorted, family,
@@ -31,6 +34,20 @@ def test_rows_roundtrip():
     assert Filling.from_rows(f.rows()) == f
     assert f.to_json_dict() == {"shape": [2, 1, 1], "rows": [[2], [1, 1, 1]]}
     assert Filling.from_rows([]) == Filling(())
+
+
+@st.composite
+def fillings(draw):
+    heights = sorted(draw(st.lists(st.integers(1, 4), max_size=5)),
+                     reverse=True)
+    return Filling(tuple(tuple(draw(st.lists(st.integers(1, 9), min_size=h,
+                                             max_size=h)))
+                         for h in heights))
+
+
+@given(fillings())
+def test_from_rows_inverts_rows(f):
+    assert Filling.from_rows(f.rows()) == f
 
 
 @pytest.mark.parametrize("rows", [[(1, 2, 3), (1,)], [(1, 2), (3,)],
@@ -104,6 +121,36 @@ def test_htilde_brute_small():
     h = htilde_brute((2, 1, 1), 3)
     ones = {f"x{i}": 1 for i in range(1, 4)} | {"q": 1, "t": 1}
     assert specialize(h, ones) == MPoly.const(3, 81)
+
+
+def _diagrams(max_cells, max_cols):
+    """Every composition with at most max_cols parts and max_cells cells."""
+    out = [()]
+    for shape in out:
+        if len(shape) < max_cols:
+            out.extend(shape + (h,) for h in range(max_cells - sum(shape) + 1))
+    return out
+
+
+def test_reading_key_is_the_printed_row_order():
+    """ccw breaks ties by the key (-row, col): it lists the cells of a
+    diagram in the order rows() prints their entries, the basement last."""
+    checked = 0
+    for shape in _diagrams(6, 6):
+        diagram = cells(shape)
+        label = {c: k for k, c in enumerate(diagram, start=1)}
+        cols = tuple(tuple(label[(i, r)] for r in range(1, h + 1))
+                     for i, h in enumerate(shape, start=1))
+        basement = [(i, 0) for i in range(1, len(shape) + 1)]
+        by_key = sorted(diagram + basement, key=lambda c: (-c[1], c[0]))
+        printed = [e for row in AugmentedFilling(shape, cols).rows()
+                   for e in row if e is not None]
+        assert by_key == [diagram[e - 1] for e in printed] + basement, shape
+        if is_partition(shape):
+            printed = [e for row in Filling(cols).rows() for e in row]
+            assert by_key[:len(diagram)] == [diagram[e - 1] for e in printed]
+            checked += 1
+    assert checked == sum(len(partitions_of(m)) for m in range(7))
 
 
 def test_compare_columns_basics():
