@@ -369,20 +369,20 @@ def _check_refinement(args):
 def _check_schur(args):
     from .nonattacking import schur_oracle
     lam, n = args
+    schur = schur_oracle(lam, n)
     j00 = specialize(j_compact(lam, n), {"q": 0, "t": 0})
-    if j00 != schur_oracle(lam, n):
+    if j00 != schur:
         return (f"schur J(0,0) {lam}", False, "")
     total = MPoly.zero(n)
     for gamma in sorted(set(permutations(lam))):
         total = total + qs_gamma(gamma, n)
-    ok = total == schur_oracle(lam, n)
+    ok = total == schur
     return (f"schur QS sum {lam}", ok, "")
 
 
 def _check_pds(args):
     n = args[0]
-    import itertools as it
-    words = {tableaux.pds(p) for p in it.permutations(range(1, n + 1))}
+    words = {tableaux.pds(p) for p in permutations(range(1, n + 1))}
     for w in words:
         for h in range(len(w)):
             if w[h:] not in words:

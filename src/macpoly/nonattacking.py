@@ -10,18 +10,17 @@ Triples come in two kinds: an upper cell over its southern neighbour with a
 third cell either in the same row further right, in a column that is no
 taller (kind A), or one row down further left, in a strictly shorter column
 (kind B).  Basement cells may serve as the lower or third cell, never as an
-upper cell.  A kind-A triple is a coinversion when its entries run
-clockwise, a kind-B triple when they run counterclockwise; bottom-row pairs
-of a basement-free diagram count as degenerate coinversions when the right
-entry is not the smaller one.  Ties are broken by reading order, the key
-(-row, col) of :func:`macpoly.tableaux.ccw`: rows top to bottom, left to
-right within a row, so the basement (row 0) comes last.
+upper cell; a bottom-row pair of a basement-free diagram stands on +inf.
+Either kind is a coinversion exactly when it is not inverted in the sense
+of :func:`macpoly.tableaux.inverted`: upper entry a, third entry b, lower
+entry z, judged in the cyclic order read upward from z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 
 from .mpoly import (MPoly, accumulate, cell_product, expand_symmetric,
                     weight_poly)
@@ -29,7 +28,7 @@ from .shapes import (Cell, Composition, Permutation, arm, beta_perm, cells,
                      check_composition, check_partition, check_permutation,
                      content_budget, inc_sort, leg, multiplicities,
                      partitions_of)
-from .tableaux import _maj, ccw, x_content
+from .tableaux import _maj, inverted, x_content
 
 
 @dataclass(frozen=True)
@@ -130,40 +129,29 @@ def is_ordered(f: AugmentedFilling) -> bool:
 
 def _coinversion_plan(shape, has_base: bool) -> list:
     """The candidate triples of a diagram, in the order coinversion_triples
-    lists them, as (cells, want): a kind-A triple is a coinversion when
-    ccw(...) is False, a kind-B one when it is True, and a degenerate
-    bottom-row pair (want None) when the right entry is not the smaller.
-    Depends on the diagram only, so sums build it once per shape."""
+    lists them, as (upper, third, lower) cells, lower None where it is the
+    implicit +inf under a bottom-row pair.  Depends on the diagram only, so
+    sums build it once per shape."""
     n = len(shape)
     plan: list = []
     for u in range(1, n + 1):
         for r in range(1, shape[u - 1] + 1):
-            upper, lower = (u, r), (u, r - 1)
-            lower_ok = r >= 2 or has_base
-            for v in range(u + 1, n + 1):
-                if not (r <= shape[v - 1] <= shape[u - 1]):
-                    continue
-                if lower_ok:
-                    plan.append((((v, r), upper, lower), False))
-                else:
-                    plan.append((((u, 1), (v, 1)), None))
-            for v in range(1, u):
-                if shape[v - 1] >= shape[u - 1]:
-                    continue
-                third_ok = shape[v - 1] >= r - 1 >= 1 or (r == 1 and has_base)
-                if lower_ok and third_ok:
-                    plan.append((((v, r - 1), upper, lower), True))
+            upper = (u, r)
+            lower = (u, r - 1) if r >= 2 or has_base else None
+            plan.extend((upper, (v, r), lower) for v in range(u + 1, n + 1)
+                        if r <= shape[v - 1] <= shape[u - 1])
+            if lower is not None:
+                plan.extend((upper, (v, r - 1), lower) for v in range(1, u)
+                            if r - 1 <= shape[v - 1] < shape[u - 1])
     return plan
 
 
 def _coinversions(f: AugmentedFilling, plan):
     entry = f.entry
-    for cells, want in plan:
-        if want is None:
-            if entry(*cells[1]) >= entry(*cells[0]):
-                yield cells
-        elif ccw(tuple((c, entry(*c)) for c in cells)) == want:
-            yield cells
+    for upper, third, lower in plan:
+        z = inf if lower is None else entry(*lower)
+        if not inverted(entry(*upper), entry(*third), z):
+            yield (upper, third) if lower is None else (third, upper, lower)
 
 
 def coinversion_triples(f: AugmentedFilling) -> list[tuple[Cell, ...]]:

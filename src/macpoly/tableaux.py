@@ -8,12 +8,14 @@ reduced words, block decompositions, the family generated by a sorted
 tableau, and both the brute-force and the compact formula for the modified
 Macdonald polynomial.
 
-Orientation of a triple of cells: rank the three entries, breaking ties by
-reading order, the key (-row, col) (rows top to bottom, left to right within
-a row; earlier is smaller), and walk the cells from smallest to largest.  A
-counterclockwise walk is an inversion triple.  Row-1 pairs are judged
-against an implicit row of basement cells holding a value larger than every
-entry.
+The one inversion rule: an upper entry a, its neighbour b and the entry z
+below a are inverted when a comes after b in the cyclic order read upward
+from z, the entries above z first, then those at most z, each part
+increasing: the key (x <= z, x) of :func:`cyclic_key`.  Row 1 stands on an
+implicit basement holding +inf, so row-1 pairs are inverted when a > b.  The
+same rule judges inv, the column order, the flip operators and the
+coinversions of :mod:`macpoly.nonattacking`; :func:`ccw` states it
+geometrically.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import inf
 
 from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
                     weight_poly)
@@ -85,7 +88,8 @@ def ccw(triple) -> bool:
     """triple: three ((col, row), entry) pairs; True iff counterclockwise.
 
     Cells are ranked by (entry, -row, col), so equal entries are read top
-    row first, left to right:
+    row first, left to right.  The geometric reference the tests check
+    :func:`inverted` against; no statistic or operator calls it:
 
     >>> ccw((((2, 2), 1), ((1, 2), 1), ((1, 1), 1)))
     False
@@ -96,27 +100,30 @@ def ccw(triple) -> bool:
     return cross > 0
 
 
+def cyclic_key(x, z=inf) -> tuple:
+    """Rank of entry x in the cyclic order read upward from z."""
+    return (x <= z, x)
+
+
+def inverted(a, b, z=inf) -> bool:
+    """Whether upper entry a, neighbour b and z below a form an inversion.
+
+    Equal to ``ccw`` on the cells (b right of a, a, z under a), and to its
+    negation on (b one row down left of a, a, z under a).
+    """
+    return cyclic_key(a, z) > cyclic_key(b, z)
+
+
 def inv(f: Filling) -> int:
-    """Number of counterclockwise (inversion) triples, degenerate included."""
+    """Number of inverted triples, row-1 pairs over the basement included."""
     return _inv(f.cols)
 
 
 def _inv(cols) -> int:
-    # Column v right of column u is no taller, so the pair shares rows
-    # 1..len(cols[v]); row 1 compares against the implicit basement.
-    count = 0
-    for u, cu in enumerate(cols, start=1):
-        for v in range(u + 1, len(cols) + 1):
-            cv = cols[v - 1]
-            if not cv:
-                break
-            if cu[0] > cv[0]:
-                count += 1
-            for r in range(2, len(cv) + 1):
-                if ccw((((v, r), cv[r - 1]), ((u, r), cu[r - 1]),
-                        ((u, r - 1), cu[r - 2]))):
-                    count += 1
-    return count
+    # Column v right of column u is no taller, so the pair shares the rows
+    # of v; the entry below row 1 is the basement's +inf.
+    return sum(sum(map(inverted, cu, cv, (inf,) + cu))
+               for u, cu in enumerate(cols) for cv in cols[u + 1:])
 
 
 def maj(f: Filling) -> int:
@@ -181,14 +188,10 @@ def compare_columns(a, b) -> int:
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError("columns must have equal height")
-    if a == b:
-        return EQUAL
-    r = next(k for k in range(len(a)) if a[k] != b[k]) + 1
-    if r == 1:
-        return LESS if a[0] < b[0] else GREATER
-    # two-column gadget: left column at 0, right at 1
-    tri = (((1, r), b[r - 1]), ((0, r), a[r - 1]), ((0, r - 1), a[r - 2]))
-    return GREATER if ccw(tri) else LESS
+    for x, y, z in zip(a, b, (inf,) + a):
+        if x != y:
+            return GREATER if inverted(x, y, z) else LESS
+    return EQUAL
 
 
 def is_sorted(f: Filling) -> bool:
@@ -307,8 +310,9 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
 
     The pivot row r is the lowest row where the two columns differ (they
     must have equal height and not be identical).  Returns the new filling
-    and r.  The swap at r propagates upward while the triple above changes
-    orientation class.
+    and r.  The swap climbs from row r for as long as it changes whether
+    the pair one row up is inverted, judged in the cyclic order read upward
+    from the entry below its left cell before and after the swap.
     """
     shape = f.shape
     if not (1 <= i < len(shape)):
@@ -317,21 +321,15 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
         raise ValueError(f"columns {i}, {i + 1} differ in height")
     a, b = list(f.cols[i - 1]), list(f.cols[i])
     h = len(a)
-    diffs = [r for r in range(1, h + 1) if a[r - 1] != b[r - 1]]
-    if not diffs:
+    r = next((r for r in range(1, h + 1) if a[r - 1] != b[r - 1]), None)
+    if r is None:
         raise ValueError(f"columns {i}, {i + 1} are identical")
-    r = diffs[0]
-
-    rr = r
-    a[rr - 1], b[rr - 1] = b[rr - 1], a[rr - 1]
-    while rr + 1 <= h:
-        cells_above = (((i + 1, rr + 1), b[rr]), ((i, rr + 1), a[rr]))
-        before = ccw(cells_above + (((i, rr), b[rr - 1]),))
-        after = ccw(cells_above + (((i, rr), a[rr - 1]),))
-        if before == after:
-            break
-        rr += 1
-        a[rr - 1], b[rr - 1] = b[rr - 1], a[rr - 1]
+    k = r - 1
+    a[k], b[k] = b[k], a[k]
+    while k + 1 < h and (inverted(a[k + 1], b[k + 1], b[k])
+                         != inverted(a[k + 1], b[k + 1], a[k])):
+        k += 1
+        a[k], b[k] = b[k], a[k]
     cols = list(f.cols)
     cols[i - 1], cols[i] = tuple(a), tuple(b)
     return Filling(tuple(cols)), r
@@ -497,13 +495,9 @@ def sort_filling(f: Filling) -> Filling:
             blocks = block_decomposition(comp, r)
             target = []
             for blo, bhi in blocks:
+                z = ((inf,) + comp.cols[blo - 1])[r - 1]  # below the block
                 seg = [comp.entry(i, r) for i in range(blo, bhi + 1)]
-                if r == 1:
-                    target.extend(sorted(seg))
-                else:
-                    z = comp.entry(blo, r - 1)
-                    target.extend(sorted(e for e in seg if e > z))
-                    target.extend(sorted(e for e in seg if e <= z))
+                target.extend(sorted(seg, key=lambda e: cyclic_key(e, z)))
             current = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
             target = tuple(target)
             if current != target:

@@ -11,9 +11,10 @@ from macpoly.shapes import cells, is_partition, partitions_of, perm_length
 from macpoly.tableaux import (EQUAL, GREATER, LESS, Filling,
                               block_decomposition, compare_columns,
                               enumerate_fillings, enumerate_sorted, family,
-                              family_tree, flip, htilde_brute, htilde_compact,
-                              inv, is_packed, is_sorted, maj, pds, perm_t,
-                              sort_filling, x_weight, _shortest_rearranger)
+                              ccw, family_tree, flip, htilde_brute,
+                              htilde_compact, inv, inverted, is_packed,
+                              is_sorted, maj, pds, perm_t, sort_filling,
+                              x_weight, _shortest_rearranger)
 
 BIG_SORTED = Filling(((9, 5, 5, 1, 6), (9, 5, 5, 1, 6), (9, 6, 2, 1, 6),
                       (1, 6), (3, 6), (2,), (2,), (3,), (3,)))
@@ -153,6 +154,20 @@ def test_reading_key_is_the_printed_row_order():
     assert checked == sum(len(partitions_of(m)) for m in range(7))
 
 
+def test_inverted_is_the_geometric_orientation():
+    """inverted(a, b, z) is ccw on the same-row-right triple (kind A, inv,
+    the column order) and its negation on the row-below-left triple (kind
+    B), at interior rows and over the basement; z = +inf is plain >."""
+    vals = range(1, 6)
+    for a, b, z in product(vals, repeat=3):
+        for r in (2, 1):
+            right = ccw((((2, r), b), ((1, r), a), ((1, r - 1), z)))
+            below_left = ccw((((1, r - 1), b), ((2, r), a), ((2, r - 1), z)))
+            assert inverted(a, b, z) == right == (not below_left), (a, b, z, r)
+    for a, b in product(vals, repeat=2):
+        assert inverted(a, b) == (a > b)
+
+
 def test_compare_columns_basics():
     assert compare_columns((1,), (2,)) == LESS
     assert compare_columns((2,), (1,)) == GREATER
@@ -171,6 +186,10 @@ def test_compare_columns_trichotomy():
                 else:
                     res = {compare_columns(a, b), compare_columns(b, a)}
                     assert res == {LESS, GREATER}, (a, b)
+        # is_sorted and enumerate_sorted compare adjacent columns only
+        for a, b, c in product(cols, repeat=3):
+            if GREATER not in (compare_columns(a, b), compare_columns(b, c)):
+                assert compare_columns(a, c) != GREATER, (a, b, c)
 
 
 def test_is_sorted_small():
