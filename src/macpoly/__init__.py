@@ -13,9 +13,8 @@ from .nonattacking import (AugmentedFilling, attacks, coinv,
                            schur_oracle)
 from .quasisym import (NotQuasisymmetricError, QSymExpansion, demazure_t_atom,
                        g_integral, g_poly, hecke_T, qs_gamma, qsym_expand)
-from .shapes import (arm, beta_perm, canonical_w0_word, composition_stats,
-                     conjugate, dec_sort, inc_sort, leg, perm_length,
-                     strip_zeros)
+from .shapes import (arm, beta_perm, canonical_w0_word, conjugate, inc_sort,
+                     leg, perm_length)
 from .tableaux import (EQUAL, GREATER, LESS, Filling, block_decomposition,
                        compare_columns, enumerate_fillings, enumerate_sorted,
                        family, family_tree, flip, htilde_brute,

@@ -10,7 +10,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain, islice, permutations, product
+from itertools import chain, islice
+from math import prod
 
 import click
 
@@ -20,7 +21,8 @@ from .nonattacking import (coinv, e_integral, enumerate_na, j_compact, j_hhl,
                            maj_na, p_poly, pr1)
 from .quasisym import (demazure_t_atom, g_integral, g_poly, hecke_T, qs_gamma,
                        qsym_expand)
-from .shapes import check_partition, multiplicities, partitions_of
+from .shapes import (check_partition, compositions, multiplicities,
+                     partitions_of, rearrangements)
 from .tableaux import (Filling, enumerate_fillings, enumerate_sorted, family,
                        family_tree, flip, htilde_brute, htilde_compact, inv,
                        is_sorted, maj, perm_t, sort_filling)
@@ -253,16 +255,19 @@ def _check_compact_vs_brute(args):
     return (f"htilde compact=brute {lam} n={n}", ok, "")
 
 
+def _poch_scalar(parts, n):
+    """The product of (t;t)_m over the multiplicities m of the parts."""
+    return prod((t_pochhammer(m, n) for m in multiplicities(parts).values()),
+                start=MPoly.one(n))
+
+
 def _check_j(args):
     mu, n = args
     jc, jh = j_compact(mu, n), j_hhl(mu, n)
     if jc != jh:
         return (f"J compact=brute {mu} n={n}", False, "routes disagree")
-    scal = MPoly.one(n)
-    for m in multiplicities(mu).values():
-        scal = scal * t_pochhammer(m, n)
     try:
-        exact_div_xfree(jc, scal)
+        exact_div_xfree(jc, _poch_scalar(mu, n))
     except Exception as exc:
         return (f"J divisibility {mu} n={n}", False, str(exc))
     return (f"J compact=brute+divisible {mu} n={n}", True, "")
@@ -340,10 +345,7 @@ def _check_hecke(args):
 
 def _check_tatom(args):
     alpha, n = args
-    scal = MPoly.one(n)
-    for m in multiplicities(alpha).values():
-        scal = scal * t_pochhammer(m, n)
-    lhs = scal * demazure_t_atom(alpha, n)
+    lhs = _poch_scalar(alpha, n) * demazure_t_atom(alpha, n)
     rhs = specialize(e_integral(alpha, n), {"q": 0})
     return (f"tatom {alpha}", lhs == rhs, "")
 
@@ -359,11 +361,8 @@ def _check_quasisym(args):
 
 def _check_refinement(args):
     lam, n = args
-    total = MPoly.zero(n)
-    for gamma in sorted(set(permutations(lam))):
-        total = total + g_integral(gamma, n)
-    ok = total == j_compact(lam, n)
-    return (f"refinement {lam} n={n}", ok, "")
+    total = sum((g_integral(g, n) for g in rearrangements(lam)), MPoly.zero(n))
+    return (f"refinement {lam} n={n}", total == j_compact(lam, n), "")
 
 
 def _check_schur(args):
@@ -373,16 +372,13 @@ def _check_schur(args):
     j00 = specialize(j_compact(lam, n), {"q": 0, "t": 0})
     if j00 != schur:
         return (f"schur J(0,0) {lam}", False, "")
-    total = MPoly.zero(n)
-    for gamma in sorted(set(permutations(lam))):
-        total = total + qs_gamma(gamma, n)
-    ok = total == schur
-    return (f"schur QS sum {lam}", ok, "")
+    total = sum((qs_gamma(g, n) for g in rearrangements(lam)), MPoly.zero(n))
+    return (f"schur QS sum {lam}", total == schur, "")
 
 
 def _check_pds(args):
     n = args[0]
-    words = {tableaux.pds(p) for p in permutations(range(1, n + 1))}
+    words = {tableaux.pds(p) for p in rearrangements(range(1, n + 1))}
     for w in words:
         for h in range(len(w)):
             if w[h:] not in words:
@@ -393,55 +389,30 @@ def _check_pds(args):
     return (f"pds closure n={n}", True, "")
 
 
-def _weak_comps(n, max_deg):
-    for deg in range(max_deg + 1):
-        for alpha in product(range(deg + 1), repeat=n):
-            if sum(alpha) == deg:
-                yield alpha
+def _partitions(mx, nvars=None):
+    """(lam, n) for every partition lam of 1..mx, at each n in nvars, or at
+    n = |lam| without nvars."""
+    return [(lam, n) for m in range(1, mx + 1) for lam in partitions_of(m)
+            for n in (nvars or (m,))]
 
 
 SUITES = {
-    "compact-vs-brute": (_check_compact_vs_brute,
-                         lambda mx: [(lam, m) for m in range(1, mx + 1)
-                                     for lam in partitions_of(m)]),
-    "j-identities": (_check_j, lambda mx: [(lam, m) for m in range(1, mx + 1)
-                                           for lam in partitions_of(m)]),
-    "family-partition": (_check_family,
-                         lambda mx: [(lam, n) for m in range(1, mx + 1)
-                                     for lam in partitions_of(m)
-                                     for n in (2, 3)]),
-    "operator-lemmas": (_check_operators,
-                        lambda mx: [(lam, n) for m in range(1, mx + 1)
-                                    for lam in partitions_of(m)
-                                    for n in (2, 3)]),
-    "reverse": (_check_reverse, lambda mx: [(lam, 3) for m in range(1, mx + 1)
-                                            for lam in partitions_of(m)]),
-    "hecke": (_check_hecke, lambda mx: [(a, 3) for a in _weak_comps(3, mx)]),
-    "tatom": (_check_tatom, lambda mx: [(a, 3) for a in _weak_comps(3, mx)]),
+    "compact-vs-brute": (_check_compact_vs_brute, _partitions),
+    "j-identities": (_check_j, _partitions),
+    "family-partition": (_check_family, lambda mx: _partitions(mx, (2, 3))),
+    "operator-lemmas": (_check_operators, lambda mx: _partitions(mx, (2, 3))),
+    "reverse": (_check_reverse, lambda mx: _partitions(mx, (3,))),
+    "hecke": (_check_hecke, lambda mx: [(a, 3) for m in range(mx + 1)
+                                        for a in compositions(m, 3)]),
+    "tatom": (_check_tatom, lambda mx: [(a, 3) for m in range(mx + 1)
+                                        for a in compositions(m, 3)]),
     "quasisym": (_check_quasisym,
-                 lambda mx: [(g, n) for n in (3, 4)
-                             for g in _strong_comps_upto(mx) if len(g) <= n]),
-    "refinement": (_check_refinement,
-                   lambda mx: [(lam, m) for m in range(1, mx + 1)
-                               for lam in partitions_of(m)]),
-    "schur": (_check_schur, lambda mx: [(lam, m) for m in range(1, mx + 1)
-                                        for lam in partitions_of(m)]),
+                 lambda mx: [(g, n) for n in (3, 4) for m in range(1, mx + 1)
+                             for g in compositions(m) if len(g) <= n]),
+    "refinement": (_check_refinement, _partitions),
+    "schur": (_check_schur, _partitions),
     "pds": (_check_pds, lambda mx: [(n,) for n in range(2, max(mx, 4) + 1)]),
 }
-
-
-def _strong_comps_upto(max_deg):
-    out = []
-    for deg in range(1, max_deg + 1):
-        def gen(rest):
-            if rest == 0:
-                yield ()
-                return
-            for first in range(1, rest + 1):
-                for tail in gen(rest - first):
-                    yield (first,) + tail
-        out.extend(gen(deg))
-    return out
 
 
 @main.command("validate")

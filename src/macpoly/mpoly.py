@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
+from .shapes import rearrangements
+
 
 class VariableMismatchError(ValueError):
     """Raised when combining polynomials over different variable counts."""
@@ -537,18 +539,6 @@ def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
             del terms[key]
 
 
-def _rearrangements(parts):
-    """Each distinct rearrangement of a sequence, once."""
-    if not parts:
-        yield ()
-        return
-    for v in sorted(set(parts)):
-        rest = list(parts)
-        rest.remove(v)
-        for tail in _rearrangements(rest):
-            yield (v,) + tail
-
-
 def expand_symmetric(nvars: int, coeffs) -> MPoly:
     """The symmetric polynomial sum of coeffs[nu] * m_nu(x_1..x_nvars).
 
@@ -563,7 +553,7 @@ def expand_symmetric(nvars: int, coeffs) -> MPoly:
                 f"cannot expand {nu} with a coefficient in {coeff.nvars} "
                 f"x-variables over {nvars} variables")
         qt = coeff.terms().items()
-        for xexps in _rearrangements(tuple(nu) + (0,) * (nvars - len(nu))):
+        for xexps in rearrangements(tuple(nu) + (0,) * (nvars - len(nu))):
             for k, c in qt:
                 terms[xexps + k] = c
     return MPoly.zero(nvars)._like(terms)

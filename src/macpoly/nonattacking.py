@@ -19,6 +19,7 @@ entry z, judged in the cyclic order read upward from z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import inf
 
@@ -127,11 +128,12 @@ def is_ordered(f: AugmentedFilling) -> bool:
     return True
 
 
-def _coinversion_plan(shape, has_base: bool) -> list:
+@lru_cache(maxsize=1024)
+def _coinversion_plan(shape, has_base: bool) -> tuple:
     """The candidate triples of a diagram, in the order coinversion_triples
     lists them, as (upper, third, lower) cells, lower None where it is the
     implicit +inf under a bottom-row pair.  Depends on the diagram only, so
-    sums build it once per shape."""
+    it is built once per shape."""
     n = len(shape)
     plan: list = []
     for u in range(1, n + 1):
@@ -143,12 +145,12 @@ def _coinversion_plan(shape, has_base: bool) -> list:
             if lower is not None:
                 plan.extend((upper, (v, r - 1), lower) for v in range(1, u)
                             if r - 1 <= shape[v - 1] < shape[u - 1])
-    return plan
+    return tuple(plan)
 
 
-def _coinversions(f: AugmentedFilling, plan):
+def _coinversions(f: AugmentedFilling):
     entry = f.entry
-    for upper, third, lower in plan:
+    for upper, third, lower in _coinversion_plan(f.shape, f.basement is not None):
         z = inf if lower is None else entry(*lower)
         if not inverted(entry(*upper), entry(*third), z):
             yield (upper, third) if lower is None else (third, upper, lower)
@@ -157,8 +159,7 @@ def _coinversions(f: AugmentedFilling, plan):
 def coinversion_triples(f: AugmentedFilling) -> list[tuple[Cell, ...]]:
     """The coinversion triples, each as (third cell, upper cell, lower cell);
     degenerate ones as (left cell, right cell)."""
-    plan = _coinversion_plan(f.shape, f.basement is not None)
-    return list(_coinversions(f, plan))
+    return list(_coinversions(f))
 
 
 def coinv(f: AugmentedFilling) -> int:
@@ -278,7 +279,6 @@ def _add_integral_terms(terms: dict, fillings, shape, basement,
     which makes the filling ordered; a filling that does not raises."""
     upper = [(i - 1, r - 1, (leg(shape, (i, r)) + 1, arm(shape, (i, r)) + 1))
              for i, r in cells(shape) if r >= 2]
-    plan = _coinversion_plan(shape, basement is not None)
     for f in fillings:
         cols = f.cols
         if basement is not None and (
@@ -290,7 +290,7 @@ def _add_integral_terms(terms: dict, fillings, shape, basement,
                                for i, r, ab in upper))
         accumulate(terms, () if n is None else x_content(cols, n),
                    cell_product(factors),
-                   _maj(cols), sum(1 for _ in _coinversions(f, plan)))
+                   _maj(cols), sum(1 for _ in _coinversions(f)))
 
 
 def e_integral(alpha, n: int | None = None) -> MPoly:
@@ -334,13 +334,12 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
     basement = check_permutation(basement)
     if len(alpha) != len(basement) or n != len(basement):
         raise ValueError("shape, basement and variable count must agree")
-    plan = _coinversion_plan(alpha, True)
     terms: dict[tuple[int, ...], int] = {}
     for f in enumerate_na(alpha, basement, n, no_descents=True):
         ndiff = sum(1 for col, b in zip(f.cols, basement)
                     for r, e in enumerate(col) if e != (col[r - 1] if r else b))
         accumulate(terms, x_content(f.cols, n), cell_product(((0, 1),) * ndiff),
-                   0, sum(1 for _ in _coinversions(f, plan)))
+                   0, sum(1 for _ in _coinversions(f)))
     return MPoly(n, terms)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .mpoly import ONE, MPoly, RationalForm, accumulate, divided_difference
-from .nonattacking import (_coinversion_plan, _coinversions, e_general_q0,
-                           e_integral_sum, enumerate_na, pr2)
+from .nonattacking import (_coinversions, e_general_q0, e_integral_sum,
+                           enumerate_na, pr2)
 from .shapes import check_composition, identity_perm
 from .tableaux import x_content
 
@@ -142,8 +142,7 @@ def qs_gamma(gamma, n: int) -> MPoly:
     t=0, where a t-atom term x^f t^coinv (1-t)^ndiff leaves x^f if coinv = 0."""
     terms: dict[tuple[int, ...], int] = {}
     for alpha in placements(gamma, n):
-        plan = _coinversion_plan(alpha, True)
         for f in enumerate_na(alpha, identity_perm(n), n, no_descents=True):
-            if next(_coinversions(f, plan), None) is None:
+            if next(_coinversions(f), None) is None:
                 accumulate(terms, x_content(f.cols, n), ONE)
     return MPoly(n, terms)

@@ -1,4 +1,5 @@
-"""Compositions, partitions, column diagrams, and symmetric-group helpers.
+"""The index sets of the formulas (partitions, compositions and the distinct
+rearrangements of a sequence), column diagrams, and symmetric-group helpers.
 
 Diagrams are bottom-justified columns: column i (1-based, left to right) has
 ``shape[i-1]`` cells, rows numbered from 1 at the bottom.  Row 0 is reserved
@@ -9,7 +10,6 @@ Permutations are 1-based one-line tuples: ``w[i-1]`` is the image of i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 Composition = tuple[int, ...]
@@ -41,15 +41,6 @@ def inc_sort(alpha) -> Composition:
     return tuple(sorted(alpha))
 
 
-def dec_sort(alpha) -> Composition:
-    return tuple(sorted(alpha, reverse=True))
-
-
-def strip_zeros(alpha) -> Composition:
-    """alpha^+ : the strong composition left after removing zero parts."""
-    return tuple(p for p in alpha if p)
-
-
 def beta_perm(alpha) -> Permutation:
     """The longest permutation b with inc_sort(alpha)[i-1] == alpha[b(i)-1].
 
@@ -63,28 +54,6 @@ def beta_perm(alpha) -> Permutation:
         out.extend(sorted((i + 1 for i, a in enumerate(alpha) if a == v),
                           reverse=True))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class CompositionStats:
-    inc: Composition
-    dec: Composition
-    beta: Permutation
-    aplus: Composition
-    ell: int
-
-
-def composition_stats(alpha) -> CompositionStats:
-    """inc/dec sorts, the maximal sorting permutation, alpha^+ and its length.
-
-    >>> composition_stats((0, 2, 0, 2, 1, 3))
-    CompositionStats(inc=(0, 0, 1, 2, 2, 3), dec=(3, 2, 2, 1, 0, 0), \
-beta=(3, 1, 5, 4, 2, 6), aplus=(2, 2, 1, 3), ell=4)
-    """
-    alpha = check_composition(alpha)
-    aplus = strip_zeros(alpha)
-    return CompositionStats(inc_sort(alpha), dec_sort(alpha), beta_perm(alpha),
-                            aplus, len(aplus))
 
 
 def conjugate(mu) -> Partition:
@@ -178,10 +147,21 @@ def perm_length(w) -> int:
     return sum(1 for a, b in combinations(w, 2) if a > b)
 
 
-def apply_perm(w, vec) -> tuple:
-    """The rearrangement (vec[w(1)-1], ..., vec[w(n)-1])."""
-    return tuple(vec[w[i] - 1] for i in range(len(w)))
+def canonical_w0_word(n: int) -> tuple[int, ...]:
+    """The reduced word (s_1)(s_2 s_1)...(s_{n-1} ... s_2 s_1), left to right.
 
+    >>> canonical_w0_word(3)
+    (1, 2, 1)
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    word: list[int] = []
+    for k in range(1, n):
+        word.extend(range(k, 0, -1))
+    return tuple(word)
+
+
+# -- index sets -----------------------------------------------------------
 
 def partitions_of(m: int) -> list[Partition]:
     """All partitions of m, largest part first within each, in lex order.
@@ -202,15 +182,44 @@ def partitions_of(m: int) -> list[Partition]:
     return sorted(gen(m, m))
 
 
-def canonical_w0_word(n: int) -> tuple[int, ...]:
-    """The reduced word (s_1)(s_2 s_1)...(s_{n-1} ... s_2 s_1), left to right.
+def compositions(m: int, length: int | None = None):
+    """The strong compositions of m (positive parts) in lex order; with
+    ``length``, the weak ones (nonnegative parts) of exactly that length.
 
-    >>> canonical_w0_word(3)
-    (1, 2, 1)
+    >>> list(compositions(3))
+    [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    >>> list(compositions(2, length=2))
+    [(0, 2), (1, 1), (2, 0)]
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    word: list[int] = []
-    for k in range(1, n):
-        word.extend(range(k, 0, -1))
-    return tuple(word)
+    if m == 0 and not length:
+        yield ()
+    if length == 0:
+        return
+    rest = None if length is None else length - 1
+    for first in range(1 if length is None else 0, m + 1):
+        for tail in compositions(m - first, rest):
+            yield (first,) + tail
+
+
+def rearrangements(parts):
+    """Each distinct rearrangement of a sequence once, in lex order.
+
+    Each step swaps the left entry of the rightmost ascent with the
+    rightmost larger entry after it, then reverses what follows.
+
+    >>> list(rearrangements((2, 1, 1)))
+    [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    """
+    a = sorted(parts)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import inf
 
 from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
                     weight_poly)
 from .shapes import (Partition, canonical_w0_word, check_partition,
-                     check_permutation, content_budget, partitions_of)
+                     check_permutation, content_budget, is_partition,
+                     partitions_of, rearrangements)
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -70,7 +71,7 @@ class Filling:
         """
         rows = [tuple(r) for r in rows]
         lengths = [len(r) for r in reversed(rows)]
-        if any(a < b for a, b in zip(lengths, lengths[1:])) or 0 in lengths:
+        if not is_partition(lengths):
             raise ValueError(f"row lengths {lengths[::-1]} (top first) do not "
                              "form a partition")
         ncols = len(rows[-1]) if rows else 0
@@ -389,20 +390,16 @@ def _shortest_rearranger(base, target):
     return tuple(p)
 
 
-def _row_rearrangements(root_row, blocks):
+def _row_words(root_row, blocks):
     """Operator words for all block-respecting rearrangements of a row.
 
-    `blocks` are 1-based column ranges of the row.  Yields
-    (rearranged_row, word) pairs, deterministically.
+    `blocks` are 1-based column ranges of the row.  The words come in the
+    lex order of the rearranged rows.
     """
-    segs = []
-    for lo, hi in blocks:
-        seg = root_row[lo - 1:hi]
-        segs.append(sorted(set(permutations(seg))))
+    segs = [rearrangements(root_row[lo - 1:hi]) for lo, hi in blocks]
     for combo in product(*segs):
         row = tuple(v for seg in combo for v in seg)
-        wtil = _shortest_rearranger(root_row, row)
-        yield row, pds(wtil)
+        yield pds(_shortest_rearranger(root_row, row))
 
 
 def _component_family(comp: Filling, edges: dict | None = None) -> list[Filling]:
@@ -414,7 +411,7 @@ def _component_family(comp: Filling, edges: dict | None = None) -> list[Filling]
     for r in range(h, 0, -1):
         blocks = block_decomposition(comp, r)
         root_row = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
-        words = [w for _, w in _row_rearrangements(root_row, blocks)]
+        words = list(_row_words(root_row, blocks))
         new_members = []
         for g in members:
             for w in words:

@@ -7,6 +7,9 @@ tree edge and its label.  A slip in any of them changes these bytes even
 where a polynomial sum stays the same.  Each case runs every partition of
 m at every variable count n <= 3 that fits, and hashes the argument list,
 the exit code and stdout of each request.
+
+The item list of each validation suite fixes the order of its `validate`
+lines; those lists are hashed for every --max from 0 to 6.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
-from macpoly.cli import main
+from macpoly.cli import SUITES, main
 from macpoly.shapes import partitions_of
 
 # The sorted tableau of the worked three-row reversal (acceptance
@@ -128,3 +131,43 @@ DIGESTS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_order_sensitive_outputs_match_recorded_digests(case):
     assert _digest(CASES[case]()) == DIGESTS[case], case
+
+
+# SHA-256 of repr([items(mx) for mx in range(7)]) per suite, recorded from
+# the hand-written partition, composition and weak-composition generators
+# that preceded macpoly.shapes.compositions.
+SUITE_DIGESTS = {
+    "compact-vs-brute":
+        "60d814713973a07d21bf44e7b29752e73ca38337183dbee160f9e9250a44e2a9",
+    "family-partition":
+        "777771293086fc622faf9c45c39ad49cd2c8869df1ad21f894a559bc26fd5881",
+    "hecke":
+        "0fc5d1bc3cf82a137c2d2056bc1c5406dadd0c2ec4cdc8f14e7739fd39b97a52",
+    "j-identities":
+        "60d814713973a07d21bf44e7b29752e73ca38337183dbee160f9e9250a44e2a9",
+    "operator-lemmas":
+        "777771293086fc622faf9c45c39ad49cd2c8869df1ad21f894a559bc26fd5881",
+    "pds":
+        "47c4fb6c143f51fa7529275a3da16bcd0b7ea8571955d4b30a12d6c0b9610056",
+    "quasisym":
+        "71ace99ccbe4aaa29e623e70a0817063937b1b0683825dc1565e18035239e0e0",
+    "refinement":
+        "60d814713973a07d21bf44e7b29752e73ca38337183dbee160f9e9250a44e2a9",
+    "reverse":
+        "375f983e295a48dce74fa1d3e57fd7512338e53d0ff5f923725e26fef3d79d6e",
+    "schur":
+        "60d814713973a07d21bf44e7b29752e73ca38337183dbee160f9e9250a44e2a9",
+    "tatom":
+        "0fc5d1bc3cf82a137c2d2056bc1c5406dadd0c2ec4cdc8f14e7739fd39b97a52",
+}
+
+
+def test_every_suite_is_pinned():
+    assert sorted(SUITE_DIGESTS) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
+def test_suite_items_match_recorded_digests(suite):
+    items = [SUITES[suite][1](mx) for mx in range(7)]
+    assert (hashlib.sha256(repr(items).encode()).hexdigest()
+            == SUITE_DIGESTS[suite]), suite

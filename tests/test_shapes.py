@@ -1,13 +1,13 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from macpoly.shapes import (apply_perm, arm, beta_perm, canonical_w0_word,
-                            cells, composition_stats, conjugate, inc_sort,
-                            leg, multiplicities, partitions_of, perm_length,
-                            strip_zeros)
+from macpoly.shapes import (arm, beta_perm, canonical_w0_word, cells,
+                            compositions, conjugate, inc_sort, leg,
+                            multiplicities, partitions_of, perm_length,
+                            rearrangements)
 
 
 def test_fig_arm_leg():
@@ -50,15 +50,6 @@ def test_arm_matches_scan(parts):
         assert leg(shape, cell) == shape[cell[0] - 1] - cell[1]
 
 
-def test_composition_stats_example():
-    s = composition_stats((0, 2, 0, 2, 1, 3))
-    assert s.inc == (0, 0, 1, 2, 2, 3)
-    assert s.dec == (3, 2, 2, 1, 0, 0)
-    assert s.beta == (3, 1, 5, 4, 2, 6)
-    assert s.aplus == (2, 2, 1, 3)
-    assert s.ell == 4
-
-
 def test_beta_strictly_increasing_is_identity():
     assert beta_perm((1, 2, 4)) == (1, 2, 3)
 
@@ -73,7 +64,7 @@ def test_beta_constant_is_longest():
 def test_beta_is_maximal_sorter(alpha):
     n = len(alpha)
     sorters = [w for w in permutations(range(1, n + 1))
-               if apply_perm(w, alpha) == inc_sort(alpha)]
+               if tuple(alpha[i - 1] for i in w) == inc_sort(alpha)]
     best = max(sorters, key=perm_length)
     assert perm_length(beta_perm(alpha)) == perm_length(best)
     assert beta_perm(alpha) in sorters
@@ -113,6 +104,29 @@ def test_partitions_of():
     assert counts == [1, 2, 3, 5, 7, 11, 15, 22]
 
 
-def test_strip_zeros_and_mults():
-    assert strip_zeros((0, 2, 0, 1)) == (2, 1)
+def test_multiplicities():
     assert multiplicities((0, 2, 2, 1, 0)) == {2: 2, 1: 1}
+
+
+def test_rearrangements_are_the_distinct_permutations_in_lex_order():
+    for length in range(7):
+        for seq in product(range(4), repeat=length):
+            assert list(rearrangements(seq)) == sorted(set(permutations(seq)))
+
+
+def _strong_compositions(m):
+    if m == 0:
+        yield ()
+        return
+    for first in range(1, m + 1):
+        for tail in _strong_compositions(m - first):
+            yield (first,) + tail
+
+
+def test_compositions_match_the_direct_generators():
+    for m in range(8):
+        assert list(compositions(m)) == list(_strong_compositions(m))
+    for length in range(5):
+        for m in range(7):
+            assert list(compositions(m, length)) == [
+                a for a in product(range(m + 1), repeat=length) if sum(a) == m]
