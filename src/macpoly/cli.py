@@ -60,9 +60,26 @@ def _emit(lines, output):
         out.flush()
 
 
+def _check_output(ctx, param, path):
+    """Reject an --output path that cannot be written, before any work."""
+    if path:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise click.BadParameter(f"{path!r} is a directory")
+        if not os.path.isdir(parent):
+            raise click.BadParameter(f"{path!r}: no directory {parent!r}")
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise click.BadParameter(f"{path!r} is not writable")
+    return path
+
+
+OUTPUT = click.option("--output", type=click.Path(), default=None,
+                      callback=_check_output)
+
+
 def _render_poly(value, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(value.to_json_dict()) + "\n"
+        return value.to_json() + "\n"
     if fmt == "latex":
         return value.latex() + "\n"
     return value.text() + "\n"
@@ -86,7 +103,7 @@ def main():
               default="json", show_default=True)
 @click.option("--cap", type=int, default=8, show_default=True,
               help="size cap for brute-force routes")
-@click.option("--output", type=click.Path(), default=None)
+@OUTPUT
 def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
     """Compute one polynomial; --method both cross-checks two routes."""
     parts = _parse_parts(shape)
@@ -147,7 +164,7 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
               help="only fillings whose entry set is an initial segment")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
-@click.option("--output", type=click.Path(), default=None)
+@OUTPUT
 def cmd_enumerate(kind, shape, nvars, basement, ordered, packed, fmt, output):
     """Stream objects with their statistics, one record per line."""
     from .tableaux import is_packed
@@ -200,7 +217,7 @@ def _stats_line(rec):
               help="a sorted tableau, rows top-first, e.g. '2;1,3'")
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]),
               default="json", show_default=True)
-@click.option("--output", type=click.Path(), default=None)
+@OUTPUT
 def cmd_family(shape, nvars, root, fmt, output):
     """Families of sorted tableaux, optionally as an operator tree."""
     if root is None and (shape is None or nvars is None):
@@ -422,7 +439,7 @@ SUITES = {
 @click.option("--jobs", type=int, default=1, envvar="MACPOLY_JOBS",
               show_envvar=True,
               help="worker processes, clamped to 1..the CPU count")
-@click.option("--output", type=click.Path(), default=None)
+@OUTPUT
 def cmd_validate(suite, max_size, jobs, output):
     """Run an identity suite; exits 3 when a property fails."""
     names = sorted(SUITES) if suite == "all" else [suite]

@@ -20,12 +20,15 @@ signatures and divided out of t-factorials by the remainder-checked
 sums (``htilde``, ``J``) accumulate only the x-free weights of the fillings
 of each partition content nu, and :func:`expand_symmetric` writes them at
 the rearrangements of nu once, at the end.
+
+:meth:`MPoly.to_json` writes the bytes of ``json.dumps(to_json_dict())``
+directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise: one sort of
+the keys, and each x-monomial and (q, t)-monomial formatted once per call.
 """
 
 from __future__ import annotations
 
-import json
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .shapes import rearrangements
 
@@ -109,7 +112,10 @@ class MPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in ascending graded-lex order on (x-exponents, q, t)."""
-        return [(k, self._terms[k]) for k in sorted(self._terms, key=_grlex)]
+        # A lex sort, then a stable sort by degree: the _grlex order without
+        # a Python call or a tuple-of-tuples comparison per key.
+        terms = self._terms
+        return [(k, terms[k]) for k in sorted(sorted(terms), key=sum)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -220,27 +226,28 @@ class MPoly:
     def _render(self, var_fmt, pow_fmt, mul_sep: str) -> str:
         if not self._terms:
             return "0"
-        names = [var_fmt("x", i) for i in range(1, self.nvars + 1)] + ["q", "t"]
+        n = self.nvars
+        names = [var_fmt("x", i) for i in range(1, n + 1)] + ["q", "t"]
+
+        @cache
+        def factors(exps, at):  # names[at:] ** exps, once per distinct exps
+            return mul_sep.join(name if e == 1 else pow_fmt(name, e)
+                                for name, e in zip(names[at:], exps) if e)
+
         chunks = []
         for key, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, key):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(pow_fmt(name, e))
-            body = mul_sep.join(factors)
+            xs, qts = factors(key[:n], 0), factors(key[n:], n)
+            body = f"{xs}{mul_sep}{qts}" if xs and qts else xs or qts
             mag = abs(coeff)
             if not body:
                 piece = str(mag)
             elif mag == 1:
                 piece = body
             else:
-                piece = f"{mag}{mul_sep if mul_sep != ' ' else ' '}{body}"
+                piece = f"{mag}{mul_sep}{body}"
             chunks.append(("- " if coeff < 0 else "+ ") + piece)
-        first = chunks[0]
-        out = ("-" + first[2:]) if first.startswith("- ") else first[2:]
-        return out + "".join(" " + c for c in chunks[1:])
+        out = " ".join(chunks)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def text(self) -> str:
         """Plain-text rendering, terms in graded-lex order."""
@@ -272,7 +279,17 @@ class MPoly:
         return cls(n, terms)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """``json.dumps(self.to_json_dict())``, byte for byte, written
+        directly: each x-exponent list is formatted once per call."""
+        n = self.nvars
+
+        @cache
+        def prefix(x):
+            return '{"x": [%s], "q": ' % ", ".join(map(str, x))
+
+        out = ['%s%d, "t": %d, "c": "%d"}' % (prefix(k[:n]), k[n], k[n + 1], c)
+               for k, c in self.sorted_terms()]
+        return '{"nvars": %d, "terms": [%s]}' % (n, ", ".join(out))
 
 
 class RationalForm:
@@ -316,6 +333,11 @@ class RationalForm:
     def to_json_dict(self) -> dict:
         return {"numerator": self.numerator.to_json_dict(),
                 "denominator": self.denominator.to_json_dict()}
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict())``, byte for byte."""
+        return '{"numerator": %s, "denominator": %s}' % (
+            self.numerator.to_json(), self.denominator.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalForm":

@@ -279,3 +279,34 @@ def test_output_file(tmp_path):
     assert res.exit_code == 0
     data = json.loads(target.read_text())
     assert data["terms"][0]["x"] == [1, 0]
+
+
+_OUTPUT_COMMANDS = {
+    "compute": ("compute", "htilde", "--shape", "2,1", "--nvars", "2"),
+    "enumerate": ("enumerate", "sorted", "--shape", "2,1", "--nvars", "2"),
+    "family": ("family", "--shape", "2,1", "--nvars", "2"),
+    "validate": ("validate", "--suite", "pds", "--max", "3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_COMMANDS))
+def test_unwritable_output_is_a_usage_error_before_any_work(
+        monkeypatch, tmp_path, command):
+    import macpoly.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking --output")
+
+    for name in ("htilde_compact", "enumerate_sorted", "_check_pds"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setitem(cli.SUITES, "pds", (no_work, cli.SUITES["pds"][1]))
+    argv = _OUTPUT_COMMANDS[command]
+    for path, reason in [(tmp_path / "missing" / "out", "no directory"),
+                         (tmp_path, "is a directory"),
+                         (f"{tmp_path / 'missing'}/", "no directory")]:
+        res = run(*argv, "--output", str(path))
+        assert res.exit_code == 2, (path, res.output)
+        assert str(path) in res.output and reason in res.output
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    res = run(*argv, "--output", str(tmp_path / "out"))
+    assert res.exit_code == 2 and "is not writable" in res.output

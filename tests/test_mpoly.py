@@ -194,3 +194,80 @@ def test_rational_form():
 @given(polys())
 def test_pow_matches_repeated_mul(p):
     assert p ** 3 == p * p * p
+
+
+# -- the direct writers against json.dumps and the term-by-term renderer -----
+
+def _reference_render(p, var_fmt, pow_fmt, mul_sep):
+    """The renderer that formatted every factor of every term afresh."""
+    if p.is_zero():
+        return "0"
+    names = [var_fmt("x", i) for i in range(1, p.nvars + 1)] + ["q", "t"]
+    chunks = []
+    for key, coeff in sorted(p.terms().items(),
+                             key=lambda kc: (sum(kc[0]), kc[0])):
+        factors = []
+        for name, e in zip(names, key):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(pow_fmt(name, e))
+        body = mul_sep.join(factors)
+        mag = abs(coeff)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = f"{mag}{mul_sep}{body}"
+        chunks.append(("- " if coeff < 0 else "+ ") + piece)
+    first = chunks[0]
+    out = ("-" + first[2:]) if first.startswith("- ") else first[2:]
+    return out + "".join(" " + c for c in chunks[1:])
+
+
+_COEFFS = st.one_of(st.integers(-12, 12),
+                    st.sampled_from([7 ** 30, -7 ** 30, 1, -1]))
+
+
+@st.composite
+def wide_polys(draw):
+    nvars = draw(st.integers(0, 4))
+    keys = st.tuples(*[st.integers(0, 3)] * (nvars + 2))
+    terms = draw(st.dictionaries(keys, _COEFFS, max_size=12))
+    return MPoly(nvars, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys())
+def test_writers_match_json_dumps_and_the_reference_renderer(p):
+    blob = p.to_json()
+    assert blob == json.dumps(p.to_json_dict())
+    assert MPoly.from_json_dict(json.loads(blob)) == p
+    assert p.text() == _reference_render(
+        p, lambda b, i: f"{b}{i}", lambda n, e: f"{n}^{e}", "*")
+    assert p.latex() == _reference_render(
+        p, lambda b, i: f"{b}_{{{i}}}", lambda n, e: f"{n}^{{{e}}}", " ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rational_form_writer_matches_json_dumps(data):
+    num = data.draw(wide_polys())
+    qt = data.draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                   _COEFFS.filter(bool), min_size=1, max_size=6))
+    den = MPoly(num.nvars, {(0,) * num.nvars + k: c for k, c in qt.items()})
+    form = RationalForm(num, den)
+    assert form.to_json() == json.dumps(form.to_json_dict())
+    assert RationalForm.from_json_dict(json.loads(form.to_json())) == form
+
+
+def test_writers_on_the_zero_poly_and_no_variables():
+    for n in range(3):
+        assert MPoly.zero(n).to_json() == json.dumps(MPoly.zero(n).to_json_dict())
+        assert MPoly.zero(n).text() == MPoly.zero(n).latex() == "0"
+    p = MPoly(0, {(0, 0): -7 ** 30, (2, 1): 1})
+    assert p.to_json() == ('{"nvars": 0, "terms": [{"x": [], "q": 0, "t": 0, '
+                           f'"c": "{-7 ** 30}"}}, {{"x": [], "q": 2, "t": 1, '
+                           '"c": "1"}]}')
+    assert p.text() == f"-{7 ** 30} + q^2*t"
