@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, islice
 from math import prod
 
@@ -455,6 +454,9 @@ def cmd_validate(suite, max_size, jobs, output):
         check, items = SUITES[name]
         work = items(max_size)
         if jobs > 1:
+            # Imported here: it pulls in multiprocessing, which costs every
+            # other command its import time.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(check, work))
         else:

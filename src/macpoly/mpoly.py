@@ -12,25 +12,34 @@ it never reduces to lowest terms, and equality is by cross-multiplication.
 The compact formulas sum x^content(f) * w_f(q, t) over fillings f.
 :func:`accumulate` adds each term in place into one dict, dropping
 coefficients that cancel.  The weights w_f, sorted tuples of ``((e_q,
-e_t), c)`` pairs, come from two bounded caches filled on first use:
-:func:`t_multinomial_product`, keyed by ``(k, sorted multiplicities)``
-signatures and divided out of t-factorials by the remainder-checked
-:func:`exact_div_xfree`, and :func:`cell_product`, keyed by the sorted
-``(a, b)`` of a filling's cell factors ``1 - q^a t^b``.  The symmetric
-sums (``htilde``, ``J``) accumulate only the x-free weights of the fillings
-of each partition content nu, and :func:`expand_symmetric` writes them at
-the rearrangements of nu once, at the end.
+e_t), c)`` pairs, come from two bounded caches filled on first use, in
+plain integer arithmetic: :func:`t_multinomial_product`, keyed by ``(k,
+sorted multiplicities)`` signatures and built from Gaussian binomials by
+the t-Pascal recurrence on coefficient lists, and :func:`cell_product`,
+keyed by the sorted ``(a, b)`` of a filling's cell factors ``1 - q^a t^b``
+and multiplied out as a dict convolution.  The symmetric sums (``htilde``,
+``J``) accumulate only the x-free weights of the fillings of each
+partition content nu, and :func:`expand_symmetric` returns a
+:class:`SymmetricMPoly` that keeps those m_nu coefficients: it is written
+from them, and expanded to x-monomials only when something else reads its
+terms.
 
 :meth:`MPoly.to_json` writes the bytes of ``json.dumps(to_json_dict())``
-directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise: one sort of
-the keys, and each x-monomial and (q, t)-monomial formatted once per call.
+directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, each in one
+walk over runs: stretches of terms with one x-monomial, in graded-lex
+order.  A plain MPoly's runs come from one sort of its keys; a symmetric
+one's from the rearrangements of each nu, sorted once, with each nu's
+(q, t)-terms grouped by degree and shared by all of its rearrangements.
+Each x-monomial and each (q, t)-term is formatted once per call.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import compress
+from operator import itemgetter, ne
 
-from .shapes import rearrangements
+from .shapes import is_partition, rearrangements
 
 
 class VariableMismatchError(ValueError):
@@ -112,10 +121,13 @@ class MPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in ascending graded-lex order on (x-exponents, q, t)."""
+        terms = self._terms
+        return [(k, terms[k]) for k in self._sorted_keys()]
+
+    def _sorted_keys(self) -> list[tuple[int, ...]]:
         # A lex sort, then a stable sort by degree: the _grlex order without
         # a Python call or a tuple-of-tuples comparison per key.
-        terms = self._terms
-        return [(k, terms[k]) for k in sorted(sorted(terms), key=sum)]
+        return sorted(sorted(self._terms), key=sum)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -223,30 +235,58 @@ class MPoly:
 
     # -- rendering ---------------------------------------------------------
 
+    def _runs(self):
+        """The terms in graded-lex order as runs, for the writers.
+
+        Returns ``(xs, items, runs)``.  A run ``(j, (lo, hi))`` is a stretch
+        of consecutive terms with one x-monomial: the exponents ``xs[j]``
+        with each ``(e_q, e_t, c)`` of ``items[lo:hi]``.  Runs may share an
+        x-monomial or a span of items, so a writer formats each entry of
+        ``xs`` and ``items`` once.
+        """
+        n, terms = self.nvars, self._terms
+        keys = self._sorted_keys()
+        x_of = list(map(itemgetter(slice(0, n)), keys))
+        starts = list(compress(range(len(keys)),  # where the x-monomial changes
+                               map(ne, x_of, [None, *x_of])))
+        items = list(zip(map(itemgetter(n), keys), map(itemgetter(n + 1), keys),
+                         map(terms.__getitem__, keys)))
+        return ([x_of[s] for s in starts], items,
+                list(enumerate(zip(starts, [*starts[1:], len(keys)]))))
+
     def _render(self, var_fmt, pow_fmt, mul_sep: str) -> str:
-        if not self._terms:
+        xs, items, runs = self._runs()
+        if not runs:
             return "0"
         n = self.nvars
         names = [var_fmt("x", i) for i in range(1, n + 1)] + ["q", "t"]
 
         @cache
-        def factors(exps, at):  # names[at:] ** exps, once per distinct exps
-            return mul_sep.join(name if e == 1 else pow_fmt(name, e)
-                                for name, e in zip(names[at:], exps) if e)
+        def power(name, e):
+            return "" if not e else name if e == 1 else pow_fmt(name, e)
 
-        chunks = []
-        for key, coeff in self.sorted_terms():
-            xs, qts = factors(key[:n], 0), factors(key[n:], n)
-            body = f"{xs}{mul_sep}{qts}" if xs and qts else xs or qts
-            mag = abs(coeff)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}{mul_sep}{body}"
-            chunks.append(("- " if coeff < 0 else "+ ") + piece)
-        out = " ".join(chunks)
+        @cache
+        def factors(exps, at):  # names[at:] ** exps, once per distinct exps
+            return mul_sep.join(filter(None, map(power, names[at:], exps)))
+
+        @cache
+        def term(item):  # a term is head + x-monomial + tail, or bare at x^0
+            e_q, e_t, c = item
+            qts, mag = factors((e_q, e_t), n), abs(c)
+            sign = "- " if c < 0 else "+ "
+            return (sign if mag == 1 else f"{sign}{mag}{mul_sep}",
+                    f"{mul_sep}{qts}" if qts else "",
+                    sign + (f"{mag}{mul_sep}{qts}" if qts and mag != 1
+                            else qts or str(mag)))
+
+        heads, tails, bares = zip(*map(term, items))
+        # The x-monomial joins a run's pieces: its first head, the glue
+        # between its terms, its last tail.
+        glues = list(map("{} {}".format, tails, heads[1:]))
+        xstrs = [factors(x, 0) for x in xs]
+        out = " ".join([xstrs[j].join([heads[lo], *glues[lo:hi - 1], tails[hi - 1]])
+                        if xstrs[j] else " ".join(bares[lo:hi])
+                        for j, (lo, hi) in runs])
         return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def text(self) -> str:
@@ -280,16 +320,15 @@ class MPoly:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict())``, byte for byte, written
-        directly: each x-exponent list is formatted once per call."""
-        n = self.nvars
-
-        @cache
-        def prefix(x):
-            return '{"x": [%s], "q": ' % ", ".join(map(str, x))
-
-        out = ['%s%d, "t": %d, "c": "%d"}' % (prefix(k[:n]), k[n], k[n + 1], c)
-               for k, c in self.sorted_terms()]
-        return '{"nvars": %d, "terms": [%s]}' % (n, ", ".join(out))
+        directly, one join per run."""
+        xs, items, runs = self._runs()
+        head = {x: '{"x": %s, "q": ' % (list(x),) for x in set(xs)}
+        rest = {item: '%d, "t": %d, "c": "%d"}' % item for item in set(items)}
+        heads = list(map(head.__getitem__, xs))
+        seps = [", " + h for h in heads]
+        rests = list(map(rest.__getitem__, items))
+        return '{"nvars": %d, "terms": [%s]}' % (self.nvars, ", ".join(
+            [heads[j] + seps[j].join(rests[lo:hi]) for j, (lo, hi) in runs]))
 
 
 class RationalForm:
@@ -487,18 +526,10 @@ def t_pochhammer(k: int, nvars: int = 0) -> MPoly:
                        nvars)
 
 
-def _t_factorial(k: int) -> MPoly:
-    # [k]_t! = prod_{j<=k} (1 + t + ... + t^{j-1})
-    out = MPoly.one(0)
-    for j in range(2, k + 1):
-        out = out * MPoly(0, {(0, e): 1 for e in range(j)})
-    return out
-
-
 def t_multinomial(n: int, parts, nvars: int = 0) -> MPoly:
     """The t-analogue of the multinomial coefficient (n; parts).
 
-    Computed as a ratio of t-factorials; the division is remainder-checked.
+    Built from Gaussian binomials by the t-Pascal recurrence.
     """
     parts = list(parts)
     if any(m < 0 for m in parts) or sum(parts) != n:
@@ -512,13 +543,27 @@ def t_multinomial(n: int, parts, nvars: int = 0) -> MPoly:
 ONE = (((0, 0), 1),)
 
 
-def _weight(p: MPoly):
-    return tuple(sorted(p.terms().items()))
-
-
 def weight_poly(w, nvars: int = 0) -> MPoly:
     """A weight as an x-free MPoly over nvars variables."""
     return MPoly(nvars, {(0,) * nvars + k: c for k, c in w})
+
+
+def _add_shifted(a: list, b: list, s: int) -> list:
+    """a + t^s * b on coefficient lists, lowest degree first."""
+    out = a + [0] * (len(b) + s - len(a))
+    for e, c in enumerate(b, s):
+        out[e] += c
+    return out
+
+
+def _t_binomial(k: int, m: int) -> list:
+    """The Gaussian binomial [k choose m]_t as a coefficient list, from the
+    t-Pascal recurrence [j, i] = [j-1, i-1] + t^i [j-1, i]."""
+    rows = [[1]] + [[] for _ in range(m)]  # rows[i] = [j choose i], j = 0
+    for j in range(1, k + 1):
+        for i in range(min(j, m), 0, -1):
+            rows[i] = _add_shifted(rows[i - 1], rows[i], i)
+    return rows[m]
 
 
 # The caches are keyed by shapes of fillings, not by fillings, so a bound of
@@ -526,22 +571,34 @@ def weight_poly(w, nvars: int = 0) -> MPoly:
 @lru_cache(maxsize=4096)
 def t_multinomial_product(signature):
     """The product of t-multinomials over ``((k, sorted parts), ...)``."""
-    out = MPoly.one(0)
+    out = [1]
     for k, parts in signature:
-        num = _t_factorial(k)
-        for m in parts:
-            num = exact_div_xfree(num, _t_factorial(m))
-        out = out * num
-    return _weight(out)
+        for m in parts:  # [k; parts] = prod of [m_1 + ... + m_i choose m_i]
+            binom = _t_binomial(k, m)
+            k -= m
+            conv = [0] * (len(out) + len(binom) - 1)
+            for e, c in enumerate(out):
+                for f, d in enumerate(binom, e):
+                    conv[f] += c * d
+            out = conv
+    return tuple(((0, e), c) for e, c in enumerate(out) if c)
 
 
 @lru_cache(maxsize=4096)
 def cell_product(factors):
     """The product of 1 - q^a t^b over a sorted tuple of (a, b) pairs."""
-    out = MPoly.one(0)
+    out = {(0, 0): 1}
     for a, b in factors:
-        out = out * (MPoly.one(0) - MPoly.monomial(0, (), a, b))
-    return _weight(out)
+        prod = dict(out)
+        for (e_q, e_t), c in out.items():
+            key = (e_q + a, e_t + b)
+            c = prod.get(key, 0) - c
+            if c:
+                prod[key] = c
+            else:
+                del prod[key]
+        out = prod
+    return tuple(sorted(out.items()))
 
 
 def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
@@ -561,21 +618,84 @@ def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
             del terms[key]
 
 
+class SymmetricMPoly(MPoly):
+    """The symmetric polynomial sum of coeffs[nu] * m_nu(x_1..x_nvars), held
+    as its m_nu coefficients; made by :func:`expand_symmetric`.
+
+    The writers read the coefficients directly.  Everything else reads
+    ``_terms``, which is expanded to x-monomials on first use; results of
+    arithmetic are plain :class:`MPoly`.
+    """
+
+    __slots__ = ("_coeffs",)  # partition nu -> nonzero {(e_q, e_t): c}
+
+    def __getattr__(self, name):
+        # Reached only while the _terms slot is unset.
+        if name != "_terms":
+            raise AttributeError(name)
+        self._terms = self._expand()
+        return self._terms
+
+    def _padded(self, nu):
+        return nu + (0,) * (self.nvars - len(nu))
+
+    def _expand(self) -> dict:
+        """Each coefficient written at every distinct rearrangement of nu
+        padded with zeros to nvars exponents."""
+        terms: dict[tuple[int, ...], int] = {}
+        for nu, qt in self._coeffs.items():
+            qt = qt.items()
+            for xexps in rearrangements(self._padded(nu)):
+                for k, c in qt:
+                    terms[xexps + k] = c
+        return terms
+
+    def _runs(self):
+        # Each nu's terms fall by total degree |nu| + e_q + e_t into spans
+        # of items that every rearrangement of nu shares, and the
+        # rearrangements of all nu are sorted lex once; no term is sorted.
+        nus = list(self._coeffs)
+        items, spans = [], {}  # degree -> the span of each nu, or None
+        for k, nu in enumerate(nus):
+            by_degree: dict[int, list] = {}
+            for (e_q, e_t), c in sorted(self._coeffs[nu].items()):
+                by_degree.setdefault(sum(nu) + e_q + e_t, []).append((e_q, e_t, c))
+            for degree, block in by_degree.items():
+                spans.setdefault(degree, [None] * len(nus))[k] = (
+                    len(items), len(items) + len(block))
+                items += block
+        order = sorted((x, k) for k, nu in enumerate(nus)
+                       for x in rearrangements(self._padded(nu)))
+        runs = []
+        for degree in sorted(spans):
+            at = spans[degree]
+            runs += [(j, at[k]) for j, (_, k) in enumerate(order) if at[k]]
+        return [x for x, _ in order], items, runs
+
+    def __reduce__(self):
+        return MPoly, (self.nvars, self._terms)
+
+
 def expand_symmetric(nvars: int, coeffs) -> MPoly:
     """The symmetric polynomial sum of coeffs[nu] * m_nu(x_1..x_nvars).
 
     ``coeffs`` maps partitions nu with at most nvars parts to x-free
-    polynomials; each coefficient is written at every distinct
-    rearrangement of nu padded with zeros to nvars exponents.
+    polynomials.  The result keeps them as they are and writes each at
+    every distinct rearrangement of nu padded with zeros to nvars
+    exponents only when its terms are read (see :class:`SymmetricMPoly`).
     """
-    terms: dict[tuple[int, ...], int] = {}
+    kept = {}
     for nu, coeff in coeffs.items():
+        nu = tuple(nu)
         if len(nu) > nvars or coeff.nvars:
             raise VariableMismatchError(
                 f"cannot expand {nu} with a coefficient in {coeff.nvars} "
                 f"x-variables over {nvars} variables")
-        qt = coeff.terms().items()
-        for xexps in rearrangements(tuple(nu) + (0,) * (nvars - len(nu))):
-            for k, c in qt:
-                terms[xexps + k] = c
-    return MPoly.zero(nvars)._like(terms)
+        if not is_partition(nu):
+            raise ValueError(f"{nu} is not a partition")
+        if coeff:
+            kept[nu] = coeff.terms()
+    out = SymmetricMPoly.__new__(SymmetricMPoly)
+    out.nvars = nvars
+    out._coeffs = kept
+    return out

@@ -216,7 +216,8 @@ class _RecordingPool:
 def test_validate_jobs_are_clamped_to_the_cpu_count(monkeypatch, jobs, env,
                                                     workers):
     import macpoly.cli as cli
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # cmd_validate imports the pool class from concurrent.futures on use.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(_RecordingPool, "created", [])
     args = ["validate", "--suite", "pds", "--max", "2"]

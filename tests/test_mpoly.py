@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macpoly.mpoly import (ExactDivisionError, MPoly, RationalForm,
-                           VariableMismatchError, divided_difference,
-                           exact_div_xfree, specialize, swap_vars,
-                           t_multinomial, t_pochhammer)
+                           VariableMismatchError, cell_product,
+                           divided_difference, exact_div_xfree, specialize,
+                           swap_vars, t_multinomial, t_pochhammer, weight_poly)
 
 N = 2  # default variable count for random polys
 
@@ -144,6 +144,18 @@ def test_t_multinomial_counts_inversions(parts):
         key = (0, _inversions(w))
         terms[key] = terms.get(key, 0) + 1
     assert t_multinomial(n, parts) == MPoly(0, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6))
+def test_cell_product_equals_the_mpoly_product(factors):
+    one = MPoly.one(0)
+    expected = one
+    for a, b in factors:
+        expected = expected * (one - MPoly.monomial(0, (), a, b))
+    weight = cell_product(tuple(sorted(factors)))
+    assert weight == tuple(sorted(expected.terms().items()))
+    assert weight_poly(weight) == expected
 
 
 def test_t_multinomial_at_one():

@@ -1,0 +1,130 @@
+"""Symmetric results held as their m_nu coefficients: the writers against
+those of the expanded MPoly, the operations that expand them, and a guard
+that ``compute htilde|J|P`` writes without expanding."""
+
+import json
+import pickle
+from itertools import permutations
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macpoly.cli import main
+from macpoly.mpoly import (MPoly, RationalForm, SymmetricMPoly,
+                           expand_symmetric, specialize)
+from macpoly.nonattacking import j_compact, pr1
+from macpoly.shapes import partitions_of
+from macpoly.tableaux import htilde_compact
+
+WRITERS = ("to_json", "text", "latex")
+
+
+def _forbid_expansion(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the x-expansion was built")
+    monkeypatch.setattr(SymmetricMPoly, "_expand", refuse)
+
+
+def _check_against_expanded(monkeypatch, r):
+    """r writes what its expansion writes, without expanding, and every
+    other operation sees the expansion and returns plain MPolys."""
+    assert type(r) is SymmetricMPoly
+    with monkeypatch.context() as m:
+        _forbid_expansion(m)
+        written = {w: getattr(r, w)() for w in WRITERS}
+        assert repr(r) == f"MPoly({r.nvars}, {written['text']!r})"
+    plain = MPoly(r.nvars, r.terms())
+    assert type(plain) is MPoly
+    for w in WRITERS:
+        assert written[w] == getattr(plain, w)() == getattr(r, w)()
+    assert written["to_json"] == json.dumps(plain.to_json_dict())
+
+    assert r == plain and plain == r
+    assert hash(r) == hash(plain)
+    assert len(r) == len(plain)
+    assert bool(r) is bool(plain)
+    back = pickle.loads(pickle.dumps(r))
+    assert type(back) is MPoly and back == plain
+
+    t = MPoly.t(r.nvars)
+    for value, expected in ((r + t, plain + t), (t + r, t + plain),
+                            (r - plain, MPoly.zero(r.nvars)), (-r, -plain),
+                            (r * t, plain * t), (r * 3, plain * 3),
+                            (specialize(r, {"q": 1}), specialize(plain, {"q": 1}))):
+        assert type(value) is MPoly
+        assert value == expected
+
+
+@pytest.mark.parametrize("fn", [htilde_compact, j_compact],
+                         ids=["htilde", "J"])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_compact_results_write_as_their_expansion(monkeypatch, fn, m):
+    for lam in partitions_of(m):
+        for n in range(len(lam), 7):
+            _check_against_expanded(monkeypatch, fn(lam, n))
+
+
+def _coefficients(nvars):
+    qt = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         st.one_of(st.integers(-5, 5),
+                                   st.sampled_from([7 ** 30, -7 ** 30])),
+                         max_size=5)
+    nus = st.sampled_from([nu for size in range(5) for nu in partitions_of(size)
+                           if len(nu) <= nvars])
+    return st.dictionaries(nus, qt.map(lambda terms: MPoly(0, terms)),
+                           max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n),
+                                                     _coefficients(n))))
+def test_any_coefficient_map_writes_as_its_expansion(case):
+    n, coeffs = case
+    expected: dict = {}
+    for nu, coeff in coeffs.items():
+        padded = nu + (0,) * (n - len(nu))
+        for xexps in set(permutations(padded)):
+            for key, c in coeff.terms().items():
+                expected[xexps + key] = c
+    r = expand_symmetric(n, coeffs)
+    plain = MPoly(n, expected)
+    for w in WRITERS:
+        assert getattr(r, w)() == getattr(plain, w)()
+    assert r == plain and hash(r) == hash(plain) and len(r) == len(plain)
+    assert type(pickle.loads(pickle.dumps(r))) is MPoly
+
+
+def test_expand_symmetric_takes_partitions_only():
+    with pytest.raises(ValueError):
+        expand_symmetric(3, {(1, 2): MPoly.one(0)})
+    with pytest.raises(ValueError):
+        expand_symmetric(3, {(1, 0): MPoly.one(0)})
+
+
+REQUESTS = [("htilde", "2,1,1", 4), ("htilde", "", 0), ("htilde", "3,1", 2),
+            ("J", "2,2", 4), ("J", "3", 1), ("P", "3,1", 4), ("P", "1,1", 3)]
+
+
+def _direct(selector, shape, n):
+    """The value the CLI prints, as an MPoly (or form) of expanded terms."""
+    lam = tuple(int(p) for p in shape.split(",")) if shape else ()
+    if selector == "htilde":
+        return MPoly(n, htilde_compact(lam, n).terms())
+    num = MPoly(n, j_compact(lam, n).terms())
+    return num if selector == "J" else RationalForm(num, pr1(lam, n))
+
+
+@pytest.mark.parametrize("selector, shape, n", REQUESTS)
+def test_compute_writes_symmetric_results_without_expanding(
+        monkeypatch, selector, shape, n):
+    value = _direct(selector, shape, n)
+    expected = {"json": value.to_json(), "text": value.text(),
+                "latex": value.latex()}
+    _forbid_expansion(monkeypatch)
+    for fmt, out in expected.items():
+        res = CliRunner().invoke(main, ["compute", selector, "--shape", shape,
+                                        "--nvars", str(n), "--format", fmt])
+        assert res.exit_code == 0, res.output
+        assert res.output == out + "\n"
