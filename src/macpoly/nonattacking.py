@@ -51,6 +51,17 @@ class AugmentedFilling:
                 raise ValueError("basement length does not match the shape")
             object.__setattr__(self, "basement", b)
 
+    @classmethod
+    def _trusted(cls, shape, cols, basement) -> "AugmentedFilling":
+        """The filling of a shape tuple, column tuples and basement (tuple or
+        None) already known to be valid, built without the checks (for the
+        enumerator's output)."""
+        f = object.__new__(cls)
+        for name, value in (("shape", shape), ("cols", cols),
+                            ("basement", basement)):
+            object.__setattr__(f, name, value)
+        return f
+
     def entry(self, i: int, r: int) -> int:
         if r == 0:
             if self.basement is None:
@@ -171,6 +182,130 @@ def maj_na(f: AugmentedFilling) -> int:
     return _maj(f.cols)
 
 
+@lru_cache(maxsize=1024)
+def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool) -> tuple:
+    """Per cell of ``cells(shape)``, in that order, what the walk needs.
+
+    Entries live in one flat list: the cells in that order, then the
+    basement, then +inf.  Each cell gets its earlier attackers (basement
+    slots included) as flat indices, its entry bounds as (index, d) pairs
+    capping it at entries[index] - d (the cell or basement below without
+    descents, the previous same-height bottom cell when ordered), the cell
+    below with its leg + 1 for maj (leg + 1 is 0 in row 1, which is never
+    compared to the basement), and the coinversion triples (upper, third,
+    lower) it completes, being the last of them placed.
+    """
+    order = cells(shape)
+    at = {c: k for k, c in enumerate(order)}
+    width = len(shape)
+    if basement is not None:
+        at.update(((j, 0), len(order) + j - 1) for j in range(1, width + 1))
+    top = len(order) + (width if basement is not None else 0)  # the +inf slot
+    plan = []
+    for k, (i, r) in enumerate(order):
+        below = at.get((i, r - 1))
+        attackers = tuple(at[c] for c in at
+                          if (at[c] < k or c[1] == 0) and attacks((i, r), c))
+        bounds = []
+        if no_descents and below is not None:
+            bounds.append((below, 0))
+        if ordered_only and r == 1:
+            prev = max((j for j in range(1, i) if shape[j - 1] >= 1),
+                       default=None)
+            if prev is not None and shape[prev - 1] == shape[i - 1]:
+                bounds.append((at[(prev, 1)], 1))
+        # Kind A triples end at their third cell (v, r), right of the upper
+        # cell (u, r) in a column no shorter; kind B triples at their upper
+        # cell (i, r), over a third cell one row down left, in a strictly
+        # shorter column.  A bottom-row pair without basement stands on +inf.
+        h = shape[i - 1]
+        triples = [(at[(u, r)], k, at.get((u, r - 1), top))
+                   for u in range(1, i) if r <= h <= shape[u - 1]]
+        if below is not None:
+            triples += [(k, at[(v, r - 1)], below) for v in range(1, i)
+                        if r - 1 <= shape[v - 1] < h]
+        plan.append((attackers, tuple(bounds), below,
+                     h - r + 1 if r >= 2 else 0, tuple(triples)))
+    return tuple(plan)
+
+
+def _walk(shape, basement, n: int, ordered_only: bool = False,
+          no_descents: bool = False, content=None, coinv_cap=None):
+    """The fillings of :func:`enumerate_na`, in its order, as raw
+    ``(entries, maj, coinv, eq)`` tuples with the statistics carried down
+    the search as cells are placed.
+
+    ``entries`` is one flat list, reused from filling to filling: the
+    entries in ``cells(shape)`` order first (then the basement and +inf).
+    Bit k of ``eq`` is set when the k-th cell repeats the entry below it,
+    the basement included.  coinv never falls along the search, so a
+    partial filling is dropped as soon as its coinv exceeds ``coinv_cap``.
+    """
+    shape = check_composition(shape)
+    if basement is not None:
+        basement = check_permutation(basement)
+        if len(basement) != len(shape):
+            raise ValueError("basement length does not match the shape")
+        if n != len(basement):
+            raise ValueError("basement entries must be the letters 1..n")
+    if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
+        raise ValueError("ordered enumeration needs a weakly increasing shape")
+    left = [0] + content_budget(sum(shape), n, content)  # indexed by value
+    plan = _walk_plan(shape, basement, ordered_only, no_descents)
+    size, nvals = len(plan), len(left) - 1
+    entries = [0] * size + list(basement or ()) + [inf]
+    if not size:
+        yield entries, 0, 0, 0
+        return
+    if coinv_cap is None:
+        coinv_cap = sum(len(p[4]) for p in plan)
+
+    def candidates(k):
+        attackers, bounds = plan[k][:2]
+        top = nvals
+        for j, d in bounds:
+            if entries[j] - d < top:
+                top = entries[j] - d
+        taken = [entries[j] for j in attackers]
+        return [v for v in range(1, top + 1) if left[v] and v not in taken]
+
+    # Level k holds an iterator over its candidates and the statistics of
+    # the cells before it.  entries[k] is 0 (the budget's unused slot)
+    # until level k places a value, so taking back its last value never
+    # needs a test.
+    its, majs, coinvs, eqs = [iter(candidates(0))] + [None] * (size - 1), \
+        [0] * size, [0] * size, [0] * size
+    k = 0
+    while k >= 0:
+        left[entries[k]] += 1
+        v = next(its[k], 0)
+        entries[k] = v
+        if not v:
+            k -= 1
+            continue
+        left[v] -= 1
+        _, _, below, leg1, triples = plan[k]
+        m, c, eq = majs[k], coinvs[k], eqs[k]
+        if below is not None:
+            z = entries[below]
+            if v == z:
+                eq |= 1 << k
+            elif v > z:
+                m += leg1
+        for a, b, z in triples:
+            a, b, z = entries[a], entries[b], entries[z]
+            if (a <= z, a) <= (b <= z, b):  # not inverted
+                c += 1
+        if c > coinv_cap:
+            continue
+        if k + 1 == size:
+            yield entries, m, c, eq
+            continue
+        k += 1
+        majs[k], coinvs[k], eqs[k] = m, c, eq
+        its[k] = iter(candidates(k))
+
+
 def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
                  no_descents: bool = False, content=None):
     """All nonattacking fillings of the diagram with entries 1..n.
@@ -183,62 +318,20 @@ def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
     remaining budget is checked before the other conditions.
     """
     shape = check_composition(shape)
-    if basement is not None:
-        basement = check_permutation(basement)
-        if len(basement) != len(shape):
-            raise ValueError("basement length does not match the shape")
-        if n != len(basement):
-            raise ValueError("basement entries must be the letters 1..n")
-    if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
-        raise ValueError("ordered enumeration needs a weakly increasing shape")
-    left = content_budget(sum(shape), n, content)
-
-    ncols = len(shape)
     order = cells(shape)
-    entries: dict[Cell, int] = {}
-    # Per cell in order: the earlier cells and the basement values attacking
-    # it, a fixed bound on its entry, and (cell, d) pairs bounding it by
-    # entries[cell] - d: the cell below without descents, the previous
-    # same-height bottom cell when ordered.
-    plan = []
-    for k, (i, r) in enumerate(order):
-        hi, below = len(left), []
-        if no_descents and r >= 2:
-            below.append(((i, r - 1), 0))
-        if no_descents and r == 1 and basement is not None:
-            hi = min(hi, basement[i - 1])
-        if ordered_only and r == 1:
-            prev = max((j for j in range(1, i) if shape[j - 1] >= 1),
-                       default=None)
-            if prev is not None and shape[prev - 1] == shape[i - 1]:
-                below.append(((prev, 1), 1))
-        plan.append(([c for c in order[:k] if attacks((i, r), c)],
-                     {basement[j - 1] for j in range(1, ncols + 1)
-                      if attacks((i, r), (j, 0))} if basement else set(),
-                     hi, below))
+    base = None if basement is None else tuple(basement)
+    for entries, *_ in _walk(shape, basement, n, ordered_only, no_descents,
+                             content):
+        yield AugmentedFilling._trusted(
+            shape, _columns(order, len(shape), entries), base)
 
-    def candidates(k):
-        earlier, blocked, hi, below = plan[k]
-        top = min([hi] + [entries[c] - d for c, d in below])
-        taken = blocked.union(entries[c] for c in earlier)
-        return [v for v in range(1, top + 1)
-                if left[v - 1] and v not in taken]
 
-    def backtrack(k):
-        if k == len(order):
-            cols = tuple(tuple(entries[(i, r)] for r in range(1, shape[i - 1] + 1))
-                         for i in range(1, ncols + 1))
-            yield AugmentedFilling(shape, cols, basement)
-            return
-        cell = order[k]
-        for val in candidates(k):
-            entries[cell] = val
-            left[val - 1] -= 1
-            yield from backtrack(k + 1)
-            left[val - 1] += 1
-            del entries[cell]
-
-    yield from backtrack(0)
+def _columns(order, width: int, entries) -> tuple[tuple[int, ...], ...]:
+    """The columns of a filling whose entries are listed in ``order``."""
+    cols: list[list[int]] = [[] for _ in range(width)]
+    for (i, _), e in zip(order, entries):
+        cols[i - 1].append(e)
+    return tuple(map(tuple, cols))
 
 
 # -- scalar products --------------------------------------------------------
@@ -270,27 +363,36 @@ def pr2(alpha, nvars: int = 0) -> MPoly:
                            for c in cells(shape) if c[1] >= 2], nvars)
 
 
-def _add_integral_terms(terms: dict, fillings, shape, basement,
-                        n: int | None) -> None:
-    """Add x^f q^maj t^coinv per filling, times, per cell above row 1,
-    1 - q^(leg+1) t^(arm+1) where it repeats the entry below and 1 - t
-    where it does not; with n None, the fillings share one content and
-    only the x-free part is added.  With a basement, row 1 must copy it,
-    which makes the filling ordered; a filling that does not raises."""
-    upper = [(i - 1, r - 1, (leg(shape, (i, r)) + 1, arm(shape, (i, r)) + 1))
-             for i, r in cells(shape) if r >= 2]
-    for f in fillings:
-        cols = f.cols
-        if basement is not None and (
-                any(col and col[0] != b for col, b in zip(cols, basement))
-                or not is_ordered(f)):
+def _integral_terms(terms: dict, shape, basement, n: int | None,
+                    **walk) -> None:
+    """Add x^f q^maj t^coinv per filling of the walk, times, per cell above
+    row 1, 1 - q^(leg+1) t^(arm+1) where it repeats the entry below and
+    1 - t where it does not, times the (t;t) factors of the column heights;
+    with n None, the fillings share one content and only the x-free part is
+    added.  With a basement, row 1 must copy it, which makes the filling
+    ordered (the basement of an integral form decreases along each run of
+    equal heights); a filling that does not raises."""
+    order = cells(shape)
+    upper = [(k, (leg(shape, c) + 1, arm(shape, c) + 1))
+             for k, c in enumerate(order) if c[1] >= 2]
+    poch = _poch_factors(shape)
+    weights: dict[int, tuple] = {}  # eq mask -> product of all the factors
+    size = len(order)
+    bottom = None if basement is None else [
+        b for h, b in zip(shape, basement) if h]
+    for entries, m, c, eq in _walk(shape, basement, len(shape) if n is None
+                                   else n, **walk):
+        if bottom is not None and entries[:len(bottom)] != bottom:
+            f = AugmentedFilling(shape, _columns(order, len(shape), entries),
+                                 basement)
             raise AssertionError(
                 f"filling {f.rows()} is not ordered on the basement {basement}")
-        factors = tuple(sorted(ab if cols[i][r] == cols[i][r - 1] else (0, 1)
-                               for i, r, ab in upper))
-        accumulate(terms, () if n is None else x_content(cols, n),
-                   cell_product(factors),
-                   _maj(cols), sum(1 for _ in _coinversions(f)))
+        w = weights.get(eq)
+        if w is None:
+            w = weights[eq] = cell_product(tuple(sorted(
+                poch + [ab if eq >> k & 1 else (0, 1) for k, ab in upper])))
+        accumulate(terms, () if n is None else x_content((entries[:size],), n),
+                   w, m, c)
 
 
 def e_integral(alpha, n: int | None = None) -> MPoly:
@@ -306,8 +408,7 @@ def e_integral(alpha, n: int | None = None) -> MPoly:
 
 def e_integral_sum(alphas, n: int) -> MPoly:
     """The sum of :func:`e_integral` over compositions sharing one
-    increasing sort, as one accumulation scaled once by their common
-    (t;t) factors."""
+    increasing sort, as one accumulation."""
     alphas = [check_composition(a) for a in alphas]
     shape = inc_sort(alphas[0]) if alphas else ()
     terms: dict[tuple[int, ...], int] = {}
@@ -316,10 +417,8 @@ def e_integral_sum(alphas, n: int) -> MPoly:
             raise ValueError("the variable count must equal the number of parts")
         if inc_sort(alpha) != shape:
             raise ValueError(f"{alpha} does not sort to {shape}")
-        basement = beta_perm(alpha)
-        _add_integral_terms(terms, enumerate_na(shape, basement, n), shape,
-                            basement, n)
-    return MPoly(n, terms) * _factor_poly(_poch_factors(shape), n)
+        _integral_terms(terms, shape, beta_perm(alpha), n)
+    return MPoly(n, terms)
 
 
 def e_general_q0(alpha, basement, n: int) -> MPoly:
@@ -335,11 +434,10 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
     if len(alpha) != len(basement) or n != len(basement):
         raise ValueError("shape, basement and variable count must agree")
     terms: dict[tuple[int, ...], int] = {}
-    for f in enumerate_na(alpha, basement, n, no_descents=True):
-        ndiff = sum(1 for col, b in zip(f.cols, basement)
-                    for r, e in enumerate(col) if e != (col[r - 1] if r else b))
-        accumulate(terms, x_content(f.cols, n), cell_product(((0, 1),) * ndiff),
-                   0, sum(1 for _ in _coinversions(f)))
+    size = sum(alpha)
+    for entries, _, c, eq in _walk(alpha, basement, n, no_descents=True):
+        accumulate(terms, x_content((entries[:size],), n),
+                   cell_product(((0, 1),) * (size - eq.bit_count())), 0, c)
     return MPoly(n, terms)
 
 
@@ -348,31 +446,36 @@ def j_compact(mu, n: int) -> MPoly:
     nonattacking fillings of the increasing diagram.
 
     The sum is symmetric in x, so it is taken over the fillings of each
-    partition content nu only, scaled by the (t;t) factors, and expanded to
-    the rearrangements of nu last.
+    partition content nu only and expanded to the rearrangements of nu
+    last.
     """
     mu = check_partition(mu)
     if n < len(mu):
         raise ValueError("need at least as many variables as parts")
     shape = (0,) * (n - len(mu)) + tuple(sorted(mu))
-    scalar = _factor_poly(_poch_factors(mu), 0)
     coeffs = {}
     for nu in partitions_of(sum(mu)):
         if len(nu) > n:
             continue
         terms: dict[tuple[int, int], int] = {}
-        _add_integral_terms(terms, enumerate_na(shape, None, n, ordered_only=True,
-                                                content=nu), shape, None, None)
-        coeffs[nu] = MPoly(0, terms) * scalar
+        _integral_terms(terms, shape, None, None, ordered_only=True, content=nu)
+        coeffs[nu] = MPoly(0, terms)
     return expand_symmetric(n, coeffs)
 
 
 def j_hhl(mu, n: int) -> MPoly:
     """Integral-form Macdonald polynomial as a sum over all nonattacking
-    fillings of the partition diagram itself; the brute-force route."""
+    fillings of the partition diagram itself; the brute-force route, which
+    recomputes maj and coinv per filling."""
     mu = check_partition(mu)
+    upper = [(i, r, (leg(mu, (i, r)) + 1, arm(mu, (i, r)) + 1))
+             for i, r in cells(mu) if r >= 2]
     terms: dict[tuple[int, ...], int] = {}
-    _add_integral_terms(terms, enumerate_na(mu, None, n), mu, None, n)
+    for f in enumerate_na(mu, None, n):
+        factors = tuple(sorted(ab if f.entry(i, r) == f.entry(i, r - 1)
+                               else (0, 1) for i, r, ab in upper))
+        accumulate(terms, x_content(f.cols, n), cell_product(factors),
+                   maj_na(f), coinv(f))
     return MPoly(n, terms) * (MPoly.one(n) - MPoly.t(n)) ** len(mu)
 
 

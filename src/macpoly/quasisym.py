@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .mpoly import ONE, MPoly, RationalForm, accumulate, divided_difference
-from .nonattacking import (_coinversions, e_general_q0, e_integral_sum,
-                           enumerate_na, pr2)
+from .nonattacking import _walk, e_general_q0, e_integral_sum, pr2
 from .shapes import check_composition, identity_perm
 from .tableaux import x_content
 
@@ -142,7 +141,8 @@ def qs_gamma(gamma, n: int) -> MPoly:
     t=0, where a t-atom term x^f t^coinv (1-t)^ndiff leaves x^f if coinv = 0."""
     terms: dict[tuple[int, ...], int] = {}
     for alpha in placements(gamma, n):
-        for f in enumerate_na(alpha, identity_perm(n), n, no_descents=True):
-            if next(_coinversions(f), None) is None:
-                accumulate(terms, x_content(f.cols, n), ONE)
+        size = sum(alpha)
+        for entries, *_ in _walk(alpha, identity_perm(n), n, no_descents=True,
+                                 coinv_cap=0):
+            accumulate(terms, x_content((entries[:size],), n), ONE)
     return MPoly(n, terms)

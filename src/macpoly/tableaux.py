@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import inf
+from operator import lt
 
 from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
                     weight_poly)
@@ -41,16 +42,25 @@ class Filling:
     cols: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cols", tuple(tuple(c) for c in self.cols))
-        heights = self.shape
-        if any(a < b for a, b in zip(heights, heights[1:])):
+        cols = tuple(map(tuple, self.cols))
+        object.__setattr__(self, "cols", cols)
+        heights = tuple(map(len, cols))
+        if any(map(lt, heights, heights[1:])):
             raise ValueError(f"column heights {heights} do not weakly decrease")
-        if any(e < 1 for col in self.cols for e in col):
+        if min(map(min, filter(None, cols)), default=1) < 1:
             raise ValueError("entries must be positive")
+
+    @classmethod
+    def _trusted(cls, cols) -> "Filling":
+        """The filling of a tuple of column tuples already known to be
+        valid, built without the checks (for the enumerators' output)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "cols", cols)
+        return f
 
     @property
     def shape(self) -> Partition:
-        return tuple(len(c) for c in self.cols)
+        return tuple(map(len, self.cols))
 
     def entry(self, i: int, r: int) -> int:
         return self.cols[i - 1][r - 1]
@@ -233,36 +243,93 @@ def enumerate_sorted(shape, n: int, content=None):
     in the same order: entries range over 1..len(content), and a value's
     remaining budget is checked before the column order.
     """
-    shape = check_partition(shape)
-    left = content_budget(sum(shape), n, content)
+    for cols, *_ in _sorted_walk(shape, n, content):
+        yield Filling._trusted(cols)
 
-    def columns(h):
-        """Columns of height h in lexicographic order, each holding its
-        entries out of the budget while it is in use."""
+
+def _sorted_walk(shape, n: int, content=None):
+    """The tableaux of :func:`enumerate_sorted`, in its order, as raw
+    ``(cols, maj, inv, blocks)`` tuples with the statistics carried down
+    the search as columns are placed.
+
+    ``blocks`` lists the lengths of the runs of equal adjacent columns, left
+    to right, never across a change of height; sorted runs keep equal
+    columns adjacent, so these are each run's column multiplicities.
+    """
+    shape = check_partition(shape)
+    budget = None if content is None else tuple(
+        content_budget(sum(shape), n, content))
+    nvals = n if budget is None else len(budget)
+    fits: dict = {}  # (height, budget) -> [(column, key, maj, budget after)]
+    pair_inv: dict = {}  # (column, column to its right) -> inverted triples
+
+    def columns(h, budget):
+        """Columns of height h within the budget, in lexicographic order."""
         if not h:
             yield ()
             return
-        for v, budget in enumerate(left):
-            if budget:
-                left[v] -= 1
-                for rest in columns(h - 1):
-                    yield (v + 1,) + rest
-                left[v] += 1
+        for v in range(1, nvals + 1):
+            if budget is None:
+                rest = None
+            elif budget[v - 1]:
+                rest = budget[:v - 1] + (budget[v - 1] - 1,) + budget[v:]
+            else:
+                continue
+            for tail in columns(h - 1, rest):
+                yield (v,) + tail
 
-    cols: list[tuple[int, ...]] = []
+    def fitting(h, budget):
+        out = fits.get((h, budget))
+        if out is None:
+            out = fits[h, budget] = [
+                # the column order is the lexicographic order of the keys
+                (c, tuple(map(cyclic_key, c, (inf,) + c)), _maj((c,)),
+                 None if budget is None
+                 else tuple(b - c.count(v) for v, b in enumerate(budget, 1)))
+                for c in columns(h, budget)]
+        return out
 
-    def extend(j):
-        if j == len(shape):
-            yield Filling(tuple(cols))
-            return
-        prev = cols[-1] if j and shape[j - 1] == shape[j] else None
-        for c in columns(shape[j]):
-            if prev is None or compare_columns(prev, c) != GREATER:
-                cols.append(c)
-                yield from extend(j + 1)
-                cols.pop()
-
-    yield from extend(0)
+    width = len(shape)
+    if not width:
+        yield (), 0, 0, ()
+        return
+    same = [j and shape[j - 1] == shape[j] for j in range(width)]
+    # Level j holds an iterator over the columns that fit there, and the
+    # maj, inv and blocks of the columns before it.
+    cols: list = [None] * width
+    keys: list = [None] * width
+    its: list = [iter(fitting(shape[0], budget))] + [None] * (width - 1)
+    majs, invs, blockss = [0] * width, [0] * width, [()] * width
+    j = 0
+    while j >= 0:
+        fit = next(its[j], None)
+        if fit is None:
+            j -= 1
+            continue
+        c, key, cm, rest = fit
+        blocks = blockss[j]
+        if same[j]:
+            if key < keys[j - 1]:
+                continue
+            if c == cols[j - 1]:
+                blocks = blocks[:-1] + (blocks[-1] + 1,)
+            else:
+                blocks += (1,)
+        else:
+            blocks += (1,)
+        i = invs[j]
+        for cu in cols[:j]:
+            pi = pair_inv.get((cu, c))
+            if pi is None:
+                pi = pair_inv[cu, c] = _inv((cu, c))
+            i += pi
+        cols[j], keys[j] = c, key
+        if j + 1 == width:
+            yield tuple(cols), majs[j] + cm, i, blocks
+            continue
+        j += 1
+        majs[j], invs[j], blockss[j] = majs[j - 1] + cm, i, blocks
+        its[j] = iter(fitting(shape[j], rest))
 
 
 def _require_sorted(f: Filling) -> None:
@@ -291,15 +358,18 @@ def htilde_compact(shape, n: int) -> MPoly:
     """
     shape = check_partition(shape)
     runs = components(shape)
+    weights: dict[tuple[int, ...], tuple] = {}  # blocks -> perm_t weight
     coeffs = {}
     for nu in partitions_of(sum(shape)):
         if len(nu) > n:
             continue
         terms: dict[tuple[int, int], int] = {}
-        for f in enumerate_sorted(shape, n, content=nu):
-            cols = f.cols
-            accumulate(terms, (), t_multinomial_product(_signature(cols, runs)),
-                       _maj(cols), _inv(cols))
+        for cols, m, i, blocks in _sorted_walk(shape, n, nu):
+            w = weights.get(blocks)
+            if w is None:
+                w = weights[blocks] = t_multinomial_product(
+                    _signature(cols, runs))
+            accumulate(terms, (), w, m, i)
         coeffs[nu] = MPoly(0, terms)
     return expand_symmetric(n, coeffs)
 

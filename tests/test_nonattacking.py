@@ -326,12 +326,13 @@ def test_e_general_q0_matches_integral_route():
 
 
 # An unordered filling whose bottom row does not copy the basement (2, 1)
-# that the diagram of (1, 1) gets.
-_UNORDERED = """
+# that the diagram of (1, 1) gets, as the raw (entries, maj, coinv, eq)
+# tuple of the walk that e_integral sums over.
+_BAD = ([1, 2], 0, 0, 0)
+_UNORDERED = f"""
 from macpoly import nonattacking
-from macpoly.nonattacking import AugmentedFilling, e_integral
-bad = AugmentedFilling((1, 1), ((1,), (2,)), (2, 1))
-nonattacking.enumerate_na = lambda *args, **kwargs: iter([bad])
+from macpoly.nonattacking import e_integral
+nonattacking._walk = lambda *args, **kwargs: iter([{_BAD!r}])
 try:
     e_integral((1, 1))
 except AssertionError as exc:
@@ -340,9 +341,8 @@ except AssertionError as exc:
 
 
 def test_e_integral_rejects_a_filling_off_the_basement(monkeypatch):
-    bad = AugmentedFilling((1, 1), ((1,), (2,)), (2, 1))
-    monkeypatch.setattr(nonattacking, "enumerate_na",
-                        lambda *args, **kwargs: iter([bad]))
+    monkeypatch.setattr(nonattacking, "_walk",
+                        lambda *args, **kwargs: iter([_BAD]))
     with pytest.raises(AssertionError, match="not ordered on the basement"):
         e_integral((1, 1))
 
