@@ -1,9 +1,12 @@
-"""Every name imported into a package module is used in that module.
+"""Every name imported into a package module is used in that module, and
+every module-level private function is referenced by some package module.
 
-`__init__.py` is left out: it imports names to re-export them.
+`__init__.py` is left out of the import check: it imports names to
+re-export them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,50 @@ def test_package_modules_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == [], module
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions named with one leading underscore that no
+    module refers to outside their own body, as ``module:name``."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    total = sum(map(_references, trees.values()), Counter())
+    return sorted(
+        f"{mod}:{node.name}" for mod, tree in trees.items()
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and total[node.name] == _references(node)[node.name])
+
+
+def test_checker_finds_a_dead_private_helper():
+    sources = {
+        "a.py": ("def _used(x):\n    return x\n"
+                 "def _dead():\n    return _used(1)\n"
+                 "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+                 "def _imported():\n    pass\n"
+                 "def _by_attribute():\n    pass\n"
+                 "def __dunder__():\n    pass\n"
+                 "def public():\n    pass\n"),
+        "b.py": ("from .a import _imported\n"
+                 "from . import a\n"
+                 "f = a._by_attribute\n"),
+    }
+    assert unreferenced_private_functions(sources) == ["a.py:_dead",
+                                                       "a.py:_recursive"]
+
+
+def test_no_dead_private_functions():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []
