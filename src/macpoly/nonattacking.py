@@ -14,6 +14,16 @@ upper cell; a bottom-row pair of a basement-free diagram stands on +inf.
 Either kind is a coinversion exactly when it is not inverted in the sense
 of :func:`macpoly.tableaux.inverted`: upper entry a, third entry b, lower
 entry z, judged in the cyclic order read upward from z.
+
+The compact sums (:func:`j_compact`, :func:`e_integral_sum`,
+:func:`e_general_q0` and :func:`macpoly.quasisym.qs_gamma`) read the raw
+tuples of :func:`_walk`, which carries maj, coinv and the cells repeating
+the entry below down its search, with its own list of the triples each
+cell completes and the rule's key written inline; :func:`enumerate_na`
+wraps the same tuples in fillings.  The public :func:`coinv`,
+:func:`coinversion_triples` and :func:`maj_na` recompute the statistics
+per object through ``inverted``, and :func:`j_hhl` sums with them, as the
+oracle.
 """
 
 from __future__ import annotations
@@ -204,8 +214,8 @@ def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool) -> tuple:
     plan = []
     for k, (i, r) in enumerate(order):
         below = at.get((i, r - 1))
-        attackers = tuple(at[c] for c in at
-                          if (at[c] < k or c[1] == 0) and attacks((i, r), c))
+        attackers = tuple(j for c, j in at.items()
+                          if (j < k or c[1] == 0) and attacks((i, r), c))
         bounds = []
         if no_descents and below is not None:
             bounds.append((below, 0))
@@ -273,8 +283,8 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
     # the cells before it.  entries[k] is 0 (the budget's unused slot)
     # until level k places a value, so taking back its last value never
     # needs a test.
-    its, majs, coinvs, eqs = [iter(candidates(0))] + [None] * (size - 1), \
-        [0] * size, [0] * size, [0] * size
+    its = [iter(candidates(0))] + [None] * (size - 1)
+    majs, coinvs, eqs = [0] * size, [0] * size, [0] * size
     k = 0
     while k >= 0:
         left[entries[k]] += 1
@@ -363,9 +373,9 @@ def pr2(alpha, nvars: int = 0) -> MPoly:
                            for c in cells(shape) if c[1] >= 2], nvars)
 
 
-def _integral_terms(terms: dict, shape, basement, n: int | None,
-                    **walk) -> None:
-    """Add x^f q^maj t^coinv per filling of the walk, times, per cell above
+def _integral_terms(terms: dict, walk, shape, basement,
+                    n: int | None) -> None:
+    """Add x^f q^maj t^coinv per raw filling of a walk, times, per cell above
     row 1, 1 - q^(leg+1) t^(arm+1) where it repeats the entry below and
     1 - t where it does not, times the (t;t) factors of the column heights;
     with n None, the fillings share one content and only the x-free part is
@@ -380,8 +390,7 @@ def _integral_terms(terms: dict, shape, basement, n: int | None,
     size = len(order)
     bottom = None if basement is None else [
         b for h, b in zip(shape, basement) if h]
-    for entries, m, c, eq in _walk(shape, basement, len(shape) if n is None
-                                   else n, **walk):
+    for entries, m, c, eq in walk:
         if bottom is not None and entries[:len(bottom)] != bottom:
             f = AugmentedFilling(shape, _columns(order, len(shape), entries),
                                  basement)
@@ -417,7 +426,8 @@ def e_integral_sum(alphas, n: int) -> MPoly:
             raise ValueError("the variable count must equal the number of parts")
         if inc_sort(alpha) != shape:
             raise ValueError(f"{alpha} does not sort to {shape}")
-        _integral_terms(terms, shape, beta_perm(alpha), n)
+        basement = beta_perm(alpha)
+        _integral_terms(terms, _walk(shape, basement, n), shape, basement, n)
     return MPoly(n, terms)
 
 
@@ -458,7 +468,8 @@ def j_compact(mu, n: int) -> MPoly:
         if len(nu) > n:
             continue
         terms: dict[tuple[int, int], int] = {}
-        _integral_terms(terms, shape, None, None, ordered_only=True, content=nu)
+        _integral_terms(terms, _walk(shape, None, n, ordered_only=True,
+                                     content=nu), shape, None, None)
         coeffs[nu] = MPoly(0, terms)
     return expand_symmetric(n, coeffs)
 

@@ -16,6 +16,12 @@ implicit basement holding +inf, so row-1 pairs are inverted when a > b.  The
 same rule judges inv, the column order, the flip operators and the
 coinversions of :mod:`macpoly.nonattacking`; :func:`ccw` states it
 geometrically.
+
+:func:`htilde_compact` reads the raw tuples of :func:`_sorted_walk`, which
+carries maj, inv and each run's column multiplicities down its search;
+:func:`enumerate_sorted` wraps the same tuples in fillings.  The public
+:func:`inv`, :func:`maj` and :func:`perm_t` recompute the statistics per
+object, and :func:`htilde_brute` sums with them, as the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import inf
-from operator import lt
 
 from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
                     weight_poly)
@@ -45,7 +50,7 @@ class Filling:
         cols = tuple(map(tuple, self.cols))
         object.__setattr__(self, "cols", cols)
         heights = tuple(map(len, cols))
-        if any(map(lt, heights, heights[1:])):
+        if any(a < b for a, b in zip(heights, heights[1:])):
             raise ValueError(f"column heights {heights} do not weakly decrease")
         if min(map(min, filter(None, cols)), default=1) < 1:
             raise ValueError("entries must be positive")
@@ -261,13 +266,12 @@ def _sorted_walk(shape, n: int, content=None):
         content_budget(sum(shape), n, content))
     nvals = n if budget is None else len(budget)
     fits: dict = {}  # (height, budget) -> [(column, key, maj, budget after)]
+    about: dict = {}  # column -> (key, maj)
     pair_inv: dict = {}  # (column, column to its right) -> inverted triples
 
     def columns(h, budget):
-        """Columns of height h within the budget, in lexicographic order."""
-        if not h:
-            yield ()
-            return
+        """Columns of height h >= 1 within the budget, in lexicographic
+        order, each with the budget it leaves."""
         for v in range(1, nvals + 1):
             if budget is None:
                 rest = None
@@ -275,18 +279,23 @@ def _sorted_walk(shape, n: int, content=None):
                 rest = budget[:v - 1] + (budget[v - 1] - 1,) + budget[v:]
             else:
                 continue
-            for tail in columns(h - 1, rest):
-                yield (v,) + tail
+            if h == 1:
+                yield (v,), rest
+            else:
+                for tail, after in columns(h - 1, rest):
+                    yield (v,) + tail, after
 
     def fitting(h, budget):
         out = fits.get((h, budget))
         if out is None:
-            out = fits[h, budget] = [
-                # the column order is the lexicographic order of the keys
-                (c, tuple(map(cyclic_key, c, (inf,) + c)), _maj((c,)),
-                 None if budget is None
-                 else tuple(b - c.count(v) for v, b in enumerate(budget, 1)))
-                for c in columns(h, budget)]
+            out = fits[h, budget] = []
+            for c, after in columns(h, budget):
+                info = about.get(c)
+                if info is None:
+                    # the column order is the lexicographic order of the keys
+                    info = about[c] = (tuple(map(cyclic_key, c, (inf,) + c)),
+                                       _maj((c,)))
+                out.append((c, *info, after))
         return out
 
     width = len(shape)
@@ -307,14 +316,11 @@ def _sorted_walk(shape, n: int, content=None):
             j -= 1
             continue
         c, key, cm, rest = fit
+        if same[j] and key < keys[j - 1]:
+            continue
         blocks = blockss[j]
-        if same[j]:
-            if key < keys[j - 1]:
-                continue
-            if c == cols[j - 1]:
-                blocks = blocks[:-1] + (blocks[-1] + 1,)
-            else:
-                blocks += (1,)
+        if same[j] and c == cols[j - 1]:
+            blocks = blocks[:-1] + (blocks[-1] + 1,)
         else:
             blocks += (1,)
         i = invs[j]
