@@ -65,7 +65,7 @@ class AugmentedFilling:
     def _trusted(cls, shape, cols, basement) -> "AugmentedFilling":
         """The filling of a shape tuple, column tuples and basement (tuple or
         None) already known to be valid, built without the checks (for the
-        enumerator's output)."""
+        enumerator)."""
         f = object.__new__(cls)
         for name, value in (("shape", shape), ("cols", cols),
                             ("basement", basement)):
@@ -388,6 +388,7 @@ def _integral_terms(terms: dict, walk, shape, basement,
     poch = _poch_factors(shape)
     weights: dict[int, tuple] = {}  # eq mask -> product of all the factors
     size = len(order)
+    # row 1 leads the cells order: the basement under its nonempty columns
     bottom = None if basement is None else [
         b for h, b in zip(shape, basement) if h]
     for entries, m, c, eq in walk:

@@ -47,25 +47,24 @@ class Filling:
     cols: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cols = tuple(map(tuple, self.cols))
-        object.__setattr__(self, "cols", cols)
-        heights = tuple(map(len, cols))
+        object.__setattr__(self, "cols", tuple(tuple(c) for c in self.cols))
+        heights = self.shape
         if any(a < b for a, b in zip(heights, heights[1:])):
             raise ValueError(f"column heights {heights} do not weakly decrease")
-        if min(map(min, filter(None, cols)), default=1) < 1:
+        if any(e < 1 for col in self.cols for e in col):
             raise ValueError("entries must be positive")
 
     @classmethod
     def _trusted(cls, cols) -> "Filling":
         """The filling of a tuple of column tuples already known to be
-        valid, built without the checks (for the enumerators' output)."""
+        valid, built without the checks (for :func:`enumerate_sorted`)."""
         f = object.__new__(cls)
         object.__setattr__(f, "cols", cols)
         return f
 
     @property
     def shape(self) -> Partition:
-        return tuple(map(len, self.cols))
+        return tuple(len(c) for c in self.cols)
 
     def entry(self, i: int, r: int) -> int:
         return self.cols[i - 1][r - 1]
