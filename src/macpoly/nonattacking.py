@@ -210,7 +210,7 @@ def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool) -> tuple:
     width = len(shape)
     if basement is not None:
         at.update(((j, 0), len(order) + j - 1) for j in range(1, width + 1))
-    top = len(order) + (width if basement is not None else 0)  # the +inf slot
+    inf_slot = len(order) + (width if basement is not None else 0)
     plan = []
     for k, (i, r) in enumerate(order):
         below = at.get((i, r - 1))
@@ -224,12 +224,13 @@ def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool) -> tuple:
                        default=None)
             if prev is not None and shape[prev - 1] == shape[i - 1]:
                 bounds.append((at[(prev, 1)], 1))
-        # Kind A triples end at their third cell (v, r), right of the upper
-        # cell (u, r) in a column no shorter; kind B triples at their upper
-        # cell (i, r), over a third cell one row down left, in a strictly
-        # shorter column.  A bottom-row pair without basement stands on +inf.
+        # Kind A triples end at their third cell (i, r), right of the upper
+        # cell (u, r) and in a column no taller; kind B triples at their
+        # upper cell (i, r), over a third cell one row down to the left, in
+        # a strictly shorter column.  A bottom-row pair without basement
+        # stands on +inf.
         h = shape[i - 1]
-        triples = [(at[(u, r)], k, at.get((u, r - 1), top))
+        triples = [(at[(u, r)], k, at.get((u, r - 1), inf_slot))
                    for u in range(1, i) if r <= h <= shape[u - 1]]
         if below is not None:
             triples += [(k, at[(v, r - 1)], below) for v in range(1, i)
