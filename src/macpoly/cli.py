@@ -24,7 +24,7 @@ from .shapes import (check_partition, compositions, multiplicities,
                      partitions_of, rearrangements)
 from .tableaux import (Filling, enumerate_fillings, enumerate_sorted, family,
                        family_tree, flip, htilde_brute, htilde_compact, inv,
-                       is_sorted, maj, perm_t, sort_filling)
+                       is_packed, is_sorted, maj, perm_t, sort_filling)
 
 IDENTITY_EXIT = 3
 
@@ -106,11 +106,10 @@ def main():
 def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
     """Compute one polynomial; --method both cross-checks two routes."""
     parts = _parse_parts(shape)
-    two_route = selector in ("htilde", "J", "P")
-    if method == "both" and not two_route:
+    if method != "compact" and selector not in ("htilde", "J", "P"):
         raise click.UsageError(f"{selector} has a single route; "
-                               "--method both applies to htilde, J, P")
-    if method in ("brute", "both") and two_route and sum(parts) > cap:
+                               f"--method {method} applies to htilde, J, P")
+    if method != "compact" and sum(parts) > cap:
         raise click.UsageError(
             f"|shape| = {sum(parts)} exceeds the brute-force cap {cap}; "
             "raise --cap to force")
@@ -140,7 +139,7 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
         raise click.UsageError(str(exc))
 
     value = primary
-    if method != "compact" and brute_route is not None:
+    if method != "compact":
         brute_value = brute_route()
         if method == "brute":
             value = brute_value
@@ -166,7 +165,10 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
 @OUTPUT
 def cmd_enumerate(kind, shape, nvars, basement, ordered, packed, fmt, output):
     """Stream objects with their statistics, one record per line."""
-    from .tableaux import is_packed
+    for name, given in (("--basement", basement is not None),
+                        ("--ordered", ordered)):
+        if given and kind != "nonattacking":
+            raise click.UsageError(f"{name} applies to nonattacking only")
     parts = _parse_parts(shape)
     base = tuple(_parse_parts(basement)) if basement else None
 
@@ -184,8 +186,9 @@ def cmd_enumerate(kind, shape, nvars, basement, ordered, packed, fmt, output):
                            "perm_t": perm_t(f, nvars).to_json_dict()}
         else:
             for f in enumerate_na(parts, base, nvars, ordered_only=ordered):
-                yield {"filling": f.to_json_dict(), "coinv": coinv(f),
-                       "maj": maj_na(f)}
+                if not packed or is_packed(f):
+                    yield {"filling": f.to_json_dict(), "coinv": coinv(f),
+                           "maj": maj_na(f)}
 
     # The enumerators check their input before their first object, so
     # taking the first record turns a bad input into a usage error before
@@ -221,6 +224,8 @@ def cmd_family(shape, nvars, root, fmt, output):
     """Families of sorted tableaux, optionally as an operator tree."""
     if root is None and (shape is None or nvars is None):
         raise click.UsageError("give either --root or both --shape and --nvars")
+    if root is not None and (shape is not None or nvars is not None):
+        raise click.UsageError("--root takes neither --shape nor --nvars")
     if root is not None:
         f = _parse_rows(root)
         if not is_sorted(f):

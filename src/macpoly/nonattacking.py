@@ -17,13 +17,12 @@ entry z, judged in the cyclic order read upward from z.
 
 The compact sums (:func:`j_compact`, :func:`e_integral_sum`,
 :func:`e_general_q0` and :func:`macpoly.quasisym.qs_gamma`) read the raw
-tuples of :func:`_walk`, which carries maj, coinv and the cells repeating
-the entry below down its search, with its own list of the triples each
-cell completes and the rule's key written inline; :func:`enumerate_na`
-wraps the same tuples in fillings.  The public :func:`coinv`,
-:func:`coinversion_triples` and :func:`maj_na` recompute the statistics
-per object through ``inverted``, and :func:`j_hhl` sums with them, as the
-oracle.
+tuples of the one walk, :func:`macpoly.shapes._walk`, which carries maj,
+coinv and the cells repeating the entry below down its search, and
+:func:`enumerate_na` wraps the same tuples in fillings.  The public
+:func:`coinv`, :func:`coinversion_triples` and :func:`maj_na` recompute
+the statistics per object through ``inverted``, and :func:`j_hhl` sums
+with them, as the oracle.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import inf
 
-from .mpoly import (MPoly, accumulate, cell_product, expand_symmetric,
-                    weight_poly)
-from .shapes import (Cell, Composition, Permutation, arm, beta_perm, cells,
-                     check_composition, check_partition, check_permutation,
-                     content_budget, inc_sort, leg, multiplicities,
+from .mpoly import (MPoly, RationalForm, accumulate, cell_product,
+                    expand_symmetric, weight_poly)
+from .shapes import (Cell, Composition, Permutation, _walk, arm, attacks,
+                     beta_perm, cells, check_composition, check_partition,
+                     check_permutation, inc_sort, leg, multiplicities,
                      partitions_of)
 from .tableaux import _maj, inverted, x_content
 
@@ -101,29 +100,10 @@ class AugmentedFilling:
                 "rows": self.rows()}
 
 
-def attacks(c1: Cell, c2: Cell) -> bool:
-    """Whether two distinct cells attack each other (symmetric)."""
-    (i1, r1), (i2, r2) = c1, c2
-    if i1 == i2:
-        return False
-    if r1 == r2:
-        return True
-    if abs(r1 - r2) != 1:
-        return False
-    hi = c1 if r1 > r2 else c2
-    lo = c2 if r1 > r2 else c1
-    return hi[0] > lo[0]
-
-
-def _all_cells_with_basement(f: AugmentedFilling) -> list[Cell]:
-    out = f.cells()
-    if f.basement is not None:
-        out.extend((i, 0) for i in range(1, len(f.shape) + 1))
-    return out
-
-
 def is_nonattacking(f: AugmentedFilling) -> bool:
-    cs = _all_cells_with_basement(f)
+    cs = f.cells()
+    if f.basement is not None:
+        cs.extend((i, 0) for i in range(1, len(f.shape) + 1))
     for a, b in combinations(cs, 2):
         if attacks(a, b) and f.entry(*a) == f.entry(*b):
             return False
@@ -190,131 +170,6 @@ def coinv(f: AugmentedFilling) -> int:
 def maj_na(f: AugmentedFilling) -> int:
     """Sum of leg+1 over descents; row 1 is never compared to the basement."""
     return _maj(f.cols)
-
-
-@lru_cache(maxsize=1024)
-def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool) -> tuple:
-    """Per cell of ``cells(shape)``, in that order, what the walk needs.
-
-    Entries live in one flat list: the cells in that order, then the
-    basement, then +inf.  Each cell gets its earlier attackers (basement
-    slots included) as flat indices, its entry bounds as (index, d) pairs
-    capping it at entries[index] - d (the cell or basement below without
-    descents, the previous same-height bottom cell when ordered), the cell
-    below with its leg + 1 for maj (leg + 1 is 0 in row 1, which is never
-    compared to the basement), and the coinversion triples (upper, third,
-    lower) it completes, being the last of them placed.
-    """
-    order = cells(shape)
-    at = {c: k for k, c in enumerate(order)}
-    width = len(shape)
-    if basement is not None:
-        at.update(((j, 0), len(order) + j - 1) for j in range(1, width + 1))
-    inf_slot = len(order) + (width if basement is not None else 0)
-    plan = []
-    for k, (i, r) in enumerate(order):
-        below = at.get((i, r - 1))
-        attackers = tuple(j for c, j in at.items()
-                          if (j < k or c[1] == 0) and attacks((i, r), c))
-        bounds = []
-        if no_descents and below is not None:
-            bounds.append((below, 0))
-        if ordered_only and r == 1:
-            prev = max((j for j in range(1, i) if shape[j - 1] >= 1),
-                       default=None)
-            if prev is not None and shape[prev - 1] == shape[i - 1]:
-                bounds.append((at[(prev, 1)], 1))
-        # Kind A triples end at their third cell (i, r), right of the upper
-        # cell (u, r) and in a column no taller; kind B triples at their
-        # upper cell (i, r), over a third cell one row down to the left, in
-        # a strictly shorter column.  A bottom-row pair without basement
-        # stands on +inf.
-        h = shape[i - 1]
-        triples = [(at[(u, r)], k, at.get((u, r - 1), inf_slot))
-                   for u in range(1, i) if r <= h <= shape[u - 1]]
-        if below is not None:
-            triples += [(k, at[(v, r - 1)], below) for v in range(1, i)
-                        if r - 1 <= shape[v - 1] < h]
-        plan.append((attackers, tuple(bounds), below,
-                     h - r + 1 if r >= 2 else 0, tuple(triples)))
-    return tuple(plan)
-
-
-def _walk(shape, basement, n: int, ordered_only: bool = False,
-          no_descents: bool = False, content=None, coinv_cap=None):
-    """The fillings of :func:`enumerate_na`, in its order, as raw
-    ``(entries, maj, coinv, eq)`` tuples with the statistics carried down
-    the search as cells are placed.
-
-    ``entries`` is one flat list, reused from filling to filling: the
-    entries in ``cells(shape)`` order first (then the basement and +inf).
-    Bit k of ``eq`` is set when the k-th cell repeats the entry below it,
-    the basement included.  coinv never falls along the search, so a
-    partial filling is dropped as soon as its coinv exceeds ``coinv_cap``.
-    """
-    shape = check_composition(shape)
-    if basement is not None:
-        basement = check_permutation(basement)
-        if len(basement) != len(shape):
-            raise ValueError("basement length does not match the shape")
-        if n != len(basement):
-            raise ValueError("basement entries must be the letters 1..n")
-    if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
-        raise ValueError("ordered enumeration needs a weakly increasing shape")
-    left = [0] + content_budget(sum(shape), n, content)  # indexed by value
-    plan = _walk_plan(shape, basement, ordered_only, no_descents)
-    size, nvals = len(plan), len(left) - 1
-    entries = [0] * size + list(basement or ()) + [inf]
-    if not size:
-        yield entries, 0, 0, 0
-        return
-    if coinv_cap is None:
-        coinv_cap = sum(len(p[4]) for p in plan)
-
-    def candidates(k):
-        attackers, bounds = plan[k][:2]
-        top = nvals
-        for j, d in bounds:
-            if entries[j] - d < top:
-                top = entries[j] - d
-        taken = [entries[j] for j in attackers]
-        return [v for v in range(1, top + 1) if left[v] and v not in taken]
-
-    # Level k holds an iterator over its candidates and the statistics of
-    # the cells before it.  entries[k] is 0 (the budget's unused slot)
-    # until level k places a value, so taking back its last value never
-    # needs a test.
-    its = [iter(candidates(0))] + [None] * (size - 1)
-    majs, coinvs, eqs = [0] * size, [0] * size, [0] * size
-    k = 0
-    while k >= 0:
-        left[entries[k]] += 1
-        v = next(its[k], 0)
-        entries[k] = v
-        if not v:
-            k -= 1
-            continue
-        left[v] -= 1
-        _, _, below, leg1, triples = plan[k]
-        m, c, eq = majs[k], coinvs[k], eqs[k]
-        if below is not None:
-            z = entries[below]
-            if v == z:
-                eq |= 1 << k
-            elif v > z:
-                m += leg1
-        for a, b, z in triples:
-            a, b, z = entries[a], entries[b], entries[z]
-            if (a <= z, a) <= (b <= z, b):  # not inverted
-                c += 1
-        if c > coinv_cap:
-            continue
-        if k + 1 == size:
-            yield entries, m, c, eq
-            continue
-        k += 1
-        majs[k], coinvs[k], eqs[k] = m, c, eq
-        its[k] = iter(candidates(k))
 
 
 def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
@@ -492,9 +347,8 @@ def j_hhl(mu, n: int) -> MPoly:
     return MPoly(n, terms) * (MPoly.one(n) - MPoly.t(n)) ** len(mu)
 
 
-def p_poly(mu, n: int) -> "RationalForm":
+def p_poly(mu, n: int) -> RationalForm:
     """The monic symmetric Macdonald polynomial, as a rational form."""
-    from .mpoly import RationalForm
     return RationalForm(j_compact(mu, n), pr1(mu, n))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .mpoly import ONE, MPoly, RationalForm, accumulate, divided_difference
-from .nonattacking import _walk, e_general_q0, e_integral_sum, pr2
-from .shapes import check_composition, identity_perm
+from .nonattacking import e_general_q0, e_integral_sum, pr2
+from .shapes import _walk, check_composition, identity_perm
 from .tableaux import x_content
 
 

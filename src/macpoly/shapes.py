@@ -1,16 +1,26 @@
 """The index sets of the formulas (partitions, compositions and the distinct
-rearrangements of a sequence), column diagrams, and symmetric-group helpers.
+rearrangements of a sequence), column diagrams, symmetric-group helpers, and
+the one walk over fillings that every compact sum reads.
 
 Diagrams are bottom-justified columns: column i (1-based, left to right) has
 ``shape[i-1]`` cells, rows numbered from 1 at the bottom.  Row 0 is reserved
 for an optional basement.  A cell is a pair ``(i, r)``.
 
 Permutations are 1-based one-line tuples: ``w[i-1]`` is the image of i.
+
+The walk, :func:`_walk`, has two modes.  It places the cells of a
+nonattacking filling bottom row first, or those of a sorted tableau column
+by column, and carries maj and the coinversion count down its search.  On a
+partition without basement every triple is inverted or a coinversion, so
+the sorted mode gives inv as T - coinv, with T the sum of (v-1)·h_v over
+the column heights h_v.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from math import inf
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -223,3 +233,167 @@ def rearrangements(parts):
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = a[:i:-1]
+
+
+# -- the walk over fillings -----------------------------------------------
+
+def attacks(c1: Cell, c2: Cell) -> bool:
+    """Whether two distinct cells attack each other (symmetric): they share
+    a row, or sit in adjacent rows with the higher one strictly right."""
+    (i1, r1), (i2, r2) = sorted((c1, c2), key=lambda c: c[1])
+    return i1 != i2 and (r1 == r2 or (r2 == r1 + 1 and i2 > i1))
+
+
+@lru_cache(maxsize=1024)
+def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool,
+               sorted_tableaux: bool) -> tuple:
+    """Per cell in the walk's order, row by row as in :func:`cells` or, for
+    sorted tableaux, column by column, what the walk needs, each cell given
+    by its index in the flat entry list (the cells, then the basement, then
+    +inf): its earlier attackers, its entry bounds as (index, d) pairs
+    capping it at entries[index] - d (the cell below without descents, the
+    previous same-height bottom cell when ordered), the cell below (+inf
+    under row 1 without basement) and leg + 1 for maj (0 in row 1), the
+    triples (upper, third, lower) it completes, its partner, and the mask
+    of the cells whose bits switch on its cyclic bound (None for none).
+
+    A sorted tableau has no attackers or bounds.  A cell's partner is its
+    same-height left neighbour, and while the two columns agree below it,
+    its entry must equal the neighbour's or come after it in the cyclic
+    order read upward from the entry below: the column order, checked one
+    cell at a time.  Elsewhere a cell's partner is the cell below.
+    """
+    order = sorted(cells(shape)) if sorted_tableaux else cells(shape)
+    at = {c: k for k, c in enumerate(order)}
+    width = len(shape)
+    if basement is not None:
+        at.update(((j, 0), len(order) + j - 1) for j in range(1, width + 1))
+    inf_slot = len(order) + (width if basement is not None else 0)
+    plan = []
+    for k, (i, r) in enumerate(order):
+        h = shape[i - 1]
+        below = at.get((i, r - 1), inf_slot)
+        attackers, bounds, partner, cyclic = (), [], below, None
+        if sorted_tableaux:
+            partner = inf_slot
+            if i > 1 and shape[i - 2] == h:
+                partner = at[(i - 1, r)]
+                cyclic = 0 if r == 1 else 1 << below
+        else:
+            attackers = tuple(j for c, j in at.items()
+                              if (j < k or c[1] == 0) and attacks((i, r), c))
+            if no_descents:
+                bounds.append((below, 0))
+            if ordered_only and r == 1:
+                prev = max((j for j in range(1, i) if shape[j - 1] >= 1),
+                           default=None)
+                if prev is not None and shape[prev - 1] == h:
+                    bounds.append((at[(prev, 1)], 1))
+        # Kind A triples end at their third cell (i, r), right of the upper
+        # cell (u, r) and in a column no taller; kind B triples at their
+        # upper cell (i, r), over a third cell one row down to the left, in
+        # a strictly shorter column.  A bottom-row pair without basement
+        # stands on +inf.
+        triples = [(at[(u, r)], k, at.get((u, r - 1), inf_slot))
+                   for u in range(1, i) if r <= h <= shape[u - 1]]
+        if below != inf_slot:
+            triples += [(k, at[(v, r - 1)], below) for v in range(1, i)
+                        if r - 1 <= shape[v - 1] < h]
+        plan.append((attackers, tuple(bounds), below,
+                     h - r + 1 if r >= 2 else 0, tuple(triples), partner,
+                     cyclic))
+    return tuple(plan)
+
+
+def _walk(shape, basement, n: int, ordered_only: bool = False,
+          no_descents: bool = False, content=None, coinv_cap=inf,
+          sorted_tableaux: bool = False):
+    """The fillings of :func:`macpoly.nonattacking.enumerate_na`, or with
+    ``sorted_tableaux`` the tableaux of
+    :func:`macpoly.tableaux.enumerate_sorted`, in their order, as raw
+    ``(entries, maj, coinv, mask)`` tuples with the statistics carried down
+    the search as cells are placed.
+
+    ``entries`` is one flat list reused between fillings, the cells first in
+    the plan's order.  Bit k of ``mask`` is set when the k-th cell repeats
+    its partner, in a sorted tableau with the columns agreeing below it.
+    coinv never falls along the search, so a partial filling is dropped as
+    soon as its coinv exceeds ``coinv_cap``.
+    """
+    shape = (check_partition if sorted_tableaux else check_composition)(shape)
+    if basement is not None:
+        basement = check_permutation(basement)
+        if len(basement) != len(shape):
+            raise ValueError("basement length does not match the shape")
+        if n != len(basement):
+            raise ValueError("basement entries must be the letters 1..n")
+    if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
+        raise ValueError("ordered enumeration needs a weakly increasing shape")
+    left = [0] + content_budget(sum(shape), n, content)  # indexed by value
+    plan = _walk_plan(shape, basement, ordered_only, no_descents,
+                      sorted_tableaux)
+    size, nvals = len(plan), len(left) - 1
+    entries = [0] * size + list(basement or ()) + [inf]
+    if not size:
+        yield entries, 0, 0, 0
+        return
+    # Level k holds an iterator over its candidates, the entries below and
+    # to repeat (0 for none), and the statistics of the cells before it.
+    # entries[k] is 0 (the budget's unused slot) until level k places a
+    # value, so taking back its last value never needs a test.
+    its, zs, sames = [None] * size, [0] * size, [0] * size
+    majs, coinvs, masks = [0] * size, [0] * size, [0] * size
+    legs, triples = [p[3] for p in plan], [p[4] for p in plan]
+    values = range(1, nvals + 1)
+
+    def enter(k):
+        attackers, bounds, below, _, _, partner, cyclic = plan[k]
+        z, same = entries[below], entries[partner]
+        if cyclic is None:
+            top = nvals
+            for j, d in bounds:
+                if entries[j] - d < top:
+                    top = entries[j] - d
+            taken = [entries[j] for j in attackers]
+            vals = [v for v in range(1, top + 1) if left[v] and v not in taken]
+        elif masks[k] & cyclic != cyclic:  # the columns differ below
+            vals, same = [v for v in values if left[v]], 0
+        # the cyclic bound (v <= z, v) >= (same <= z, same), as ranges
+        elif same <= z:
+            vals = [v for v in values if left[v] and same <= v <= z]
+        else:
+            vals = [v for v in values if left[v] and not z < v < same]
+        its[k], zs[k], sames[k] = iter(vals), z, same
+
+    enter(0)
+    k = 0
+    while k >= 0:
+        left[entries[k]] += 1
+        v = next(its[k], 0)
+        entries[k] = v
+        if not v:
+            k -= 1
+            continue
+        left[v] -= 1
+        m, c, mask = majs[k], coinvs[k], masks[k]
+        if v > zs[k]:
+            m += legs[k]
+        if v == sames[k]:
+            mask |= 1 << k
+        for a, b, z in triples[k]:
+            # not inverted: (a <= z, a) <= (b <= z, b), without the tuples
+            a, b, z = entries[a], entries[b], entries[z]
+            if a <= b:
+                if a > z or b <= z:
+                    c += 1
+            elif a > z >= b:
+                c += 1
+        if c > coinv_cap:
+            continue
+        if k + 1 == size:
+            yield entries, m, c, mask
+            continue
+        k += 1
+        majs[k], coinvs[k], masks[k] = m, c, mask
+        enter(k)
+

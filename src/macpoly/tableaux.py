@@ -17,9 +17,10 @@ same rule judges inv, the column order, the flip operators and the
 coinversions of :mod:`macpoly.nonattacking`; :func:`ccw` states it
 geometrically.
 
-:func:`htilde_compact` reads the raw tuples of :func:`_sorted_walk`, which
-carries maj, inv and each run's column multiplicities down its search;
-:func:`enumerate_sorted` wraps the same tuples in fillings.  The public
+:func:`htilde_compact` and :func:`enumerate_sorted` read the sorted mode of
+the one walk, :func:`macpoly.shapes._walk`, which fills the columns left to
+right and carries maj and coinv; on a partition every triple is inverted or
+a coinversion, so inv is the count of all triples less coinv.  The public
 :func:`inv`, :func:`maj` and :func:`perm_t` recompute the statistics per
 object, and :func:`htilde_brute` sums with them, as the oracle.
 """
@@ -33,9 +34,9 @@ from math import inf
 
 from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
                     weight_poly)
-from .shapes import (Partition, canonical_w0_word, check_partition,
-                     check_permutation, content_budget, is_partition,
-                     partitions_of, rearrangements)
+from .shapes import (Partition, _walk, canonical_w0_word, check_partition,
+                     check_permutation, is_partition, partitions_of,
+                     rearrangements)
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -131,12 +132,9 @@ def inverted(a, b, z=inf) -> bool:
 
 def inv(f: Filling) -> int:
     """Number of inverted triples, row-1 pairs over the basement included."""
-    return _inv(f.cols)
-
-
-def _inv(cols) -> int:
     # Column v right of column u is no taller, so the pair shares the rows
     # of v; the entry below row 1 is the basement's +inf.
+    cols = f.cols
     return sum(sum(map(inverted, cu, cv, (inf,) + cu))
                for u, cu in enumerate(cols) for cv in cols[u + 1:])
 
@@ -241,100 +239,18 @@ def components(shape) -> list[tuple[int, int]]:
 def enumerate_sorted(shape, n: int, content=None):
     """All sorted tableaux with entries in 1..n, built constructively.
 
-    Columns are chosen left to right, each same-height run as a weakly
-    increasing chain under the column order.  With ``content``, only the
-    tableaux holding the value v exactly ``content[v-1]`` times are built,
-    in the same order: entries range over 1..len(content), and a value's
-    remaining budget is checked before the column order.
-    """
-    for cols, *_ in _sorted_walk(shape, n, content):
-        yield Filling._trusted(cols)
-
-
-def _sorted_walk(shape, n: int, content=None):
-    """The tableaux of :func:`enumerate_sorted`, in its order, as raw
-    ``(cols, maj, inv, blocks)`` tuples with the statistics carried down
-    the search as columns are placed.
-
-    ``blocks`` lists the lengths of the runs of equal adjacent columns, left
-    to right, never across a change of height; sorted runs keep equal
-    columns adjacent, so these are each run's column multiplicities.
+    Columns are filled left to right, each bottom to top and each
+    same-height run as a weakly increasing chain under the column order.
+    With ``content``, only the tableaux holding the value v exactly
+    ``content[v-1]`` times are built, in the same order: entries range over
+    1..len(content), and a value's budget is checked before the column order.
     """
     shape = check_partition(shape)
-    budget = None if content is None else tuple(
-        content_budget(sum(shape), n, content))
-    nvals = n if budget is None else len(budget)
-    fits: dict = {}  # (height, budget) -> [(column, key, maj, budget after)]
-    about: dict = {}  # column -> (key, maj)
-    pair_inv: dict = {}  # (column, column to its right) -> inverted triples
-
-    def columns(h, budget):
-        """Columns of height h >= 1 within the budget, in lexicographic
-        order, each with the budget it leaves."""
-        for v in range(1, nvals + 1):
-            if budget is None:
-                rest = None
-            elif budget[v - 1]:
-                rest = budget[:v - 1] + (budget[v - 1] - 1,) + budget[v:]
-            else:
-                continue
-            if h == 1:
-                yield (v,), rest
-            else:
-                for tail, after in columns(h - 1, rest):
-                    yield (v,) + tail, after
-
-    def fitting(h, budget):
-        out = fits.get((h, budget))
-        if out is None:
-            out = fits[h, budget] = []
-            for c, after in columns(h, budget):
-                info = about.get(c)
-                if info is None:
-                    # the column order is the lexicographic order of the keys
-                    info = about[c] = (tuple(map(cyclic_key, c, (inf,) + c)),
-                                       _maj((c,)))
-                out.append((c, *info, after))
-        return out
-
-    width = len(shape)
-    if not width:
-        yield (), 0, 0, ()
-        return
-    same = [j and shape[j - 1] == shape[j] for j in range(width)]
-    # Level j holds an iterator over the columns that fit there, and the
-    # maj, inv and blocks of the columns before it.
-    cols: list = [None] * width
-    keys: list = [None] * width
-    its: list = [iter(fitting(shape[0], budget))] + [None] * (width - 1)
-    majs, invs, blockss = [0] * width, [0] * width, [()] * width
-    j = 0
-    while j >= 0:
-        fit = next(its[j], None)
-        if fit is None:
-            j -= 1
-            continue
-        c, key, cm, rest = fit
-        if same[j] and key < keys[j - 1]:
-            continue
-        blocks = blockss[j]
-        if same[j] and c == cols[j - 1]:
-            blocks = blocks[:-1] + (blocks[-1] + 1,)
-        else:
-            blocks += (1,)
-        i = invs[j]
-        for cu in cols[:j]:
-            pi = pair_inv.get((cu, c))
-            if pi is None:
-                pi = pair_inv[cu, c] = _inv((cu, c))
-            i += pi
-        cols[j], keys[j] = c, key
-        if j + 1 == width:
-            yield tuple(cols), majs[j] + cm, i, blocks
-            continue
-        j += 1
-        majs[j], invs[j], blockss[j] = majs[j - 1] + cm, i, blocks
-        its[j] = iter(fitting(shape[j], rest))
+    cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
+            for i in range(len(shape))]
+    for entries, *_ in _walk(shape, None, n, content=content,
+                             sorted_tableaux=True):
+        yield Filling._trusted(tuple([tuple(entries[col]) for col in cols]))
 
 
 def _require_sorted(f: Filling) -> None:
@@ -360,21 +276,30 @@ def htilde_compact(shape, n: int) -> MPoly:
 
     The sum is symmetric in x, so it is taken over the tableaux of each
     partition content nu only and expanded to the rearrangements of nu last.
+    inv is the count of all triples less coinv.  Same-height neighbours are
+    equal columns when the right one's top cell repeats its partner, so the
+    mask's top-cell bits fix the perm_t weight.
     """
     shape = check_partition(shape)
     runs = components(shape)
-    weights: dict[tuple[int, ...], tuple] = {}  # blocks -> perm_t weight
+    cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
+            for i in range(len(shape))]
+    triples = sum(i * h for i, h in enumerate(shape))
+    tops = sum(1 << (cols[i].stop - 1) for i in range(1, len(shape))
+               if shape[i] == shape[i - 1])
+    weights: dict[int, tuple] = {}  # top bits of the mask -> perm_t weight
     coeffs = {}
     for nu in partitions_of(sum(shape)):
         if len(nu) > n:
             continue
         terms: dict[tuple[int, int], int] = {}
-        for cols, m, i, blocks in _sorted_walk(shape, n, nu):
-            w = weights.get(blocks)
+        for entries, m, c, mask in _walk(shape, None, n, content=nu,
+                                         sorted_tableaux=True):
+            w = weights.get(mask & tops)
             if w is None:
-                w = weights[blocks] = t_multinomial_product(
-                    _signature(cols, runs))
-            accumulate(terms, (), w, m, i)
+                w = weights[mask & tops] = t_multinomial_product(_signature(
+                    [tuple(entries[col]) for col in cols], runs))
+            accumulate(terms, (), w, m, triples - c)
         coeffs[nu] = MPoly(0, terms)
     return expand_symmetric(n, coeffs)
 

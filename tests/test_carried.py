@@ -1,51 +1,85 @@
-"""The statistics the enumerators' searches carry equal the per-object
-oracles: maj, inv and perm_t's signature for sorted tableaux, maj_na and
-coinv for nonattacking fillings, over every lambda |- <= 5 at n <= 3."""
+"""The statistics the one search carries equal the per-object oracles:
+maj, inv and perm_t's signature for sorted tableaux, maj_na and coinv for
+nonattacking fillings, over every lambda |- <= 5 at n <= 3."""
 
 from itertools import permutations
 
 import pytest
 
-from macpoly.nonattacking import _walk, coinv, enumerate_na, maj_na
-from macpoly.shapes import cells, compositions, partitions_of
-from macpoly.tableaux import (Filling, _signature, _sorted_walk, components,
-                              inv, maj)
+from macpoly.nonattacking import AugmentedFilling, coinv, enumerate_na, maj_na
+from macpoly.shapes import _walk, cells, compositions, partitions_of
+from macpoly.tableaux import (Filling, _signature, components,
+                              enumerate_fillings, inv, is_sorted, maj)
 
 
-def _run_signature(blocks, runs):
-    """Split the blocks of equal adjacent columns by the same-height runs,
-    as (width, sorted multiplicities) per run."""
-    sig, k = [], 0
+def _triples(shape) -> int:
+    """T = sum of (v-1) h_v over the column heights h_v."""
+    return sum((v - 1) * h for v, h in enumerate(shape, start=1))
+
+
+def _mask_signature(mask, shape, runs):
+    """Per same-height run, its width and the sorted lengths of its blocks
+    of equal adjacent columns, read off the top-cell bits of the mask."""
+    tops = [sum(shape[:i]) - 1 for i in range(1, len(shape) + 1)]
+    sig = []
     for lo, hi in runs:
-        mults = []
-        while sum(mults) < hi - lo + 1:
-            mults.append(blocks[k])
-            k += 1
-        assert sum(mults) == hi - lo + 1
+        mults = [1]
+        for i in range(lo + 1, hi + 1):
+            if mask >> tops[i - 1] & 1:
+                mults[-1] += 1
+            else:
+                mults.append(1)
         sig.append((hi - lo + 1, tuple(sorted(mults))))
-    assert k == len(blocks)
     return tuple(sig)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_sorted_walk_carries_maj_inv_and_run_multiplicities(m):
+    """The sorted mode yields exactly the sorted fillings, in lexicographic
+    order of their columns, with maj, inv = T - coinv, and a mask whose bit
+    says a cell's column agrees up to it with its same-height left
+    neighbour."""
     for lam in partitions_of(m):
         runs = components(lam)
+        order = sorted(cells(lam))  # column by column
         walks = [(n, None) for n in range(1, 4)]
         walks += [(len(nu), nu) for nu in partitions_of(m) if len(nu) <= 3]
         for n, nu in walks:
-            seen = 0
-            for cols, mj, iv, blocks in _sorted_walk(lam, n, nu):
-                f = Filling(cols)
-                assert (mj, iv) == (maj(f), inv(f)), (lam, n, nu, cols)
-                assert _run_signature(blocks, runs) == _signature(cols, runs)
+            expect = [f for f in enumerate_fillings(lam, n) if is_sorted(f)
+                      and (nu is None or all(
+                          sum(col.count(v) for col in f.cols) == mult
+                          for v, mult in enumerate(nu, start=1)))]
+            assert expect, (lam, n, nu)
+            for (entries, mj, c, mask), f in zip(
+                    _walk(lam, None, n, content=nu, sorted_tableaux=True),
+                    expect, strict=True):
+                assert entries[:len(order)] == [f.entry(*cell) for cell in order]
+                assert (mj, _triples(lam) - c) == (maj(f), inv(f)), (lam, f.cols)
+                assert mask == sum(
+                    1 << k for k, (i, r) in enumerate(order)
+                    if i > 1 and lam[i - 2] == lam[i - 1]
+                    and f.cols[i - 2][:r] == f.cols[i - 1][:r])
+                assert _mask_signature(mask, lam, runs) == _signature(f.cols,
+                                                                      runs)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_inv_plus_coinv_counts_every_triple(m):
+    """On a partition without basement every triple is inverted or a
+    coinversion, which is what lets the sorted mode read inv off coinv."""
+    seen = 0
+    for lam in partitions_of(m):
+        for n in range(1, 4):
+            for f in enumerate_fillings(lam, n):
+                g = AugmentedFilling(f.shape, f.cols)
+                assert inv(f) + coinv(g) == _triples(lam), (lam, f.cols)
                 seen += 1
-            assert seen, (lam, n, nu)
+    assert seen == sum(n ** m for n in range(1, 4)) * len(partitions_of(m))
 
 
 def _check_walk(shape, basement, n, **kw):
     """Each raw tuple of the walk against the public filling at the same
-    place of enumerate_na: entries, maj_na, coinv and the eq bits."""
+    place of enumerate_na: entries, maj_na, coinv and the mask bits."""
     order = cells(shape)
     below = [(i, r - 1) if r >= 2 or basement is not None else None
              for i, r in order]

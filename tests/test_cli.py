@@ -62,6 +62,19 @@ def test_usage_errors_exit_2():
                "--method", "brute").exit_code == 2
 
 
+@pytest.mark.parametrize("selector, shape, nvars", [
+    ("E-integral", "1,0", "2"), ("G", "2,1", "3"), ("QS", "2,1", "3"),
+    ("atom", "1,0", "2")])
+def test_brute_on_a_single_route_selector_is_a_usage_error(selector, shape,
+                                                           nvars):
+    argv = ("compute", selector, "--shape", shape, "--nvars", nvars)
+    assert run(*argv).exit_code == 0
+    res = run(*argv, "--method", "brute")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"{selector} has a single route; --method brute" in res.output
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "htilde", "--shape", "2,1", "--nvars", "-1"),
     ("compute", "J", "--shape", "1", "--nvars", "-3"),
@@ -161,6 +174,39 @@ def test_enumerate_fillings_and_nonattacking():
     assert len(res.output.splitlines()) == 1
     rec = json.loads(res.output)
     assert rec["filling"]["rows"] == [[2, 1]]
+
+
+def test_enumerate_packed_filters_nonattacking_records():
+    args = ("enumerate", "nonattacking", "--shape", "1,1", "--nvars", "3")
+    rows = [json.loads(line)["filling"]["rows"]
+            for line in run(*args).output.splitlines()]
+    packed = [json.loads(line)["filling"]["rows"]
+              for line in run(*args, "--packed").output.splitlines()]
+    assert [[1, 3]] in rows
+    assert packed == [[[1, 2]], [[2, 1]]]
+
+
+@pytest.mark.parametrize("kind", ["fillings", "sorted"])
+@pytest.mark.parametrize("option", [("--basement", "1,2"), ("--ordered",)])
+def test_nonattacking_options_on_other_kinds_are_usage_errors(tmp_path, kind,
+                                                              option):
+    args = ("enumerate", kind, "--shape", "1,1", "--nvars", "2", *option)
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"{option[0]} applies to nonattacking only" in res.output
+    target = tmp_path / "out.jsonl"
+    assert run(*args, "--output", str(target)).exit_code == 2
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ("--shape", "2,1"), ("--nvars", "3"), ("--shape", "2,1", "--nvars", "3")])
+def test_family_root_with_shape_or_nvars_is_a_usage_error(extra):
+    res = run("family", "--root", "2,1,1;1,1,3", *extra)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--root takes neither --shape nor --nvars" in res.output
 
 
 def test_family_json_and_dot():

@@ -1,11 +1,14 @@
-"""Every name imported into a package module is used in that module, and
-every module-level private function is referenced by some package module.
+"""Every name imported into a package module is used in that module,
+every module-level private function is referenced by some package module,
+and every module imports on its own.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -93,3 +96,39 @@ def test_checker_finds_a_dead_private_helper():
 def test_no_dead_private_functions():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+# Binds the package name to an empty stand-in, so that importing one module
+# does not run `__init__.py` first and fix the order of the other imports.
+_IMPORT_ALONE = """
+import importlib, sys, types
+package = types.ModuleType({name!r})
+package.__path__ = [{path!r}]
+sys.modules[{name!r}] = package
+importlib.import_module({name!r} + "." + {module!r})
+"""
+
+
+def import_error(package: Path, module: str) -> str:
+    """The error output of importing one module of a package, alone, in a
+    fresh interpreter; empty when the import succeeds."""
+    code = _IMPORT_ALONE.format(name=package.name, path=str(package),
+                                module=module)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    return proc.stderr if proc.returncode else ""
+
+
+def test_checker_finds_a_cycle_that_works_in_one_order_only(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from . import b, a\n")
+    (package / "a.py").write_text("from .b import g\ndef f():\n    pass\n")
+    (package / "b.py").write_text("def g():\n    pass\nfrom .a import f\n")
+    assert import_error(package, "b") == ""
+    assert "ImportError" in import_error(package, "a")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    assert import_error(PACKAGE, module.removesuffix(".py")) == ""
