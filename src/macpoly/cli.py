@@ -16,8 +16,8 @@ import click
 
 from . import tableaux
 from .mpoly import MPoly, RationalForm, exact_div_xfree, specialize, t_pochhammer
-from .nonattacking import (coinv, e_integral, enumerate_na, j_compact, j_hhl,
-                           maj_na, p_poly, pr1)
+from .nonattacking import (check_j_partition, coinv, e_integral, enumerate_na,
+                           j_compact, j_hhl, maj_na, p_poly, pr1)
 from .quasisym import (demazure_t_atom, g_integral, g_poly, hecke_T, qs_gamma,
                        qsym_expand)
 from .shapes import (check_partition, compositions, multiplicities,
@@ -115,35 +115,39 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
             "raise --cap to force")
 
     def routes():
+        """The compact and the brute route, unevaluated.  A shape that is
+        not a partition, or for J and P has more parts than variables, is
+        rejected here, before either route runs."""
         if selector == "htilde":
             lam = check_partition(parts)
-            return htilde_compact(lam, nvars), lambda: htilde_brute(lam, nvars)
+            return (lambda: htilde_compact(lam, nvars),
+                    lambda: htilde_brute(lam, nvars))
         if selector == "J":
-            lam = check_partition(parts)
-            return j_compact(lam, nvars), lambda: j_hhl(lam, nvars)
+            lam = check_j_partition(parts, nvars)
+            return lambda: j_compact(lam, nvars), lambda: j_hhl(lam, nvars)
         if selector == "P":
-            lam = check_partition(parts)
-            return p_poly(lam, nvars), \
-                lambda: RationalForm(j_hhl(lam, nvars), pr1(lam, nvars))
+            lam = check_j_partition(parts, nvars)
+            return (lambda: p_poly(lam, nvars),
+                    lambda: RationalForm(j_hhl(lam, nvars), pr1(lam, nvars)))
         if selector == "E-integral":
-            return e_integral(parts, nvars), None
+            return lambda: e_integral(parts, nvars), None
         if selector == "G":
-            return g_poly(parts, nvars), None
+            return lambda: g_poly(parts, nvars), None
         if selector == "QS":
-            return qs_gamma(parts, nvars), None
-        return demazure_t_atom(parts, nvars), None
+            return lambda: qs_gamma(parts, nvars), None
+        return lambda: demazure_t_atom(parts, nvars), None
 
     try:
-        primary, brute_route = routes()
+        compact_route, brute_route = routes()
+        value = compact_route() if method != "brute" else None
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    value = primary
     if method != "compact":
         brute_value = brute_route()
         if method == "brute":
             value = brute_value
-        elif not (primary == brute_value):
+        elif not (value == brute_value):
             click.echo(f"identity failure: compact and brute routes disagree "
                        f"for {selector} {shape}", err=True)
             sys.exit(IDENTITY_EXIT)
@@ -297,21 +301,24 @@ def _check_j(args):
 def _check_family(args):
     lam, n = args
     q, t = MPoly.q(n), MPoly.t(n)
+    x_free = (0,) * n
     seen = set()
     for s in enumerate_sorted(lam, n):
         fam = family(s)
-        lhs = MPoly.zero(n)
+        counts: dict[tuple[int, int], int] = {}  # (maj, inv) -> members
         for g in fam:
             if g in seen:
                 return (f"family partition {lam} n={n}", False,
                         f"duplicate member {g.rows()}")
             seen.add(g)
-            lhs = lhs + q ** maj(g) * t ** inv(g)
-        rhs = q ** maj(s) * t ** inv(s) * perm_t(s, n)
-        if lhs != rhs:
+            key = (maj(g), inv(g))
+            counts[key] = counts.get(key, 0) + 1
+        lhs = MPoly(n, {x_free + key: c for key, c in counts.items()})
+        weight = perm_t(s, n)
+        if lhs != q ** maj(s) * t ** inv(s) * weight:
             return (f"family weights {lam} n={n}", False,
                     f"root {s.rows()}")
-        size = specialize(perm_t(s, n), {"t": 1})
+        size = specialize(weight, {"t": 1})
         if MPoly.const(n, len(fam)) != size:
             return (f"family size {lam} n={n}", False, f"root {s.rows()}")
     total = n ** sum(lam)
@@ -324,21 +331,24 @@ def _check_operators(args):
     lam, n = args
     for f in enumerate_fillings(lam, n):
         shape = f.shape
-        for i in range(1, len(shape)):
-            if shape[i - 1] != shape[i] or f.cols[i - 1] == f.cols[i]:
-                continue
+        pairs = [i for i in range(1, len(shape))
+                 if shape[i - 1] == shape[i] and f.cols[i - 1] != f.cols[i]]
+        if not pairs:
+            continue
+        inv_f, maj_f = inv(f), maj(f)
+        for i in pairs:
             g, r = flip(f, i)
             back, _ = flip(g, i)
             if back != f:
                 return (f"involution {lam} n={n}", False, f"{f.rows()} col {i}")
-            if maj(g) != maj(f):
+            if maj(g) != maj_f:
                 return (f"maj preserved {lam} n={n}", False,
                         f"{f.rows()} col {i}")
             pivot_ccw = (f.entry(i, 1) > f.entry(i + 1, 1)) if r == 1 else \
                 tableaux.ccw((((i + 1, r), f.entry(i + 1, r)),
                               ((i, r), f.entry(i, r)),
                               ((i, r - 1), f.entry(i, r - 1))))
-            expected = inv(f) - 1 if pivot_ccw else inv(f) + 1
+            expected = inv_f - 1 if pivot_ccw else inv_f + 1
             if inv(g) != expected:
                 return (f"inv step {lam} n={n}", False, f"{f.rows()} col {i}")
     return (f"operator lemmas {lam} n={n}", True, "")

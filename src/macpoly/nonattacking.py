@@ -34,10 +34,10 @@ from math import inf
 
 from .mpoly import (MPoly, RationalForm, accumulate, cell_product,
                     expand_symmetric, weight_poly)
-from .shapes import (Cell, Composition, Permutation, _walk, arm, attacks,
-                     beta_perm, cells, check_composition, check_partition,
-                     check_permutation, inc_sort, leg, multiplicities,
-                     partitions_of)
+from .shapes import (Cell, Composition, Partition, Permutation, _walk, arm,
+                     attacks, beta_perm, cells, check_composition,
+                     check_partition, check_permutation, inc_sort, leg,
+                     multiplicities, partitions_of)
 from .tableaux import _maj, inverted, x_content
 
 
@@ -308,6 +308,15 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
     return MPoly(n, terms)
 
 
+def check_j_partition(mu, n: int) -> Partition:
+    """The partition mu, checked to have at most n parts, as the increasing
+    diagram of :func:`j_compact` has n columns."""
+    mu = check_partition(mu)
+    if n < len(mu):
+        raise ValueError("need at least as many variables as parts")
+    return mu
+
+
 def j_compact(mu, n: int) -> MPoly:
     """Integral-form Macdonald polynomial as a sum over ordered
     nonattacking fillings of the increasing diagram.
@@ -316,9 +325,7 @@ def j_compact(mu, n: int) -> MPoly:
     partition content nu only and expanded to the rearrangements of nu
     last.
     """
-    mu = check_partition(mu)
-    if n < len(mu):
-        raise ValueError("need at least as many variables as parts")
+    mu = check_j_partition(mu, n)
     shape = (0,) * (n - len(mu)) + tuple(sorted(mu))
     coeffs = {}
     for nu in partitions_of(sum(mu)):

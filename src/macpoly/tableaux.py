@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import inf
 
@@ -58,7 +59,9 @@ class Filling:
     @classmethod
     def _trusted(cls, cols) -> "Filling":
         """The filling of a tuple of column tuples already known to be
-        valid, built without the checks (for :func:`enumerate_sorted`)."""
+        valid, built without the checks (for :func:`enumerate_sorted` and
+        for the flips and the family walk, which keep the shape and the
+        entries of a valid filling)."""
         f = object.__new__(cls)
         object.__setattr__(f, "cols", cols)
         return f
@@ -313,15 +316,16 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
     must have equal height and not be identical).  Returns the new filling
     and r.  The swap climbs from row r for as long as it changes whether
     the pair one row up is inverted, judged in the cyclic order read upward
-    from the entry below its left cell before and after the swap.
+    from the entry below its left cell before and after the swap.  The
+    swap keeps the shape and the entries of the valid input, so the result
+    is built without re-checking them.
     """
-    shape = f.shape
-    if not (1 <= i < len(shape)):
+    if not (1 <= i < len(f.cols)):
         raise ValueError(f"column {i} out of range")
-    if shape[i - 1] != shape[i]:
-        raise ValueError(f"columns {i}, {i + 1} differ in height")
     a, b = list(f.cols[i - 1]), list(f.cols[i])
     h = len(a)
+    if h != len(b):
+        raise ValueError(f"columns {i}, {i + 1} differ in height")
     r = next((r for r in range(1, h + 1) if a[r - 1] != b[r - 1]), None)
     if r is None:
         raise ValueError(f"columns {i}, {i + 1} are identical")
@@ -333,7 +337,7 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
         a[k], b[k] = b[k], a[k]
     cols = list(f.cols)
     cols[i - 1], cols[i] = tuple(a), tuple(b)
-    return Filling(tuple(cols)), r
+    return Filling._trusted(tuple(cols)), r
 
 
 def pds(v) -> tuple[int, ...]:
@@ -429,17 +433,25 @@ def _component_family(comp: Filling, edges: dict | None = None) -> list[Filling]
     return members
 
 
+@lru_cache(maxsize=1024)
+def _component_members(cols) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The column tuples of the members of one rectangular component's
+    family, memoised by the component's column tuple."""
+    return tuple(g.cols for g in _component_family(Filling._trusted(cols)))
+
+
 def family(f: Filling) -> list[Filling]:
     """All fillings generated from a sorted tableau by the flip operators,
     in canonical (row-major) order.
+
+    A rectangular component's members depend only on its columns, so they
+    are memoised per column tuple, the last 1,024 components kept; every
+    call glues the components' members into a fresh list.
     """
     _require_sorted(f)
-    runs = components(f.shape)
-    parts = [_component_family(Filling(f.cols[lo - 1:hi])) for lo, hi in runs]
-    out = []
-    for combo in product(*parts):
-        cols = tuple(col for piece in combo for col in piece.cols)
-        out.append(Filling(cols))
+    parts = [_component_members(f.cols[lo - 1:hi])
+             for lo, hi in components(f.shape)]
+    out = [Filling._trusted(sum(combo, ())) for combo in product(*parts)]
     out.sort(key=lambda g: g.rows())
     if len(set(out)) != len(out):
         raise AssertionError("family produced a duplicate member")
@@ -481,21 +493,21 @@ def sort_filling(f: Filling) -> Filling:
     """The unique sorted tableau whose family contains f.
 
     Works one rectangular component at a time, putting each row into sorted
-    order from the bottom up by undoing canonical operator words.
+    order from the bottom up by undoing canonical operator words.  The
+    component slices of the valid input are built without re-checking them,
+    and so are the flips' results; the tableau reached is checked sorted.
     """
     runs = components(f.shape)
     sorted_cols = []
     for lo, hi in runs:
-        comp = Filling(f.cols[lo - 1:hi])
-        h = comp.shape[0]
-        for r in range(1, h + 1):
-            blocks = block_decomposition(comp, r)
+        comp = Filling._trusted(f.cols[lo - 1:hi])
+        for r in range(1, len(comp.cols[0]) + 1):
             target = []
-            for blo, bhi in blocks:
+            for blo, bhi in block_decomposition(comp, r):
                 z = ((inf,) + comp.cols[blo - 1])[r - 1]  # below the block
-                seg = [comp.entry(i, r) for i in range(blo, bhi + 1)]
+                seg = [col[r - 1] for col in comp.cols[blo - 1:bhi]]
                 target.extend(sorted(seg, key=lambda e: cyclic_key(e, z)))
-            current = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
+            current = tuple(col[r - 1] for col in comp.cols)
             target = tuple(target)
             if current != target:
                 wtil = _shortest_rearranger(target, current)
@@ -504,7 +516,7 @@ def sort_filling(f: Filling) -> Filling:
                     if rr != r:
                         raise AssertionError(
                             f"undo step acted at row {rr}, expected {r}")
-            now = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
+            now = tuple(col[r - 1] for col in comp.cols)
             if now != target:
                 raise AssertionError("row did not reach sorted order")
         sorted_cols.extend(comp.cols)

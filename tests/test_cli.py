@@ -75,6 +75,40 @@ def test_brute_on_a_single_route_selector_is_a_usage_error(selector, shape,
     assert f"{selector} has a single route; --method brute" in res.output
 
 
+@pytest.mark.parametrize("selector, shape, nvars", [
+    ("htilde", "2,1", "3"), ("htilde", "2,2", "2"), ("J", "2,1", "3"),
+    ("J", "1,1", "2"), ("P", "2,1", "3"), ("P", "1", "2")])
+def test_brute_method_evaluates_no_compact_route(monkeypatch, selector, shape,
+                                                 nvars):
+    import macpoly.cli as cli
+    argv = ("compute", selector, "--shape", shape, "--nvars", nvars,
+            "--method", "brute")
+    before = run(*argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the compact route was evaluated")
+
+    for name in ("htilde_compact", "j_compact", "p_poly"):
+        monkeypatch.setattr(cli, name, refuse)
+    after = run(*argv)
+    assert before.exit_code == after.exit_code == 0
+    assert after.stdout_bytes == before.stdout_bytes
+    monkeypatch.undo()
+    compact = run(*argv[:-2])
+    assert compact.exit_code == 0
+    assert compact.stdout_bytes == after.stdout_bytes
+
+
+@pytest.mark.parametrize("selector", ["J", "P"])
+@pytest.mark.parametrize("method", ["compact", "brute", "both"])
+def test_more_parts_than_variables_is_a_usage_error_on_every_route(selector,
+                                                                   method):
+    res = run("compute", selector, "--shape", "2,1", "--nvars", "1",
+              "--method", method)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "need at least as many variables as parts" in res.output
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "htilde", "--shape", "2,1", "--nvars", "-1"),
     ("compute", "J", "--shape", "1", "--nvars", "-3"),

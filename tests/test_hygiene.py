@@ -1,6 +1,7 @@
 """Every name imported into a package module is used in that module,
 every module-level private function is referenced by some package module,
-and every module imports on its own.
+every module imports on its own, and the unchecked constructors stay in
+the modules that define their classes.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
@@ -132,3 +133,35 @@ def test_checker_finds_a_cycle_that_works_in_one_order_only(tmp_path):
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_on_its_own(module):
     assert import_error(PACKAGE, module.removesuffix(".py")) == ""
+
+
+# The class whose unchecked `_trusted` constructor each module may call.
+TRUSTED_HOMES = {"Filling": "tableaux.py", "AugmentedFilling": "nonattacking.py"}
+
+
+def trusted_receivers(source: str) -> list[str]:
+    """The names read `_trusted` from, in order: a class name, or the last
+    attribute of a dotted receiver; '?' for any other expression."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            value = node.value
+            out.append(value.id if isinstance(value, ast.Name)
+                       else value.attr if isinstance(value, ast.Attribute)
+                       else "?")
+    return out
+
+
+def test_checker_finds_every_trusted_call():
+    source = ("from . import tableaux\n"
+              "a = Filling._trusted(())\n"
+              "b = tableaux.AugmentedFilling._trusted((), (), None)\n"
+              "c = type(a)._trusted(())\n"
+              "def _trusted():\n    pass\n")
+    assert trusted_receivers(source) == ["Filling", "AugmentedFilling", "?"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_trusted_constructors_stay_in_their_own_modules(module):
+    for receiver in trusted_receivers((PACKAGE / module).read_text()):
+        assert TRUSTED_HOMES.get(receiver) == module, receiver

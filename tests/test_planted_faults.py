@@ -1,0 +1,100 @@
+"""Planted faults: each validate suite over the family walk must fail when
+one of the library calls it relies on is broken.
+
+Every fault is planted by replacing one name on ``macpoly.cli``, the names
+the suites call, so the checks themselves run unchanged.
+"""
+
+from click.testing import CliRunner
+
+import macpoly.cli as cli
+from macpoly import tableaux
+from macpoly.tableaux import Filling
+
+
+def validate(suite, mx):
+    res = CliRunner().invoke(cli.main, ["validate", "--suite", suite,
+                                        "--max", str(mx)])
+    return res.exit_code, res.output.splitlines()
+
+
+def failures(lines):
+    return [line for line in lines if line.startswith("FAIL")]
+
+
+def test_the_unplanted_suites_pass():
+    for suite in ("family-partition", "reverse", "operator-lemmas"):
+        code, lines = validate(suite, 3)
+        assert code == 0 and lines and not failures(lines), suite
+
+
+def test_a_family_missing_a_member_fails_its_weights(monkeypatch):
+    # Every weight is a positive monomial, so a dropped member shows in the
+    # weight sum of its root, which is checked before the coverage count.
+    dropped = Filling(((2,), (1,)))  # in the family of the sorted ((1,), (2,))
+
+    def short(s):
+        return [g for g in tableaux.family(s) if g != dropped]
+
+    monkeypatch.setattr(cli, "family", short)
+    code, lines = validate("family-partition", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        "FAIL family weights (1, 1) n=2 (root ((1, 2),))",
+        "FAIL family weights (1, 1) n=3 (root ((1, 2),))"]
+
+
+def test_a_root_left_out_fails_the_coverage(monkeypatch):
+    # A root left out takes its whole family along: every family passes its
+    # own checks, and only the count of covered fillings falls short.
+    def all_but_the_last(shape, n):
+        return list(tableaux.enumerate_sorted(shape, n))[:-1]
+
+    monkeypatch.setattr(cli, "enumerate_sorted", all_but_the_last)
+    code, lines = validate("family-partition", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert "FAIL family partition (1, 1) n=2 (covered 3 of 4)" in lines
+    assert "FAIL family partition (2,) n=3 (covered 8 of 9)" in lines
+
+
+def test_a_repeated_member_is_a_duplicate(monkeypatch):
+    def doubled(s):
+        members = tableaux.family(s)
+        return members + members[-1:]
+
+    monkeypatch.setattr(cli, "family", doubled)
+    code, lines = validate("family-partition", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert "FAIL family partition (1,) n=2 (duplicate member ((1,),))" in lines
+    assert all("duplicate member" in line for line in failures(lines))
+
+
+def test_inv_off_by_one_on_one_filling_fails_the_family_weights(monkeypatch):
+    off = Filling(((2,), (1,)))  # in the family of the sorted ((1,), (2,))
+
+    def skewed(f):
+        return tableaux.inv(f) + (f == off)
+
+    monkeypatch.setattr(cli, "inv", skewed)
+    code, lines = validate("family-partition", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        "FAIL family weights (1, 1) n=2 (root ((1, 2),))",
+        "FAIL family weights (1, 1) n=3 (root ((1, 2),))"]
+
+
+def test_sort_filling_that_sorts_nothing_fails_reverse(monkeypatch):
+    monkeypatch.setattr(cli, "sort_filling", lambda f: f)
+    code, lines = validate("reverse", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert "FAIL reverse (1, 1) n=3 (((2, 1),))" in lines
+
+
+def test_flip_that_moves_nothing_fails_operator_lemmas(monkeypatch):
+    def still(f, i):
+        return f, tableaux.flip(f, i)[1]
+
+    monkeypatch.setattr(cli, "flip", still)
+    code, lines = validate("operator-lemmas", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert "FAIL inv step (1, 1) n=2 (((1, 2),) col 1)" in lines

@@ -271,10 +271,13 @@ def test_flip_single_row():
 
 
 def test_flip_errors():
-    with pytest.raises(ValueError):
-        flip(Filling(((1, 1), (1,))), 1)   # unequal heights
-    with pytest.raises(ValueError):
-        flip(Filling(((1,), (1,))), 1)     # identical columns
+    with pytest.raises(ValueError, match="differ in height"):
+        flip(Filling(((1, 1), (1,))), 1)
+    with pytest.raises(ValueError, match="are identical"):
+        flip(Filling(((1,), (1,))), 1)
+    for i in (0, 2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            flip(Filling(((1,), (2,))), i)
 
 
 def test_flip_involution_randomized():
@@ -372,6 +375,29 @@ def test_family_size_is_perm_t_at_one():
         for s in enumerate_sorted(lam, 3):
             size = specialize(perm_t(s), {"t": 1})
             assert MPoly.const(0, len(family(s))) == size
+
+
+def _sorted_roots_up_to_five_cells():
+    return [s for m in range(1, 6) for lam in partitions_of(m)
+            for n in (1, 2, 3) for s in enumerate_sorted(lam, n)]
+
+
+def test_family_members_are_checked_fillings_and_the_memo_is_not_shared():
+    # The members are built without the checks, and the component families
+    # are memoised; a caller's list is its own.
+    for s in _sorted_roots_up_to_five_cells():
+        fam = family(s)
+        assert all(g == Filling(g.cols) for g in fam), s
+        members = list(fam)
+        fam.clear()
+        assert family(s) == members, s
+        for g in members:
+            assert sort_filling(g) == s
+            for i in range(1, len(g.cols)):
+                if len(g.cols[i - 1]) == len(g.cols[i]) \
+                        and g.cols[i - 1] != g.cols[i]:
+                    h = flip(g, i)[0]
+                    assert h == Filling(h.cols), (g, i)
 
 
 def test_family_tree_consistent():
