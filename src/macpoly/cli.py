@@ -299,8 +299,9 @@ def _check_j(args):
 
 
 def _check_family(args):
+    """Compares each family's (maj, inv) tally, and its size, with the terms
+    of perm_t(s, n) shifted by (maj(s), inv(s)), as integer dicts."""
     lam, n = args
-    q, t = MPoly.q(n), MPoly.t(n)
     x_free = (0,) * n
     seen = set()
     for s in enumerate_sorted(lam, n):
@@ -313,13 +314,17 @@ def _check_family(args):
             seen.add(g)
             key = (maj(g), inv(g))
             counts[key] = counts.get(key, 0) + 1
-        lhs = MPoly(n, {x_free + key: c for key, c in counts.items()})
-        weight = perm_t(s, n)
-        if lhs != q ** maj(s) * t ** inv(s) * weight:
+        weight = perm_t(s, n).terms()
+        m, i = maj(s), inv(s)
+        if ({x_free + key: c for key, c in counts.items()}
+                != {k[:n] + (k[n] + m, k[n + 1] + i): c
+                    for k, c in weight.items()}):
             return (f"family weights {lam} n={n}", False,
                     f"root {s.rows()}")
-        size = specialize(weight, {"t": 1})
-        if MPoly.const(n, len(fam)) != size:
+        at_t1: dict[tuple[int, ...], int] = {}  # (x, q) -> coefficient at t = 1
+        for k, c in weight.items():
+            at_t1[k[:-1]] = at_t1.get(k[:-1], 0) + c
+        if {k: c for k, c in at_t1.items() if c} != {x_free + (0,): len(fam)}:
             return (f"family size {lam} n={n}", False, f"root {s.rows()}")
     total = n ** sum(lam)
     ok = len(seen) == total

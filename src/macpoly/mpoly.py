@@ -4,7 +4,9 @@ An :class:`MPoly` stores a finite map from exponent keys to nonzero integer
 coefficients.  Keys are fixed-width tuples ``(e_x1, ..., e_xn, e_q, e_t)``;
 polynomials with different variable counts never mix implicitly (mixing is
 an error, not a coercion).  All coefficients are arbitrary-precision ints,
-so every identity in this package is checked exactly.
+so every identity in this package is checked exactly.  ``MPoly(nvars,
+terms)`` checks each key and drops zeros; :func:`read_out` takes the
+package's own term dicts, right by construction, without the checks.
 
 :class:`RationalForm` pairs an MPoly numerator with an x-free denominator;
 it never reduces to lowest terms, and equality is by cross-multiplication.
@@ -82,7 +84,7 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars: int, c: int) -> "MPoly":
-        return cls(nvars, {(0,) * (nvars + 2): c})
+        return MPoly._trusted(nvars, {(0,) * (nvars + 2): c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "MPoly":
@@ -147,10 +149,12 @@ class MPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _like(self, terms: dict) -> "MPoly":
-        """Same variables, terms already free of zeros; skips validation."""
+    @staticmethod
+    def _trusted(nvars: int, terms: dict) -> "MPoly":
+        """The polynomial of a term dict already free of zeros, with keys of
+        width nvars + 2 and no negative exponent; skips validation."""
         out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
+        out.nvars = nvars
         out._terms = terms
         return out
 
@@ -172,12 +176,12 @@ class MPoly:
                 terms[k] = nc
             else:
                 del terms[k]
-        return self._like(terms)
+        return MPoly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
+        return MPoly._trusted(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -191,7 +195,8 @@ class MPoly:
         if isinstance(other, int):
             if other == 0:
                 return MPoly.zero(self.nvars)
-            return self._like({k: c * other for k, c in self._terms.items()})
+            return MPoly._trusted(self.nvars, {k: c * other for k, c
+                                               in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
@@ -204,7 +209,7 @@ class MPoly:
                     terms[k] = nc
                 else:
                     del terms[k]
-        return self._like(terms)
+        return MPoly._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -424,7 +429,7 @@ def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
                     num[kk] = nc
                 else:
                     num.pop(kk, None)
-    return MPoly(n, out)
+    return read_out(n, out)
 
 
 def divided_difference(p: MPoly, i: int) -> MPoly:
@@ -452,7 +457,7 @@ def divided_difference(p: MPoly, i: int) -> MPoly:
         for j in range(lo, hi + 1):
             base[a_i], base[b_i] = j, a + b - 1 - j
             put(tuple(base), sign * coeff)
-    return MPoly(n, terms)
+    return read_out(n, terms)
 
 
 def swap_vars(p: MPoly, i: int, j: int) -> MPoly:
@@ -515,7 +520,7 @@ def specialize(p: MPoly, bindings: dict) -> MPoly:
                 terms[kk] = nc
             else:
                 del terms[kk]
-    return MPoly(n, terms)
+    return read_out(n, terms)
 
 
 def t_pochhammer(k: int, nvars: int = 0) -> MPoly:
@@ -544,8 +549,9 @@ ONE = (((0, 0), 1),)
 
 
 def weight_poly(w, nvars: int = 0) -> MPoly:
-    """A weight as an x-free MPoly over nvars variables."""
-    return MPoly(nvars, {(0,) * nvars + k: c for k, c in w})
+    """A weight, ``((e_q, e_t), c)`` pairs with distinct keys and nonzero
+    coefficients, as an x-free MPoly over nvars variables."""
+    return read_out(nvars, {(0,) * nvars + k: c for k, c in w})
 
 
 def _add_shifted(a: list, b: list, s: int) -> list:
@@ -604,7 +610,7 @@ def cell_product(factors):
 def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
                texp: int = 0) -> None:
     """Add x^content * q^qexp * t^texp * weight into a term dict in place,
-    deleting coefficients that cancel; ``MPoly(nvars, terms)`` reads it out.
+    deleting coefficients that cancel; :func:`read_out` reads it out.
 
     Touches only the keys of one small weight, where ``MPoly.__add__``
     would copy the whole growing sum.
@@ -616,6 +622,13 @@ def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
             terms[key] = c
         else:
             del terms[key]
+
+
+def read_out(nvars: int, terms: dict) -> MPoly:
+    """The MPoly of a term dict that :func:`accumulate` or another kernel
+    loop built, zero-free and with keys of width nvars + 2 by construction,
+    read out without the checks of ``MPoly(nvars, terms)``."""
+    return MPoly._trusted(nvars, terms)
 
 
 class SymmetricMPoly(MPoly):

@@ -33,7 +33,7 @@ from itertools import combinations
 from math import inf
 
 from .mpoly import (MPoly, RationalForm, accumulate, cell_product,
-                    expand_symmetric, weight_poly)
+                    expand_symmetric, read_out, weight_poly)
 from .shapes import (Cell, Composition, Partition, Permutation, _walk, arm,
                      attacks, beta_perm, cells, check_composition,
                      check_partition, check_permutation, inc_sort, leg,
@@ -285,7 +285,7 @@ def e_integral_sum(alphas, n: int) -> MPoly:
             raise ValueError(f"{alpha} does not sort to {shape}")
         basement = beta_perm(alpha)
         _integral_terms(terms, _walk(shape, basement, n), shape, basement, n)
-    return MPoly(n, terms)
+    return read_out(n, terms)
 
 
 def e_general_q0(alpha, basement, n: int) -> MPoly:
@@ -305,7 +305,7 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
     for entries, _, c, eq in _walk(alpha, basement, n, no_descents=True):
         accumulate(terms, x_content((entries[:size],), n),
                    cell_product(((0, 1),) * (size - eq.bit_count())), 0, c)
-    return MPoly(n, terms)
+    return read_out(n, terms)
 
 
 def check_j_partition(mu, n: int) -> Partition:
@@ -334,7 +334,7 @@ def j_compact(mu, n: int) -> MPoly:
         terms: dict[tuple[int, int], int] = {}
         _integral_terms(terms, _walk(shape, None, n, ordered_only=True,
                                      content=nu), shape, None, None)
-        coeffs[nu] = MPoly(0, terms)
+        coeffs[nu] = read_out(0, terms)
     return expand_symmetric(n, coeffs)
 
 
@@ -351,7 +351,7 @@ def j_hhl(mu, n: int) -> MPoly:
                                else (0, 1) for i, r, ab in upper))
         accumulate(terms, x_content(f.cols, n), cell_product(factors),
                    maj_na(f), coinv(f))
-    return MPoly(n, terms) * (MPoly.one(n) - MPoly.t(n)) ** len(mu)
+    return read_out(n, terms) * (MPoly.one(n) - MPoly.t(n)) ** len(mu)
 
 
 def p_poly(mu, n: int) -> RationalForm:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .mpoly import ONE, MPoly, RationalForm, accumulate, divided_difference
+from .mpoly import (ONE, MPoly, RationalForm, accumulate, divided_difference,
+                    read_out, weight_poly)
 from .nonattacking import e_general_q0, e_integral_sum, pr2
 from .shapes import _walk, check_composition, identity_perm
 from .tableaux import x_content
@@ -87,12 +88,14 @@ def qsym_expand(p: MPoly) -> QSymExpansion:
     q,t-coefficient.
     """
     n = p.nvars
-    groups: dict[tuple, dict[tuple, dict]] = {}
+    by_x: dict[tuple, dict] = {}  # x-exponents -> {(e_q, e_t): c}
     for key, c in p.terms().items():
-        xpart = key[:n]
+        by_x.setdefault(key[:n], {})[key[n:]] = c
+    groups: dict[tuple, dict[tuple, dict]] = {}
+    for xpart, qt in by_x.items():
         comp = tuple(e for e in xpart if e)
         support = tuple(i for i, e in enumerate(xpart) if e)
-        groups.setdefault(comp, {}).setdefault(support, {})[key[n:]] = c
+        groups.setdefault(comp, {})[support] = qt
 
     coeffs = {}
     for comp, by_support in sorted(groups.items()):
@@ -114,7 +117,7 @@ def qsym_expand(p: MPoly) -> QSymExpansion:
                     f"coefficient of placement {s} of {comp} differs from "
                     f"placement {ref_support}",
                     (full_key(ref_support, qt), full_key(s, qt)))
-        coeffs[comp] = MPoly(n, {(0,) * n + qt: c for qt, c in ref.items()})
+        coeffs[comp] = weight_poly(ref.items(), n)
     return QSymExpansion(n, coeffs)
 
 
@@ -145,4 +148,4 @@ def qs_gamma(gamma, n: int) -> MPoly:
         for entries, *_ in _walk(alpha, identity_perm(n), n, no_descents=True,
                                  coinv_cap=0):
             accumulate(terms, x_content((entries[:size],), n), ONE)
-    return MPoly(n, terms)
+    return read_out(n, terms)

@@ -33,8 +33,8 @@ from functools import lru_cache
 from itertools import product
 from math import inf
 
-from .mpoly import (MPoly, accumulate, expand_symmetric, t_multinomial_product,
-                    weight_poly)
+from .mpoly import (MPoly, accumulate, expand_symmetric, read_out,
+                    t_multinomial_product, weight_poly)
 from .shapes import (Partition, _walk, canonical_w0_word, check_partition,
                      check_permutation, is_partition, partitions_of,
                      rearrangements)
@@ -169,15 +169,13 @@ def x_weight(f: Filling, nvars: int) -> MPoly:
 
 
 def enumerate_fillings(shape, n: int):
-    """All n^|shape| fillings with entries in 1..n, in a fixed order."""
+    """All n^|shape| fillings with entries in 1..n, in a fixed order; the
+    shape is checked once and each filling is built without the checks."""
     shape = check_partition(shape)
-    widths = list(shape)
-    for flat in product(range(1, n + 1), repeat=sum(widths)):
-        cols, k = [], 0
-        for h in widths:
-            cols.append(flat[k:k + h])
-            k += h
-        yield Filling(tuple(cols))
+    cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
+            for i in range(len(shape))]
+    for flat in product(range(1, n + 1), repeat=sum(shape)):
+        yield Filling._trusted(tuple([flat[col] for col in cols]))
 
 
 def htilde_brute(shape, n: int) -> MPoly:
@@ -303,7 +301,7 @@ def htilde_compact(shape, n: int) -> MPoly:
                 w = weights[mask & tops] = t_multinomial_product(_signature(
                     [tuple(entries[col]) for col in cols], runs))
             accumulate(terms, (), w, m, triples - c)
-        coeffs[nu] = MPoly(0, terms)
+        coeffs[nu] = read_out(0, terms)
     return expand_symmetric(n, coeffs)
 
 
@@ -365,17 +363,19 @@ def block_decomposition(f: Filling, r: int) -> list[tuple[int, int]]:
     run is a single block.  Returned as 1-based (lo, hi) column ranges.
     """
     shape = f.shape
-    out = []
-    for lo, hi in components(shape):
-        if shape[lo - 1] < r:
-            continue
-        start = lo
-        for i in range(lo + 1, hi + 1):
-            if f.cols[i - 1][:r - 1] != f.cols[start - 1][:r - 1]:
-                out.append((start, i - 1))
-                start = i
-        out.append((start, hi))
-    return out
+    return [(lo + a - 1, lo + b - 1) for lo, hi in components(shape)
+            if shape[lo - 1] >= r for a, b in _row_blocks(f.cols[lo - 1:hi], r)]
+
+
+def _row_blocks(cols, r: int) -> list[tuple[int, int]]:
+    """The blocks of row r of a rectangular piece given by its nonempty
+    column tuples, as 1-based (lo, hi) ranges within the piece."""
+    out, start = [], 1
+    for i in range(2, len(cols) + 1):
+        if cols[i - 1][:r - 1] != cols[i - 2][:r - 1]:
+            out.append((start, i - 1))
+            start = i
+    return out + [(start, len(cols))]
 
 
 def _shortest_rearranger(base, target):
@@ -410,12 +410,11 @@ def _component_family(comp: Filling, edges: dict | None = None) -> list[Filling]
     """Members of one rectangular component's family, rows handled top
     down; records the first flip reaching each member as
     ``edges[child] = (parent, column, row)`` when given a dict."""
-    h = comp.shape[0] if comp.cols else 0
+    h = len(comp.cols[0]) if comp.cols else 0
     members = [comp]
     for r in range(h, 0, -1):
-        blocks = block_decomposition(comp, r)
-        root_row = tuple(comp.entry(i, r) for i in range(1, len(comp.cols) + 1))
-        words = list(_row_words(root_row, blocks))
+        root_row = tuple(col[r - 1] for col in comp.cols)
+        words = list(_row_words(root_row, _row_blocks(comp.cols, r)))
         new_members = []
         for g in members:
             for w in words:
@@ -495,15 +494,14 @@ def sort_filling(f: Filling) -> Filling:
     Works one rectangular component at a time, putting each row into sorted
     order from the bottom up by undoing canonical operator words.  The
     component slices of the valid input are built without re-checking them,
-    and so are the flips' results; the tableau reached is checked sorted.
+    and so are the flips' results and the tableau reached, checked sorted.
     """
-    runs = components(f.shape)
     sorted_cols = []
-    for lo, hi in runs:
+    for lo, hi in components(f.shape):
         comp = Filling._trusted(f.cols[lo - 1:hi])
         for r in range(1, len(comp.cols[0]) + 1):
             target = []
-            for blo, bhi in block_decomposition(comp, r):
+            for blo, bhi in _row_blocks(comp.cols, r):
                 z = ((inf,) + comp.cols[blo - 1])[r - 1]  # below the block
                 seg = [col[r - 1] for col in comp.cols[blo - 1:bhi]]
                 target.extend(sorted(seg, key=lambda e: cyclic_key(e, z)))
@@ -520,6 +518,6 @@ def sort_filling(f: Filling) -> Filling:
             if now != target:
                 raise AssertionError("row did not reach sorted order")
         sorted_cols.extend(comp.cols)
-    out = Filling(tuple(sorted_cols))
+    out = Filling._trusted(tuple(sorted_cols))
     _require_sorted(out)
     return out

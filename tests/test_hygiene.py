@@ -136,7 +136,8 @@ def test_module_imports_on_its_own(module):
 
 
 # The class whose unchecked `_trusted` constructor each module may call.
-TRUSTED_HOMES = {"Filling": "tableaux.py", "AugmentedFilling": "nonattacking.py"}
+TRUSTED_HOMES = {"Filling": "tableaux.py", "AugmentedFilling": "nonattacking.py",
+                 "MPoly": "mpoly.py"}
 
 
 def trusted_receivers(source: str) -> list[str]:

@@ -1,6 +1,6 @@
 """The weighted-filling kernel: digest regression against recorded outputs,
-the cached t-multinomials, in-place accumulation, enumeration restricted to
-one content, and the symmetric expansion."""
+the cached t-multinomials, in-place accumulation, the unchecked read-out,
+enumeration restricted to one content, and the symmetric expansion."""
 
 import hashlib
 import random
@@ -9,13 +9,16 @@ from itertools import permutations, product
 import pytest
 
 from macpoly.mpoly import (ONE, MPoly, VariableMismatchError, accumulate,
-                           cell_product, exact_div_xfree, expand_symmetric,
-                           t_multinomial, weight_poly)
-from macpoly.nonattacking import (e_general_q0, e_integral, enumerate_na,
-                                  j_compact, j_hhl)
-from macpoly.quasisym import g_integral, qs_gamma, qsym_expand
+                           cell_product, divided_difference, exact_div_xfree,
+                           expand_symmetric, read_out, specialize,
+                           t_multinomial, t_pochhammer, weight_poly)
+from macpoly.nonattacking import (e_general_q0, e_integral, e_integral_sum,
+                                  enumerate_na, j_compact, j_hhl, pr1, pr2)
+from macpoly.quasisym import (demazure_t_atom, g_integral, placements,
+                              qs_gamma, qsym_expand)
 from macpoly.shapes import partitions_of
-from macpoly.tableaux import enumerate_sorted, htilde_compact, x_content
+from macpoly.tableaux import (enumerate_sorted, htilde_compact, perm_t,
+                              x_content)
 
 
 def _weak(n, deg):
@@ -253,3 +256,107 @@ def test_g_integral_qsym_coefficients_do_not_depend_on_n(d):
             seen.append({comp: {k[n:]: c for k, c in coeff.terms().items()}
                          for comp, coeff in exp.coeffs.items()})
         assert seen[0] == seen[1] == seen[2], gamma
+
+
+# -- the unchecked read-out ---------------------------------------------------
+
+def _small_polys():
+    x1, x2, q, t = MPoly.x(2, 1), MPoly.x(2, 2), MPoly.q(2), MPoly.t(2)
+    return [MPoly.zero(2), x1, q * x1 ** 2 - t * x2, (x1 + x2 + q) ** 3,
+            x1 ** 2 * x2 + x1 * x2 ** 2, (1 - t) * (q * x1 - 3 * x2 ** 2)]
+
+
+def _arithmetic():
+    ps = _small_polys()
+    return ([a + b for a in ps for b in ps] + [a * b - b for a in ps for b in ps]
+            + [-a for a in ps] + [3 * a for a in ps])
+
+
+def _weights():
+    return ([weight_poly(cell_product(f), n) for n in range(3)
+             for f in [(), ((0, 1),), ((1, 1), (1, 2), (2, 1))]]
+            + [t_pochhammer(k, 2) for k in range(4)]
+            + [t_multinomial(4, parts, 1) for parts in ((4,), (2, 2), (1, 2, 1))]
+            + [perm_t(s, 3) for s in enumerate_sorted((2, 2), 2)]
+            + [pr1((3, 1), 2), pr2((0, 2, 1), 3)])
+
+
+def _specialized():
+    bindings = [{"q": 0}, {"t": 1}, {"q": "t"}, {"q": "t", "t": "q"},
+                {"x1": "x2"}, {"x1": 1, "x2": -1}, {"q": 0, "t": 0}]
+    return [specialize(p, b) for p in _small_polys() for b in bindings]
+
+
+def _divided_exactly():
+    one, t = MPoly.one(2), MPoly.t(2)
+    d = (one - t) * (one - MPoly.q(2) * t)
+    return [exact_div_xfree(p * d, d) for p in _small_polys()]
+
+
+def _accumulated():
+    terms: dict = {}
+    accumulate(terms, (1, 0), cell_product(((0, 1),)))
+    accumulate(terms, (1, 0), (((0, 1), 1),))  # cancels the -t term
+    accumulate(terms, (0, 2), cell_product(((1, 1), (0, 2))), 1, 2)
+    return [read_out(2, terms), read_out(0, {})]
+
+
+def _e_integral_sums():
+    return ([e_integral(a) for a in [(1, 0), (0, 2, 1), (2, 0, 1, 1), (1, 1, 2)]]
+            + [e_integral_sum(placements(g, 3), 3) for g in ((1,), (2, 1), (1, 2))])
+
+
+def _e_general_q0():
+    return ([e_general_q0(a, b, 3) for a in [(2, 0, 1), (1, 1, 1)]
+             for b in permutations((1, 2, 3))]
+            + [demazure_t_atom(a, 3) for a in [(0, 1, 2), (2, 1)]])
+
+
+def _qsym_coefficients():
+    return [c for g, n in [((1,), 2), ((2, 1), 3), ((1, 2), 4)]
+            for c in qsym_expand(g_integral(g, n)).coeffs.values()]
+
+
+READ_OUTS = {
+    "const": lambda: [MPoly.const(n, c) for n in range(3) for c in (-2, 0, 5)],
+    "read_out": _accumulated,
+    "arithmetic": _arithmetic,
+    "weight_poly": _weights,
+    "specialize": _specialized,
+    # d_1 of x1^2 x2 + x1 x2^2 cancels to zero
+    "divided_difference": lambda: [divided_difference(p, 1)
+                                   for p in _small_polys()],
+    "exact_div_xfree": _divided_exactly,
+    "e_integral_sum": _e_integral_sums,
+    "e_general_q0": _e_general_q0,
+    "qs_gamma": lambda: [qs_gamma(g, n) for g, n in
+                         [((1,), 2), ((2, 1), 3), ((1, 2), 4), ((3,), 1)]],
+    "j_hhl": lambda: [j_hhl(mu, n) for mu, n in
+                      [((1,), 1), ((2, 1), 2), ((2, 2), 3), ((1, 1), 1)]],
+    "j_compact": lambda: [j_compact(mu, n) for mu, n in
+                          [((1,), 1), ((2, 1), 2), ((2, 2), 3), ((3, 1), 4)]],
+    "htilde_compact": lambda: [htilde_compact(lam, n) for lam, n in
+                               [((1,), 1), ((2, 1), 2), ((2, 2), 3), ((2,), 0)]],
+    "qsym_expand": _qsym_coefficients,
+}
+
+
+def _assert_well_formed(nvars, terms):
+    for key, c in terms.items():
+        assert c != 0 and len(key) == nvars + 2 and min(key) >= 0, (key, c)
+
+
+@pytest.mark.parametrize("name", sorted(READ_OUTS))
+def test_unchecked_read_outs_are_what_the_checked_constructor_keeps(name):
+    polys = READ_OUTS[name]()
+    assert any(polys)
+    for p in polys:
+        _assert_well_formed(p.nvars, p.terms())
+        assert MPoly(p.nvars, p.terms()) == p
+        for qt in getattr(p, "_coeffs", {}).values():  # per-content sums
+            _assert_well_formed(0, qt)
+
+
+def test_const_zero_is_the_zero_polynomial():
+    for n in range(3):
+        assert MPoly.const(n, 0).terms() == {} and MPoly.const(n, 0) == MPoly.zero(n)

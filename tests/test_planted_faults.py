@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 import macpoly.cli as cli
 from macpoly import tableaux
+from macpoly.mpoly import MPoly
 from macpoly.tableaux import Filling
 
 
@@ -98,3 +99,35 @@ def test_flip_that_moves_nothing_fails_operator_lemmas(monkeypatch):
     code, lines = validate("operator-lemmas", 2)
     assert code == cli.IDENTITY_EXIT
     assert "FAIL inv step (1, 1) n=2 (((1, 2),) col 1)" in lines
+
+
+def test_perm_t_times_t_fails_the_family_weights(monkeypatch):
+    monkeypatch.setattr(cli, "perm_t",
+                        lambda f, n=0: tableaux.perm_t(f, n) * MPoly.t(n))
+    code, lines = validate("family-partition", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        f"FAIL family weights {lam} n={n} (root {root})"
+        for lam, root in [((1,), ((1,),)), ((1, 1), ((1, 1),)),
+                          ((2,), ((1,), (1,)))] for n in (2, 3)]
+
+
+def test_perm_t_not_free_of_q_fails_the_family_size(monkeypatch):
+    # perm_t with each t^e made q^e t^e, and maj raised by inv(g) - inv(s)
+    # on each member g of the family of s: every (maj, inv) tally still
+    # matches, and only perm_t at t = 1 differs from the family's size.
+    def q_for_t(f, n=0):
+        return MPoly(n, {k[:n] + (k[n + 1], k[n + 1]): c
+                         for k, c in tableaux.perm_t(f, n).terms().items()})
+
+    def raised(g):
+        return (tableaux.maj(g) + tableaux.inv(g)
+                - tableaux.inv(tableaux.sort_filling(g)))
+
+    monkeypatch.setattr(cli, "perm_t", q_for_t)
+    monkeypatch.setattr(cli, "maj", raised)
+    code, lines = validate("family-partition", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        "FAIL family size (1, 1) n=2 (root ((1, 2),))",
+        "FAIL family size (1, 1) n=3 (root ((1, 2),))"]
