@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import compress
-from operator import itemgetter, ne
+from operator import add, itemgetter, ne
 
 from .shapes import is_partition, rearrangements
 
@@ -203,7 +203,7 @@ class MPoly:
         terms: dict[tuple[int, ...], int] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 nc = terms.get(k, 0) + c1 * c2
                 if nc:
                     terms[k] = nc

@@ -149,18 +149,15 @@ def _coinversion_plan(shape, has_base: bool) -> tuple:
     return tuple(plan)
 
 
-def _coinversions(f: AugmentedFilling):
-    entry = f.entry
-    for upper, third, lower in _coinversion_plan(f.shape, f.basement is not None):
-        z = inf if lower is None else entry(*lower)
-        if not inverted(entry(*upper), entry(*third), z):
-            yield (upper, third) if lower is None else (third, upper, lower)
-
-
 def coinversion_triples(f: AugmentedFilling) -> list[tuple[Cell, ...]]:
     """The coinversion triples, each as (third cell, upper cell, lower cell);
     degenerate ones as (left cell, right cell)."""
-    return list(_coinversions(f))
+    entry = f.entry
+    return [(upper, third) if lower is None else (third, upper, lower)
+            for upper, third, lower in _coinversion_plan(
+                f.shape, f.basement is not None)
+            if not inverted(entry(*upper), entry(*third),
+                            inf if lower is None else entry(*lower))]
 
 
 def coinv(f: AugmentedFilling) -> int:

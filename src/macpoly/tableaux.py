@@ -279,16 +279,14 @@ def htilde_compact(shape, n: int) -> MPoly:
     partition content nu only and expanded to the rearrangements of nu last.
     inv is the count of all triples less coinv.  Same-height neighbours are
     equal columns when the right one's top cell repeats its partner, so the
-    mask's top-cell bits fix the perm_t weight.
+    mask, which holds the top-cell bits, fixes the perm_t weight.
     """
     shape = check_partition(shape)
     runs = components(shape)
     cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
             for i in range(len(shape))]
     triples = sum(i * h for i, h in enumerate(shape))
-    tops = sum(1 << (cols[i].stop - 1) for i in range(1, len(shape))
-               if shape[i] == shape[i - 1])
-    weights: dict[int, tuple] = {}  # top bits of the mask -> perm_t weight
+    weights: dict[int, tuple] = {}  # mask -> perm_t weight
     coeffs = {}
     for nu in partitions_of(sum(shape)):
         if len(nu) > n:
@@ -296,9 +294,9 @@ def htilde_compact(shape, n: int) -> MPoly:
         terms: dict[tuple[int, int], int] = {}
         for entries, m, c, mask in _walk(shape, None, n, content=nu,
                                          sorted_tableaux=True):
-            w = weights.get(mask & tops)
+            w = weights.get(mask)
             if w is None:
-                w = weights[mask & tops] = t_multinomial_product(_signature(
+                w = weights[mask] = t_multinomial_product(_signature(
                     [tuple(entries[col]) for col in cols], runs))
             accumulate(terms, (), w, m, triples - c)
         coeffs[nu] = read_out(0, terms)
@@ -394,61 +392,48 @@ def _shortest_rearranger(base, target):
     return tuple(p)
 
 
-def _row_words(root_row, blocks):
-    """Operator words for all block-respecting rearrangements of a row.
+@lru_cache(maxsize=1024)
+def _component_family(cols) -> tuple[tuple, tuple]:
+    """The family of one rectangular component and its operator tree,
+    memoised by the component's column tuple, the last 1,024 kept.
 
-    `blocks` are 1-based column ranges of the row.  The words come in the
-    lex order of the rearranged rows.
+    Rows are handled top down.  Returns the members' column tuples and the
+    tree's edges (parent cols, child cols, column, row), one per member
+    reached by a flip: the first flip reaching it, in the order reached.
     """
-    segs = [rearrangements(root_row[lo - 1:hi]) for lo, hi in blocks]
-    for combo in product(*segs):
-        row = tuple(v for seg in combo for v in seg)
-        yield pds(_shortest_rearranger(root_row, row))
-
-
-def _component_family(comp: Filling, edges: dict | None = None) -> list[Filling]:
-    """Members of one rectangular component's family, rows handled top
-    down; records the first flip reaching each member as
-    ``edges[child] = (parent, column, row)`` when given a dict."""
-    h = len(comp.cols[0]) if comp.cols else 0
-    members = [comp]
-    for r in range(h, 0, -1):
-        root_row = tuple(col[r - 1] for col in comp.cols)
-        words = list(_row_words(root_row, _row_blocks(comp.cols, r)))
+    members = [cols]
+    edges: dict = {}  # child cols -> (parent cols, column, row)
+    for r in range(len(cols[0]), 0, -1):
+        root_row = tuple(col[r - 1] for col in cols)
+        # a word per block-respecting rearrangement, in the rows' lex order
+        words = [pds(_shortest_rearranger(root_row, sum(combo, ())))
+                 for combo in product(*(rearrangements(root_row[lo - 1:hi])
+                                        for lo, hi in _row_blocks(cols, r)))]
         new_members = []
         for g in members:
             for w in words:
-                cur = g
+                cur = Filling._trusted(g)
                 for letter in reversed(w):  # rightmost letter acts first
                     nxt, rr = flip(cur, letter)
                     if rr != r:
                         raise AssertionError(
                             f"operator acted at row {rr}, expected {r}")
-                    if edges is not None:
-                        edges.setdefault(nxt, (cur, letter, rr))
+                    edges.setdefault(nxt.cols, (cur.cols, letter, rr))
                     cur = nxt
-                new_members.append(cur)
+                new_members.append(cur.cols)
         members = new_members
-    return members
-
-
-@lru_cache(maxsize=1024)
-def _component_members(cols) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The column tuples of the members of one rectangular component's
-    family, memoised by the component's column tuple."""
-    return tuple(g.cols for g in _component_family(Filling._trusted(cols)))
+    return tuple(members), tuple((p, c, i, r) for c, (p, i, r) in edges.items())
 
 
 def family(f: Filling) -> list[Filling]:
     """All fillings generated from a sorted tableau by the flip operators,
     in canonical (row-major) order.
 
-    A rectangular component's members depend only on its columns, so they
-    are memoised per column tuple, the last 1,024 components kept; every
-    call glues the components' members into a fresh list.
+    Every call glues the memoised members of the rectangular components
+    into a fresh list.
     """
     _require_sorted(f)
-    parts = [_component_members(f.cols[lo - 1:hi])
+    parts = [_component_family(f.cols[lo - 1:hi])[0]
              for lo, hi in components(f.shape)]
     out = [Filling._trusted(sum(combo, ())) for combo in product(*parts)]
     out.sort(key=lambda g: g.rows())
@@ -462,29 +447,20 @@ def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
 
     Components are chained: every member of an earlier component's tree is
     combined with the roots of later ones, so the edge set covers the whole
-    family exactly once.
+    family exactly once.  Each memoised component edge is glued between the
+    prefix members and the root's columns to the right.
     """
     _require_sorted(f)
     runs = components(f.shape)
-    comps = [Filling(f.cols[lo - 1:hi]) for lo, hi in runs]
-
-    comp_edges: list[dict] = [{} for _ in comps]
-    comp_members = [_component_family(comp, edges)
-                    for comp, edges in zip(comps, comp_edges)]
-
-    def glue(pre, mid, suffix):
-        return Filling(tuple(col for piece in pre + (mid,) + suffix
-                             for col in piece.cols))
-
+    walks = [_component_family(f.cols[lo - 1:hi]) for lo, hi in runs]
     out = []
-    for k, edges in enumerate(comp_edges):
-        prefix_choices = [comp_members[j] for j in range(k)]
-        suffix = tuple(comps[j] for j in range(k + 1, len(comps)))
-        for pre in product(*prefix_choices):
-            offset = sum(len(c.cols) for c in pre)
-            for child, (parent, letter, rr) in edges.items():
-                out.append((glue(pre, parent, suffix),
-                            glue(pre, child, suffix), letter + offset, rr))
+    for k, ((lo, hi), (_, edges)) in enumerate(zip(runs, walks)):
+        suffix = f.cols[hi:]
+        for pre in product(*(members for members, _ in walks[:k])):
+            pre = sum(pre, ())
+            out.extend((Filling._trusted(pre + parent + suffix),
+                        Filling._trusted(pre + child + suffix), i + lo - 1, r)
+                       for parent, child, i, r in edges)
     return out
 
 

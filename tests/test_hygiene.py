@@ -1,13 +1,15 @@
 """Every name imported into a package module is used in that module,
 every module-level private function is referenced by some package module,
-every module imports on its own, and the unchecked constructors stay in
-the modules that define their classes.
+every module imports on its own, the unchecked constructors stay in
+the modules that define their classes, and every module-level memo is
+bounded.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -166,3 +168,37 @@ def test_checker_finds_every_trusted_call():
 def test_trusted_constructors_stay_in_their_own_modules(module):
     for receiver in trusted_receivers((PACKAGE / module).read_text()):
         assert TRUSTED_HOMES.get(receiver) == module, receiver
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The module-level functions memoised by ``functools.cache`` or
+    ``lru_cache`` in any form but ``lru_cache(maxsize=<int literal>)``."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            for text in map(ast.unparse, node.decorator_list)
+            if re.match(r"(functools\.)?(lru_)?cache\b", text)
+            and not re.fullmatch(r"(functools\.)?lru_cache\(maxsize=\d+\)",
+                                 text)]
+
+
+def test_checker_finds_every_unbounded_cache():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=64)\ndef bounded(x):\n    return x\n"
+              "@functools.lru_cache(maxsize=8)\ndef dotted(x):\n    return x\n"
+              "@cache\ndef bare(x):\n    return x\n"
+              "@functools.cache\ndef dotted_bare(x):\n    return x\n"
+              "@lru_cache\ndef no_call(x):\n    return x\n"
+              "@lru_cache()\ndef default(x):\n    return x\n"
+              "@lru_cache(maxsize=None)\ndef unbounded(x):\n    return x\n"
+              "@lru_cache(128)\ndef positional(x):\n    return x\n"
+              "@lru_cache(maxsize=True)\ndef flag(x):\n    return x\n"
+              "def render():\n    @cache\n    def inner(x):\n        return x\n")
+    assert unbounded_caches(source) == ["bare", "dotted_bare", "no_call",
+                                        "default", "unbounded", "positional",
+                                        "flag"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_level_caches_are_bounded(module):
+    assert unbounded_caches((PACKAGE / module).read_text()) == [], module

@@ -420,6 +420,28 @@ def test_family_tree_multicomponent():
     assert len(edges) == len(fam) - 1
 
 
+def test_family_tree_of_every_small_root():
+    # Every sorted root with at most 5 cells at n <= 3.  A flip of the
+    # parent at the edge's column reproduces the child and its row, which
+    # pins the column offset of later components; the glued fillings are
+    # what the checked constructor keeps.
+    total = 0
+    for m in range(6):
+        for lam in partitions_of(m):
+            for n in range(1, 4):
+                for root in enumerate_sorted(lam, n):
+                    edges = family_tree(root)
+                    fam = family(root)
+                    assert {root} | {c for _, c, _, _ in edges} == set(fam)
+                    assert len(edges) == len(fam) - 1, root
+                    for parent, child, i, r in edges:
+                        assert flip(parent, i) == (child, r), (root, i)
+                        for g in (parent, child):
+                            assert g == Filling(g.cols)
+                    total += len(edges)
+    assert total == 801
+
+
 def test_sort_filling_figure():
     tau = Filling.from_rows([(2, 1, 3, 3, 1), (3, 3, 2, 4, 2), (1, 2, 1, 2, 1)])
     sig = sort_filling(tau)
