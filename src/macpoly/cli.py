@@ -77,11 +77,13 @@ OUTPUT = click.option("--output", type=click.Path(), default=None,
 
 
 def _render_poly(value, fmt: str) -> str:
+    """The value written in one string, newline included, so that a large
+    output is not copied once more to end it."""
     if fmt == "json":
-        return value.to_json() + "\n"
+        return value.to_json(tail="\n")
     if fmt == "latex":
-        return value.latex() + "\n"
-    return value.text() + "\n"
+        return value.latex(tail="\n")
+    return value.text(tail="\n")
 
 
 @click.group()
@@ -258,12 +260,13 @@ def cmd_family(shape, nvars, root, fmt, output):
     for f in roots:
         edges = family_tree(f)
         nodes = {f} | {c for _, c, _, _ in edges} | {p for p, _, _, _ in edges}
-        label = {g: ";".join(",".join(map(str, row)) for row in g.rows())
+        rows = {g: g.rows() for g in nodes}
+        label = {g: ";".join(",".join(map(str, row)) for row in rows[g])
                  for g in nodes}
-        for g in sorted(nodes, key=lambda g: g.rows()):
+        for g in sorted(nodes, key=rows.__getitem__):
             lines.append(f'  "{label[g]}";')
-        for parent, child, i, r in sorted(edges, key=lambda e: (e[0].rows(),
-                                                                e[1].rows())):
+        for parent, child, i, r in sorted(edges, key=lambda e: (rows[e[0]],
+                                                                rows[e[1]])):
             lines.append(f'  "{label[parent]}" -> "{label[child]}" '
                          f'[label="T_{i}^({r})"];')
     lines.append("}")

@@ -27,19 +27,21 @@ from them, and expanded to x-monomials only when something else reads its
 terms.
 
 :meth:`MPoly.to_json` writes the bytes of ``json.dumps(to_json_dict())``
-directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, each in one
-walk over runs: stretches of terms with one x-monomial, in graded-lex
-order.  A plain MPoly's runs come from one sort of its keys; a symmetric
-one's from the rearrangements of each nu, sorted once, with each nu's
-(q, t)-terms grouped by degree and shared by all of its rearrangements.
-Each x-monomial and each (q, t)-term is formatted once per call.
+directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, through one
+emitter that joins each graded-lex degree in one C-level call, running no
+Python code per term.  A symmetric result lays out a degree as the
+x-monomials of every nu, sorted lex once, each joining the parts of its
+(nu, degree) block, made once and shared by all rearrangements of nu; a
+plain MPoly is one round of its sorted terms, each alone.  The result is
+one string, between an optional head and tail, so a large value is never
+copied again to wrap or end it.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import compress
-from operator import add, itemgetter, ne
+from itertools import compress, repeat
+from operator import add, getitem, itemgetter, not_
 
 from .shapes import is_partition, rearrangements
 
@@ -240,29 +242,34 @@ class MPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _runs(self):
-        """The terms in graded-lex order as runs, for the writers.
-
-        Returns ``(xs, items, runs)``.  A run ``(j, (lo, hi))`` is a stretch
-        of consecutive terms with one x-monomial: the exponents ``xs[j]``
-        with each ``(e_q, e_t, c)`` of ``items[lo:hi]``.  Runs may share an
-        x-monomial or a span of items, so a writer formats each entry of
-        ``xs`` and ``items`` once.
-        """
+    def _layout(self):
+        """``(xs, items, blocks, rounds)`` for :meth:`_write`.  A block
+        ``(x, lo, hi)`` holds the ``(e_q, e_t, c)`` of ``items[lo:hi]`` at
+        x or its rearrangements; a round gives each ``xs[j]`` its block's
+        index, or -1.  A plain MPoly has no blocks: ``xs[j]`` is item j's."""
         n, terms = self.nvars, self._terms
         keys = self._sorted_keys()
-        x_of = list(map(itemgetter(slice(0, n)), keys))
-        starts = list(compress(range(len(keys)),  # where the x-monomial changes
-                               map(ne, x_of, [None, *x_of])))
-        items = list(zip(map(itemgetter(n), keys), map(itemgetter(n + 1), keys),
-                         map(terms.__getitem__, keys)))
-        return ([x_of[s] for s in starts], items,
-                list(enumerate(zip(starts, [*starts[1:], len(keys)]))))
+        return (list(map(itemgetter(slice(0, n)), keys)),
+                list(zip(map(itemgetter(n), keys), map(itemgetter(n + 1), keys),
+                         map(terms.__getitem__, keys))), None, [range(len(keys))])
 
-    def _render(self, var_fmt, pow_fmt, mul_sep: str) -> str:
-        xs, items, runs = self._runs()
-        if not runs:
-            return "0"
+    def _write(self, xfrag, make, lead, tail: str):
+        """The writers' one emitter, or None for zero: each block (or plain
+        term) is made once into parts that its x-monomial's ``xfrag`` joins,
+        and each round is one C-level join.  ``lead`` rewrites the start."""
+        xs, items, blocks, rounds = self._layout()
+        if not items:
+            return None
+        xfs = list(map({x: xfrag(x) for x in set(xs)}.__getitem__, xs))
+        parts = [*make(xs, items, blocks), None]
+        out = ["".join(map(str.join, compress(xfs, at), filter(None, at)))
+               for at in (list(map(parts.__getitem__, r)) for r in rounds)]
+        del xs, xfs, parts  # only the rounds are held while they are joined
+        out[0] = lead(out[0])
+        out[-1] += tail
+        return "".join(out)
+
+    def _render(self, head, tail, var_fmt, pow_fmt, mul_sep: str) -> str:
         n = self.nvars
         names = [var_fmt("x", i) for i in range(1, n + 1)] + ["q", "t"]
 
@@ -271,35 +278,38 @@ class MPoly:
             return "" if not e else name if e == 1 else pow_fmt(name, e)
 
         @cache
-        def factors(exps, at):  # names[at:] ** exps, once per distinct exps
+        def factors(exps, at=0):  # names[at:] ** exps, memoised for (q, t)
             return mul_sep.join(filter(None, map(power, names[at:], exps)))
 
         @cache
         def term(item):  # a term is head + x-monomial + tail, or bare at x^0
             e_q, e_t, c = item
             qts, mag = factors((e_q, e_t), n), abs(c)
-            sign = "- " if c < 0 else "+ "
+            sign = " - " if c < 0 else " + "
             return (sign if mag == 1 else f"{sign}{mag}{mul_sep}",
                     f"{mul_sep}{qts}" if qts else "",
                     sign + (f"{mag}{mul_sep}{qts}" if qts and mag != 1
                             else qts or str(mag)))
 
-        heads, tails, bares = zip(*map(term, items))
-        # The x-monomial joins a run's pieces: its first head, the glue
-        # between its terms, its last tail.
-        glues = list(map("{} {}".format, tails, heads[1:]))
-        xstrs = [factors(x, 0) for x in xs]
-        out = " ".join([xstrs[j].join([heads[lo], *glues[lo:hi - 1], tails[hi - 1]])
-                        if xstrs[j] else " ".join(bares[lo:hi])
-                        for j, (lo, hi) in runs])
-        return out[2:] if out[0] == "+" else "-" + out[2:]
+        def make(xs, items, blocks):  # a block: head, glues, tail; bare at x^0
+            heads, tails, bares = zip(*map(term, items))
+            if blocks is None:  # (head, tail) of each term, or (bare,) at x^0
+                return map(getitem, zip(zip(heads, tails), zip(bares)),
+                           map(not_, map(any, xs)))
+            glues = list(map(add, tails, heads[1:]))
+            return [[heads[lo], *glues[lo:hi - 1], tails[hi - 1]] if any(x)
+                    else bares[lo:hi] for x, lo, hi in blocks]
 
-    def text(self) -> str:
+        return self._write(factors.__wrapped__, make, lambda first: head + (
+            "" if first[1] == "+" else "-") + first[3:], tail) or f"{head}0{tail}"
+
+    def text(self, head="", tail="") -> str:
         """Plain-text rendering, terms in graded-lex order."""
-        return self._render(lambda b, i: f"{b}{i}", lambda n, e: f"{n}^{e}", "*")
+        return self._render(head, tail, lambda b, i: f"{b}{i}",
+                            lambda n, e: f"{n}^{e}", "*")
 
-    def latex(self) -> str:
-        return self._render(lambda b, i: f"{b}_{{{i}}}",
+    def latex(self, head="", tail="") -> str:
+        return self._render(head, tail, lambda b, i: f"{b}_{{{i}}}",
                             lambda n, e: f"{n}^{{{e}}}", " ")
 
     # -- serialization -----------------------------------------------------
@@ -323,17 +333,18 @@ class MPoly:
             terms[key] = int(rec["c"])
         return cls(n, terms)
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, byte for byte, written
-        directly, one join per run."""
-        xs, items, runs = self._runs()
-        head = {x: '{"x": %s, "q": ' % (list(x),) for x in set(xs)}
-        rest = {item: '%d, "t": %d, "c": "%d"}' % item for item in set(items)}
-        heads = list(map(head.__getitem__, xs))
-        seps = [", " + h for h in heads]
-        rests = list(map(rest.__getitem__, items))
-        return '{"nvars": %d, "terms": [%s]}' % (self.nvars, ", ".join(
-            [heads[j] + seps[j].join(rests[lo:hi]) for j, (lo, hi) in runs]))
+    def to_json(self, head="", tail="") -> str:
+        """``json.dumps(to_json_dict())``, byte for byte, between head and tail."""
+        head, tail = head + '{"nvars": %d, "terms": [' % self.nvars, "]}" + tail
+
+        def make(xs, items, blocks):  # a term is ", " + x-fragment + its rest
+            rest = {i: '%d, "t": %d, "c": "%d"}' % i for i in set(items)}
+            rests = list(map(rest.__getitem__, items))
+            return zip(repeat(""), rests) if blocks is None else [
+                ["", *rests[lo:hi]] for _, lo, hi in blocks]
+
+        return self._write(lambda x: ', {"x": %s, "q": ' % (list(x),), make,
+                           lambda first: head + first[2:], tail) or head + tail
 
 
 class RationalForm:
@@ -368,20 +379,21 @@ class RationalForm:
     def __repr__(self) -> str:
         return f"RationalForm({self.numerator.text()!r} / {self.denominator.text()!r})"
 
-    def text(self) -> str:
-        return f"({self.numerator.text()}) / ({self.denominator.text()})"
+    def text(self, tail="") -> str:
+        return self.numerator.text("(", f") / ({self.denominator.text()}){tail}")
 
-    def latex(self) -> str:
-        return f"\\frac{{{self.numerator.latex()}}}{{{self.denominator.latex()}}}"
+    def latex(self, tail="") -> str:
+        return self.numerator.latex(
+            "\\frac{", f"}}{{{self.denominator.latex()}}}{tail}")
 
     def to_json_dict(self) -> dict:
         return {"numerator": self.numerator.to_json_dict(),
                 "denominator": self.denominator.to_json_dict()}
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, byte for byte."""
-        return '{"numerator": %s, "denominator": %s}' % (
-            self.numerator.to_json(), self.denominator.to_json())
+    def to_json(self, tail="") -> str:
+        """``json.dumps(self.to_json_dict())``, byte for byte, then tail."""
+        return self.numerator.to_json('{"numerator": ', ', "denominator": %s}%s'
+                                      % (self.denominator.to_json(), tail))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalForm":
@@ -663,27 +675,25 @@ class SymmetricMPoly(MPoly):
                     terms[xexps + k] = c
         return terms
 
-    def _runs(self):
-        # Each nu's terms fall by total degree |nu| + e_q + e_t into spans
-        # of items that every rearrangement of nu shares, and the
-        # rearrangements of all nu are sorted lex once; no term is sorted.
+    def _layout(self):
+        # Each nu's terms fall by degree |nu| + e_q + e_t into blocks that its
+        # rearrangements share; the rearrangements of all nu are sorted lex
+        # once, and each degree is one round, so no term is sorted.
         nus = list(self._coeffs)
-        items, spans = [], {}  # degree -> the span of each nu, or None
+        items, blocks, rounds = [], [], {}  # degree -> the block of each nu
         for k, nu in enumerate(nus):
             by_degree: dict[int, list] = {}
             for (e_q, e_t), c in sorted(self._coeffs[nu].items()):
                 by_degree.setdefault(sum(nu) + e_q + e_t, []).append((e_q, e_t, c))
             for degree, block in by_degree.items():
-                spans.setdefault(degree, [None] * len(nus))[k] = (
-                    len(items), len(items) + len(block))
+                rounds.setdefault(degree, [-1] * len(nus))[k] = len(blocks)
+                blocks.append((nu, len(items), len(items) + len(block)))
                 items += block
         order = sorted((x, k) for k, nu in enumerate(nus)
                        for x in rearrangements(self._padded(nu)))
-        runs = []
-        for degree in sorted(spans):
-            at = spans[degree]
-            runs += [(j, at[k]) for j, (_, k) in enumerate(order) if at[k]]
-        return [x for x, _ in order], items, runs
+        nu_of = [k for _, k in order]
+        return ([x for x, _ in order], items, blocks,
+                (map(rounds[d].__getitem__, nu_of) for d in sorted(rounds)))
 
     def __reduce__(self):
         return MPoly, (self.nvars, self._terms)

@@ -5,7 +5,11 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from macpoly import cli
 from macpoly.cli import main
+from macpoly.nonattacking import e_integral, j_compact, p_poly
+from macpoly.quasisym import demazure_t_atom, g_poly, qs_gamma
+from macpoly.tableaux import htilde_compact
 
 
 def run(*args):
@@ -391,3 +395,32 @@ def test_unwritable_output_is_a_usage_error_before_any_work(
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     res = run(*argv, "--output", str(tmp_path / "out"))
     assert res.exit_code == 2 and "is not writable" in res.output
+
+
+# Every kind of value `compute` prints, with the library call that makes it;
+# htilde of () is a symmetric x^0 term, and P's denominator plain x^0 terms.
+_RENDERED = [
+    ("htilde", "2,1", 3, lambda: htilde_compact((2, 1), 3)),
+    ("htilde", "", 0, lambda: htilde_compact((), 0)),
+    ("J", "2,1", 3, lambda: j_compact((2, 1), 3)),
+    ("P", "2,1", 3, lambda: p_poly((2, 1), 3)),
+    ("G", "1,2", 3, lambda: g_poly((1, 2), 3)),
+    ("QS", "1,2", 3, lambda: qs_gamma((1, 2), 3)),
+    ("E-integral", "1,0,2", 3, lambda: e_integral((1, 0, 2), 3)),
+    ("atom", "0,1,2", 3, lambda: demazure_t_atom((0, 1, 2), 3)),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+@pytest.mark.parametrize("selector, shape, n, value", _RENDERED,
+                         ids=[f"{s}-{sh}-{n}" for s, sh, n, _ in _RENDERED])
+def test_render_poly_returns_the_whole_stdout_as_one_str(selector, shape, n,
+                                                          value, fmt):
+    """`_render_poly` hands back one `str`, the exact stdout of `compute`:
+    a writer that returned chunks instead would fail here."""
+    written = cli._render_poly(value(), fmt)
+    assert type(written) is str
+    res = run("compute", selector, "--shape", shape, "--nvars", str(n),
+              "--format", fmt)
+    assert res.exit_code == 0, res.output
+    assert res.output == written

@@ -4,13 +4,15 @@ that ``compute htilde|J|P`` writes without expanding."""
 
 import json
 import pickle
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macpoly import cli
 from macpoly.cli import main
 from macpoly.mpoly import (MPoly, RationalForm, SymmetricMPoly,
                            expand_symmetric, specialize)
@@ -94,6 +96,54 @@ def test_any_coefficient_map_writes_as_its_expansion(case):
         assert getattr(r, w)() == getattr(plain, w)()
     assert r == plain and hash(r) == hash(plain) and len(r) == len(plain)
     assert type(pickle.loads(pickle.dumps(r))) is MPoly
+
+
+def _denominators(nvars):
+    qt = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+    return qt.map(lambda terms: MPoly(nvars, {(0,) * nvars + k: c
+                                              for k, c in terms.items()}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), _coefficients(n), _denominators(n))))
+@example((2, {(): MPoly(0, {(0, 0): 3, (1, 0): -1}), (1,): MPoly(0, {(0, 2): 1})},
+          MPoly(2, {(0, 0, 0, 1): -1, (0, 0, 1, 0): 2})))
+def test_any_coefficient_map_over_a_denominator_writes_as_its_expansion(case):
+    """A RationalForm, the way P is written, over a symmetric numerator
+    writes what it writes over the same numerator expanded to x-monomials,
+    the bare x^0 terms of nu = () included."""
+    n, coeffs, den = case
+    expected: dict = {}
+    for nu, coeff in coeffs.items():
+        padded = nu + (0,) * (n - len(nu))
+        for xexps in set(permutations(padded)):
+            for key, c in coeff.terms().items():
+                expected[xexps + key] = c
+    form = RationalForm(expand_symmetric(n, coeffs), den)
+    plain = RationalForm(MPoly(n, expected), den)
+    for w in WRITERS:
+        assert getattr(form, w)() == getattr(plain, w)()
+    assert form.to_json() == json.dumps(plain.to_json_dict())
+
+
+@pytest.mark.parametrize("value", [lambda: htilde_compact((1,) * 6, 7),
+                                   lambda: j_compact((3, 3), 5)],
+                         ids=["htilde-1^6-n7", "J-3,3-n5"])
+def test_writing_a_symmetric_result_allocates_little_beyond_its_output(value):
+    """The tracemalloc peak of writing a large symmetric result stays within
+    2.5 times the length of what it writes: the round strings and the
+    joined whole, without a list of per-term strings next to them."""
+    value = value()
+    cli._render_poly(value, "json")  # fill what is filled on first use
+    tracemalloc.start()
+    try:
+        out = cli._render_poly(value, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(out), (peak, len(out), peak / len(out))
 
 
 def test_expand_symmetric_takes_partitions_only():
