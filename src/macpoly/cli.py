@@ -311,10 +311,10 @@ def _check_family(args):
         fam = family(s)
         counts: dict[tuple[int, int], int] = {}  # (maj, inv) -> members
         for g in fam:
-            if g in seen:
+            if g.cols in seen:
                 return (f"family partition {lam} n={n}", False,
                         f"duplicate member {g.rows()}")
-            seen.add(g)
+            seen.add(g.cols)
             key = (maj(g), inv(g))
             counts[key] = counts.get(key, 0) + 1
         weight = perm_t(s, n).terms()

@@ -30,8 +30,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, count, islice, product
 from math import inf
+from operator import itemgetter
 
 from .mpoly import (MPoly, accumulate, expand_symmetric, read_out,
                     t_multinomial_product, weight_poly)
@@ -68,7 +69,7 @@ class Filling:
 
     @property
     def shape(self) -> Partition:
-        return tuple(len(c) for c in self.cols)
+        return tuple(map(len, self.cols))
 
     def entry(self, i: int, r: int) -> int:
         return self.cols[i - 1][r - 1]
@@ -312,16 +313,23 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
     must have equal height and not be identical).  Returns the new filling
     and r.  The swap climbs from row r for as long as it changes whether
     the pair one row up is inverted, judged in the cyclic order read upward
-    from the entry below its left cell before and after the swap.  The
-    swap keeps the shape and the entries of the valid input, so the result
-    is built without re-checking them.
+    from the entry below its left cell before and after the swap, on the
+    column tuples, by :func:`_flip_cols`, which the family walk and
+    :func:`sort_filling` call directly.  The swap keeps the shape and the
+    entries of the valid input, so the result is built without the checks.
     """
     if not (1 <= i < len(f.cols)):
         raise ValueError(f"column {i} out of range")
-    a, b = list(f.cols[i - 1]), list(f.cols[i])
-    h = len(a)
-    if h != len(b):
+    if len(f.cols[i - 1]) != len(f.cols[i]):
         raise ValueError(f"columns {i}, {i + 1} differ in height")
+    cols, r = _flip_cols(f.cols, i)
+    return Filling._trusted(cols), r
+
+
+def _flip_cols(cols, i: int) -> tuple[tuple, int]:
+    """:func:`flip` on column tuples, columns i, i+1 of equal height."""
+    a, b = list(cols[i - 1]), list(cols[i])
+    h = len(a)
     r = next((r for r in range(1, h + 1) if a[r - 1] != b[r - 1]), None)
     if r is None:
         raise ValueError(f"columns {i}, {i + 1} are identical")
@@ -331,9 +339,7 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
                          != inverted(a[k + 1], b[k + 1], a[k])):
         k += 1
         a[k], b[k] = b[k], a[k]
-    cols = list(f.cols)
-    cols[i - 1], cols[i] = tuple(a), tuple(b)
-    return Filling._trusted(tuple(cols)), r
+    return cols[:i - 1] + (tuple(a), tuple(b)) + cols[i + 1:], r
 
 
 def pds(v) -> tuple[int, ...]:
@@ -397,7 +403,9 @@ def _component_family(cols) -> tuple[tuple, tuple]:
     """The family of one rectangular component and its operator tree,
     memoised by the component's column tuple, the last 1,024 kept.
 
-    Rows are handled top down.  Returns the members' column tuples and the
+    Rows are handled top down, on column tuples through :func:`_flip_cols`;
+    a row whose blocks are each constant has one arrangement, the empty
+    word, and is skipped.  Returns the members' column tuples and the
     tree's edges (parent cols, child cols, column, row), one per member
     reached by a flip: the first flip reaching it, in the order reached.
     """
@@ -405,22 +413,24 @@ def _component_family(cols) -> tuple[tuple, tuple]:
     edges: dict = {}  # child cols -> (parent cols, column, row)
     for r in range(len(cols[0]), 0, -1):
         root_row = tuple(col[r - 1] for col in cols)
+        blocks = [root_row[lo - 1:hi] for lo, hi in _row_blocks(cols, r)]
+        if all(len(set(block)) == 1 for block in blocks):
+            continue
         # a word per block-respecting rearrangement, in the rows' lex order
         words = [pds(_shortest_rearranger(root_row, sum(combo, ())))
-                 for combo in product(*(rearrangements(root_row[lo - 1:hi])
-                                        for lo, hi in _row_blocks(cols, r)))]
+                 for combo in product(*map(rearrangements, blocks))]
         new_members = []
         for g in members:
             for w in words:
-                cur = Filling._trusted(g)
+                cur = g
                 for letter in reversed(w):  # rightmost letter acts first
-                    nxt, rr = flip(cur, letter)
+                    nxt, rr = _flip_cols(cur, letter)
                     if rr != r:
                         raise AssertionError(
                             f"operator acted at row {rr}, expected {r}")
-                    edges.setdefault(nxt.cols, (cur.cols, letter, rr))
+                    edges.setdefault(nxt, (cur, letter, rr))
                     cur = nxt
-                new_members.append(cur.cols)
+                new_members.append(cur)
         members = new_members
     return tuple(members), tuple((p, c, i, r) for c, (p, i, r) in edges.items())
 
@@ -429,17 +439,26 @@ def family(f: Filling) -> list[Filling]:
     """All fillings generated from a sorted tableau by the flip operators,
     in canonical (row-major) order.
 
-    Every call glues the memoised members of the rectangular components
-    into a fresh list.
+    Every call glues the column tuples of the memoised members of the
+    rectangular components (:func:`_component_family`) into a fresh list.
+    A family of more than one member is sorted by its entries in row-major
+    order, read through an index worked out once from the root's shape,
+    and checked for duplicates on the column tuples.
     """
     _require_sorted(f)
     parts = [_component_family(f.cols[lo - 1:hi])[0]
              for lo, hi in components(f.shape)]
-    out = [Filling._trusted(sum(combo, ())) for combo in product(*parts)]
-    out.sort(key=lambda g: g.rows())
-    if len(set(out)) != len(out):
-        raise AssertionError("family produced a duplicate member")
-    return out
+    members = [sum(combo, ()) for combo in product(*parts)]
+    if len(members) > 1:
+        # the row-major order of rows(), read off a filling whose entries
+        # are their own positions in the flat column-major entries
+        at = count()
+        index = Filling._trusted(tuple(tuple(islice(at, h)) for h in f.shape))
+        entries = itemgetter(*chain.from_iterable(index.rows()))
+        members.sort(key=lambda cols: entries((*chain.from_iterable(cols),)))
+        if len(set(members)) != len(members):
+            raise AssertionError("family produced a duplicate member")
+    return [Filling._trusted(cols) for cols in members]
 
 
 def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
@@ -467,33 +486,38 @@ def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
 def sort_filling(f: Filling) -> Filling:
     """The unique sorted tableau whose family contains f.
 
-    Works one rectangular component at a time, putting each row into sorted
-    order from the bottom up by undoing canonical operator words.  The
-    component slices of the valid input are built without re-checking them,
-    and so are the flips' results and the tableau reached, checked sorted.
+    Sorts one rectangular component at a time through the memo
+    :func:`_sort_component`; the tableau reached is built without the
+    checks, and checked sorted on every call.
     """
-    sorted_cols = []
-    for lo, hi in components(f.shape):
-        comp = Filling._trusted(f.cols[lo - 1:hi])
-        for r in range(1, len(comp.cols[0]) + 1):
-            target = []
-            for blo, bhi in _row_blocks(comp.cols, r):
-                z = ((inf,) + comp.cols[blo - 1])[r - 1]  # below the block
-                seg = [col[r - 1] for col in comp.cols[blo - 1:bhi]]
-                target.extend(sorted(seg, key=lambda e: cyclic_key(e, z)))
-            current = tuple(col[r - 1] for col in comp.cols)
-            target = tuple(target)
-            if current != target:
-                wtil = _shortest_rearranger(target, current)
-                for letter in pds(wtil):
-                    comp, rr = flip(comp, letter)
-                    if rr != r:
-                        raise AssertionError(
-                            f"undo step acted at row {rr}, expected {r}")
-            now = tuple(col[r - 1] for col in comp.cols)
-            if now != target:
-                raise AssertionError("row did not reach sorted order")
-        sorted_cols.extend(comp.cols)
-    out = Filling._trusted(tuple(sorted_cols))
+    out = Filling._trusted(sum((_sort_component(f.cols[lo - 1:hi])
+                                for lo, hi in components(f.shape)), ()))
     _require_sorted(out)
     return out
+
+
+@lru_cache(maxsize=1024)
+def _sort_component(cols) -> tuple:
+    """The sorted column tuple of one rectangular component's family,
+    memoised by the component's column tuple, the last 1,024 kept.
+
+    Puts each row into sorted order from the bottom up by undoing
+    canonical operator words, on column tuples through :func:`_flip_cols`.
+    """
+    for r in range(1, len(cols[0]) + 1):
+        target = []
+        for blo, bhi in _row_blocks(cols, r):
+            z = ((inf,) + cols[blo - 1])[r - 1]  # below the block
+            seg = [col[r - 1] for col in cols[blo - 1:bhi]]
+            target.extend(sorted(seg, key=lambda e: cyclic_key(e, z)))
+        current = tuple(col[r - 1] for col in cols)
+        target = tuple(target)
+        if current != target:
+            for letter in pds(_shortest_rearranger(target, current)):
+                cols, rr = _flip_cols(cols, letter)
+                if rr != r:
+                    raise AssertionError(
+                        f"undo step acted at row {rr}, expected {r}")
+        if tuple(col[r - 1] for col in cols) != target:
+            raise AssertionError("row did not reach sorted order")
+    return cols

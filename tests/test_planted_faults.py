@@ -2,7 +2,9 @@
 one of the library calls it relies on is broken.
 
 Every fault is planted by replacing one name on ``macpoly.cli``, the names
-the suites call, so the checks themselves run unchanged.
+the suites call, so the checks themselves run unchanged; the one exception
+is the flip inside the family walk, ``tableaux._flip_cols``, which no suite
+calls by name.
 """
 
 from click.testing import CliRunner
@@ -131,3 +133,31 @@ def test_perm_t_not_free_of_q_fails_the_family_size(monkeypatch):
     assert failures(lines) == [
         "FAIL family size (1, 1) n=2 (root ((1, 2),))",
         "FAIL family size (1, 1) n=3 (root ((1, 2),))"]
+
+
+def test_a_flip_that_does_not_climb_fails_the_family_weights(monkeypatch):
+    # The family walk calls tableaux._flip_cols, not a name on cli.  The
+    # component memos are cleared around the patch, so a memo filled
+    # earlier cannot hide the fault, and the mutant's entries do not
+    # outlive this test.
+    def pivot_only(cols, i):
+        a, b = list(cols[i - 1]), list(cols[i])
+        k = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+        a[k], b[k] = b[k], a[k]
+        return cols[:i - 1] + (tuple(a), tuple(b)) + cols[i + 1:], k + 1
+
+    def clear_memos():
+        tableaux._component_family.cache_clear()
+        tableaux._sort_component.cache_clear()
+
+    clear_memos()
+    monkeypatch.setattr(tableaux, "_flip_cols", pivot_only)
+    try:
+        code, lines = validate("family-partition", 4)
+    finally:
+        monkeypatch.undo()
+        clear_memos()
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        f"FAIL family weights (2, 2) n={n} (root ((1, 2), (1, 2)))"
+        for n in (2, 3)]

@@ -146,6 +146,24 @@ def test_writing_a_symmetric_result_allocates_little_beyond_its_output(value):
     assert peak <= 2.5 * len(out), (peak, len(out), peak / len(out))
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+@pytest.mark.parametrize("value", [lambda: htilde_compact((1,) * 6, 7),
+                                   lambda: j_compact((3, 3), 5)],
+                         ids=["htilde-1^6-n7", "J-3,3-n5"])
+def test_writing_a_symmetric_result_as_text_allocates_little(value, fmt):
+    """The text and latex writers, whose runs are shorter strings than
+    JSON's, stay within the same 2.5 times the length of what they write."""
+    value = value()
+    cli._render_poly(value, fmt)  # fill what is filled on first use
+    tracemalloc.start()
+    try:
+        out = cli._render_poly(value, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(out), (peak, len(out), peak / len(out))
+
+
 def test_expand_symmetric_takes_partitions_only():
     with pytest.raises(ValueError):
         expand_symmetric(3, {(1, 2): MPoly.one(0)})

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations, product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from macpoly import tableaux
 from macpoly.mpoly import MPoly, specialize, t_multinomial
 from macpoly.nonattacking import AugmentedFilling
 from macpoly.shapes import cells, is_partition, partitions_of, perm_length
@@ -440,6 +442,45 @@ def test_family_tree_of_every_small_root():
                             assert g == Filling(g.cols)
                     total += len(edges)
     assert total == 801
+
+
+def _sorted_roots_up_to_six_cells():
+    return [s for m in range(7) for lam in partitions_of(m)
+            for n in (1, 2, 3) for s in enumerate_sorted(lam, n)]
+
+
+def test_family_comes_out_in_row_order():
+    # family sorts by a row-major index of the flat column entries, which
+    # must agree with sorting by Filling.rows().
+    for s in _sorted_roots_up_to_six_cells():
+        rows = [g.rows() for g in family(s)]
+        assert rows == sorted(set(rows)), s
+
+
+def test_sort_filling_without_the_memos_is_the_memoised_answer():
+    for s in _sorted_roots_up_to_six_cells():
+        for g in family(s):
+            memoised = sort_filling(g)
+            tableaux._component_family.cache_clear()
+            tableaux._sort_component.cache_clear()
+            assert sort_filling(g) == memoised == s, g
+
+
+def _walk_digest(walk):
+    h = hashlib.sha256()
+    for s in _sorted_roots_up_to_six_cells():
+        h.update(repr((s.cols, walk(s))).encode())
+    return h.hexdigest()
+
+
+def test_family_and_family_tree_keep_their_recorded_digests():
+    # Recorded from the walks on Filling objects that preceded the walks
+    # on column tuples: the same members and edges, in the same order.
+    assert _walk_digest(lambda s: [g.cols for g in family(s)]) == \
+        "a76208714a4c0a5deaaf3cf60bf3175dfee35901c990a12c013ef5bd909e420f"
+    assert _walk_digest(lambda s: [(p.cols, c.cols, i, r)
+                                   for p, c, i, r in family_tree(s)]) == \
+        "da44ed8fdc81ea42ed0baaab59e182373c1a1f95aa48cbeb3b0e47f67b7a0907"
 
 
 def test_sort_filling_figure():
