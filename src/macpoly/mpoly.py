@@ -40,6 +40,7 @@ copied again to wrap or end it.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from operator import add, getitem, itemgetter, not_
 
@@ -404,8 +405,9 @@ class RationalForm:
 def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
     """Divide p by an x-free nonzero d, exactly.
 
-    Works per x-monomial by long division in ZZ[q, t]; a nonzero remainder
-    (or a coefficient the leading coefficient does not divide) raises
+    Works per x-monomial by long division in ZZ[q, t], taking each leading
+    term off a heap of the remainder's keys; a nonzero remainder (or a
+    coefficient the leading coefficient does not divide) raises
     :class:`ExactDivisionError` rather than returning a wrong answer.
     """
     if p.nvars != d.nvars:
@@ -425,22 +427,30 @@ def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
 
     out: dict[tuple[int, ...], int] = {}
     for xk, num in groups.items():
-        num = dict(num)
-        while num:
-            lead = max(num, key=_grlex)
+        # The keys met, grlex-largest on top; a key that cancelled after it
+        # was pushed is skipped when it comes up.
+        heap = [(-a - b, -a, (a, b)) for a, b in num]
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)[2]
+            c = num.get(lead)
+            if c is None:
+                continue
             dq, dt = lead[0] - dlead[0], lead[1] - dlead[1]
-            if dq < 0 or dt < 0 or num[lead] % dlc:
+            if dq < 0 or dt < 0 or c % dlc:
                 raise ExactDivisionError(
                     f"nonzero remainder dividing x-group {xk}")
-            qc = num[lead] // dlc
+            qc = c // dlc
             out[xk + (dq, dt)] = qc
-            for dk, dc in den.items():
-                kk = (dk[0] + dq, dk[1] + dt)
+            for (a, b), dc in den.items():
+                kk = (a + dq, b + dt)
                 nc = num.get(kk, 0) - qc * dc
-                if nc:
-                    num[kk] = nc
-                else:
+                if not nc:
                     num.pop(kk, None)
+                    continue
+                if kk not in num:
+                    heappush(heap, (-kk[0] - kk[1], -kk[0], kk))
+                num[kk] = nc
     return read_out(n, out)
 
 
@@ -506,32 +516,36 @@ def specialize(p: MPoly, bindings: dict) -> MPoly:
     untouched.
     """
     n = p.nvars
-    resolved = {}
+    value: dict[int, int] = {}  # index -> the int bound to it
+    dest = list(range(n + 2))  # index -> the index its exponent moves to
     for name, val in bindings.items():
         idx = _var_index(n, name)
         if isinstance(val, str):
-            resolved[idx] = ("var", _var_index(n, val))
+            dest[idx] = _var_index(n, val)
+            value.pop(idx, None)
         else:
-            resolved[idx] = ("int", int(val))
+            value[idx] = int(val)
+    zeros = [idx for idx, v in value.items() if not v]
+    # the terms that no 0 binding kills, before any key is built
+    alive = {k: c for k, c in p.terms().items()
+             if not any(map(k.__getitem__, zeros))}
+    if not any(value.values()) and dest == list(range(n + 2)):
+        return read_out(n, alive)  # only 0s bound: the other keys stand
+    scales = [(idx, v) for idx, v in value.items() if v]
+    moves = [(idx, d) for idx, d in enumerate(dest) if idx not in value]
     terms: dict[tuple[int, ...], int] = {}
-    for key, coeff in p.terms().items():
+    for key, c in alive.items():
         k = [0] * (n + 2)
-        c = coeff
-        for idx, e in enumerate(key):
-            if not e:
-                continue
-            kind, val = resolved.get(idx, ("var", idx))
-            if kind == "int":
-                c *= val ** e
-            else:
-                k[val] += e
+        for idx, v in scales:
+            c *= v ** key[idx]
+        for idx, d in moves:
+            k[d] += key[idx]
+        kk = tuple(k)
+        c += terms.get(kk, 0)
         if c:
-            kk = tuple(k)
-            nc = terms.get(kk, 0) + c
-            if nc:
-                terms[kk] = nc
-            else:
-                del terms[kk]
+            terms[kk] = c
+        else:
+            del terms[kk]
     return read_out(n, terms)
 
 

@@ -19,7 +19,9 @@ The compact sums (:func:`j_compact`, :func:`e_integral_sum`,
 :func:`e_general_q0` and :func:`macpoly.quasisym.qs_gamma`) read the raw
 tuples of the one walk, :func:`macpoly.shapes._walk`, which carries maj,
 coinv and the cells repeating the entry below down its search, and
-:func:`enumerate_na` wraps the same tuples in fillings.  The public
+:func:`enumerate_na` wraps the same tuples in fillings.  The walk's plan
+and the integral forms' cell weights are tables per shape, built once and
+shared by every basement and content of that shape.  The public
 :func:`coinv`, :func:`coinversion_triples` and :func:`maj_na` recompute
 the statistics per object through ``inverted``, and :func:`j_hhl` sums
 with them, as the oracle.
@@ -226,28 +228,37 @@ def pr2(alpha, nvars: int = 0) -> MPoly:
                            for c in cells(shape) if c[1] >= 2], nvars)
 
 
+@lru_cache(maxsize=1024)
+def _weight_table(shape) -> tuple:
+    """The per-shape tables of :func:`_integral_terms`: (k, (leg + 1,
+    arm + 1)) for each cell k above row 1 in the walk's order, the (t;t)
+    factors of the column heights, and the eq mask -> weight dict that the
+    sums fill as they meet masks and share from then on."""
+    upper = [(k, (leg(shape, c) + 1, arm(shape, c) + 1))
+             for k, c in enumerate(cells(shape)) if c[1] >= 2]
+    return upper, _poch_factors(shape), {}
+
+
 def _integral_terms(terms: dict, walk, shape, basement,
                     n: int | None) -> None:
     """Add x^f q^maj t^coinv per raw filling of a walk, times, per cell above
     row 1, 1 - q^(leg+1) t^(arm+1) where it repeats the entry below and
     1 - t where it does not, times the (t;t) factors of the column heights;
     with n None, the fillings share one content and only the x-free part is
-    added.  With a basement, row 1 must copy it, which makes the filling
-    ordered (the basement of an integral form decreases along each run of
-    equal heights); a filling that does not raises."""
-    order = cells(shape)
-    upper = [(k, (leg(shape, c) + 1, arm(shape, c) + 1))
-             for k, c in enumerate(order) if c[1] >= 2]
-    poch = _poch_factors(shape)
-    weights: dict[int, tuple] = {}  # eq mask -> product of all the factors
-    size = len(order)
+    added.  The weight of each eq mask is built once per shape, in
+    :func:`_weight_table`, whatever the basement.  With a basement, row 1
+    must copy it, which makes the filling ordered (the basement of an
+    integral form decreases along each run of equal heights); a filling
+    that does not raises."""
+    upper, poch, weights = _weight_table(shape)
+    size = sum(shape)
     # row 1 leads the cells order: the basement under its nonempty columns
     bottom = None if basement is None else [
         b for h, b in zip(shape, basement) if h]
     for entries, m, c, eq in walk:
         if bottom is not None and entries[:len(bottom)] != bottom:
-            f = AugmentedFilling(shape, _columns(order, len(shape), entries),
-                                 basement)
+            f = AugmentedFilling(shape, _columns(cells(shape), len(shape),
+                                                 entries), basement)
             raise AssertionError(
                 f"filling {f.rows()} is not ordered on the basement {basement}")
         w = weights.get(eq)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .mpoly import (ONE, MPoly, RationalForm, accumulate, divided_difference,
-                    read_out, weight_poly)
+from .mpoly import (ONE, MPoly, RationalForm, VariableMismatchError,
+                    accumulate, read_out, weight_poly)
 from .nonattacking import e_general_q0, e_integral_sum, pr2
 from .shapes import _walk, check_composition, identity_perm
 from .tableaux import x_content
@@ -123,11 +123,36 @@ def qsym_expand(p: MPoly) -> QSymExpansion:
 
 def hecke_T(p: MPoly, i: int) -> MPoly:
     """Hecke operator: t p - (t x_i - x_{i+1}) d_i p, with d_i the divided
-    difference; polynomial for every polynomial input."""
+    difference; polynomial for every polynomial input.
+
+    Computed in one pass over the terms: a monomial c x_i^a x_{i+1}^b (the
+    other variables carried along) gives c t x_i^a x_{i+1}^b and, for each
+    term s x_i^j x_{i+1}^(a+b-1-j) of its divided difference (j from b to
+    a - 1 with s = c when a > b, from a to b - 1 with s = -c when a < b),
+    -s t x_i^(j+1) x_{i+1}^(a+b-1-j) and s x_i^j x_{i+1}^(a+b-j).
+    """
     n = p.nvars
-    tt = MPoly.t(n)
-    factor = tt * MPoly.x(n, i) - MPoly.x(n, i + 1)
-    return tt * p - factor * divided_difference(p, i)
+    for j in (i, i + 1):
+        if not 1 <= j <= n:
+            raise VariableMismatchError(f"x_{j} out of range for nvars={n}")
+    terms: dict[tuple[int, ...], int] = {}
+
+    def put(key, c):
+        c += terms.get(key, 0)
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+
+    for key, c in p.terms().items():
+        head, mid, e_t = key[:i - 1], key[i + 1:n + 1], key[n + 1]
+        a, b = key[i - 1], key[i]
+        put(head + (a, b) + mid + (e_t + 1,), c)
+        lo, hi, s = (b, a, c) if a > b else (a, b, -c)
+        for j in range(lo, hi):
+            put(head + (j + 1, a + b - 1 - j) + mid + (e_t + 1,), -s)
+            put(head + (j, a + b - j) + mid + (e_t,), s)
+    return read_out(n, terms)
 
 
 def demazure_t_atom(alpha, n: int) -> MPoly:

@@ -245,8 +245,8 @@ def attacks(c1: Cell, c2: Cell) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool,
-               sorted_tableaux: bool) -> tuple:
+def _walk_plan(shape, has_basement: bool, ordered_only: bool,
+               no_descents: bool, sorted_tableaux: bool) -> tuple:
     """Per cell in the walk's order, row by row as in :func:`cells` or, for
     sorted tableaux, column by column, what the walk needs, each cell given
     by its index in the flat entry list (the cells, then the basement, then
@@ -266,9 +266,9 @@ def _walk_plan(shape, basement, ordered_only: bool, no_descents: bool,
     order = sorted(cells(shape)) if sorted_tableaux else cells(shape)
     at = {c: k for k, c in enumerate(order)}
     width = len(shape)
-    if basement is not None:
+    if has_basement:
         at.update(((j, 0), len(order) + j - 1) for j in range(1, width + 1))
-    inf_slot = len(order) + (width if basement is not None else 0)
+    inf_slot = len(order) + (width if has_basement else 0)
     plan = []
     for k, (i, r) in enumerate(order):
         h = shape[i - 1]
@@ -318,7 +318,9 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
     the plan's order.  Bit k of ``mask`` is set when the k-th cell repeats
     its partner, in a sorted tableau with the columns agreeing below it.
     coinv never falls along the search, so a partial filling is dropped as
-    soon as its coinv exceeds ``coinv_cap``.
+    soon as its coinv exceeds ``coinv_cap``.  The per-cell plan is cached by
+    shape, mode and whether there is a basement; the basement's entries
+    only fill their slots of ``entries``.
     """
     shape = (check_partition if sorted_tableaux else check_composition)(shape)
     if basement is not None:
@@ -330,7 +332,7 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
     if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
         raise ValueError("ordered enumeration needs a weakly increasing shape")
     left = [0] + content_budget(sum(shape), n, content)  # indexed by value
-    plan = _walk_plan(shape, basement, ordered_only, no_descents,
+    plan = _walk_plan(shape, basement is not None, ordered_only, no_descents,
                       sorted_tableaux)
     size, nvals = len(plan), len(left) - 1
     entries = [0] * size + list(basement or ()) + [inf]

@@ -129,9 +129,11 @@ def inverted(a, b, z=inf) -> bool:
     """Whether upper entry a, neighbour b and z below a form an inversion.
 
     Equal to ``ccw`` on the cells (b right of a, a, z under a), and to its
-    negation on (b one row down left of a, a, z under a).
+    negation on (b one row down left of a, a, z under a).  Compares the
+    two :func:`cyclic_key` values without building them.
     """
-    return cyclic_key(a, z) > cyclic_key(b, z)
+    a_low, b_low = a <= z, b <= z
+    return a > b if a_low == b_low else a_low
 
 
 def inv(f: Filling) -> int:

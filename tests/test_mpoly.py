@@ -283,3 +283,89 @@ def test_writers_on_the_zero_poly_and_no_variables():
                            f'"c": "{-7 ** 30}"}}, {{"x": [], "q": 2, "t": 1, '
                            '"c": "1"}]}')
     assert p.text() == f"-{7 ** 30} + q^2*t"
+
+
+def _long_division(p, d):
+    """exact_div_xfree as it was written before it kept a heap of leads:
+    each quotient term divides the grlex-largest key left, found by max."""
+    n = p.nvars
+    den = {k[n:]: c for k, c in d.terms().items()}
+    dlead = max(den, key=lambda k: (sum(k), k))
+    groups = {}
+    for k, c in p.terms().items():
+        groups.setdefault(k[:n], {})[k[n:]] = c
+    out = {}
+    for xk, num in groups.items():
+        while num:
+            lead = max(num, key=lambda k: (sum(k), k))
+            dq, dt = lead[0] - dlead[0], lead[1] - dlead[1]
+            if dq < 0 or dt < 0 or num[lead] % den[dlead]:
+                raise ExactDivisionError(
+                    f"nonzero remainder dividing x-group {xk}")
+            qc = num[lead] // den[dlead]
+            out[xk + (dq, dt)] = qc
+            for dk, dc in den.items():
+                kk = (dk[0] + dq, dk[1] + dt)
+                num[kk] = num.get(kk, 0) - qc * dc
+                if not num[kk]:
+                    del num[kk]
+    return MPoly(n, out)
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except ExactDivisionError as exc:
+        return "raised", str(exc)
+
+
+@settings(max_examples=80)
+@given(polys(max_terms=6), polys(xfree=True), st.integers(0, 2),
+       st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+def test_exact_div_matches_the_long_division(p, d, e1, e2, e_q, c):
+    if d.is_zero():
+        return
+    assert exact_div_xfree(p * d, d) == _long_division(p * d, d) == p
+    # One monomial off a multiple: divisible only by a one-term divisor,
+    # and otherwise the error names that monomial's x-group.
+    off = p * d + mono((e1, e2), e_q, 3, c)
+    got = _outcome(exact_div_xfree, off, d)
+    assert got == _outcome(_long_division, off, d)
+    if len(d) > 1 and c:
+        assert got == ("raised", f"nonzero remainder dividing x-group "
+                                 f"{(e1, e2)}")
+
+
+def _specialize_reference(p, bindings):
+    """specialize by generic MPoly arithmetic, one term at a time."""
+    n = p.nvars
+    names = [f"x{i}" for i in range(1, n + 1)] + ["q", "t"]
+    var = dict(zip(names, [MPoly.x(n, i) for i in range(1, n + 1)]
+                   + [MPoly.q(n), MPoly.t(n)]))
+    out = MPoly.zero(n)
+    for key, c in p.terms().items():
+        term = MPoly.const(n, c)
+        for name, e in zip(names, key):
+            val = bindings.get(name, name)
+            term = term * (var[val] if isinstance(val, str)
+                           else MPoly.const(n, val)) ** e
+        out = out + term
+    return out
+
+
+@settings(max_examples=60)
+@given(polys(nvars=3, max_terms=6))
+def test_specialize_matches_the_term_by_term_reference(p):
+    for bindings in ({"q": 0}, {"q": 0, "t": 0}, {"x2": 0}, {"t": 2},
+                     {"x1": -1, "q": 1}, {"q": "t", "t": "q"},
+                     {"x1": "x3", "x3": "x1", "q": 0}, {"x1": "x2"},
+                     {"q": "t"}, {"t": 0, "q": "t"}, {"x3": 3, "t": "x3"}):
+        assert specialize(p, bindings) == _specialize_reference(p, bindings), \
+            bindings
+
+
+def test_specialize_keeps_the_last_binding_of_a_variable():
+    # "x1" and "x01" name one variable; the later binding wins, either way.
+    x1, x2 = MPoly.x(2, 1), MPoly.x(2, 2)
+    assert specialize(x1 * x2, {"x1": 2, "x01": "x2"}) == x2 ** 2
+    assert specialize(x1 * x2, {"x01": "x2", "x1": 2}) == 2 * x2

@@ -1,17 +1,20 @@
-"""Planted faults: each validate suite over the family walk must fail when
-one of the library calls it relies on is broken.
+"""Planted faults: each validate suite over the family walk, and the
+integral-form suites, must fail when one of the library calls it relies on
+is broken.
 
 Every fault is planted by replacing one name on ``macpoly.cli``, the names
-the suites call, so the checks themselves run unchanged; the one exception
-is the flip inside the family walk, ``tableaux._flip_cols``, which no suite
-calls by name.
+the suites call, so the checks themselves run unchanged; the exceptions are
+the flip inside the family walk, ``tableaux._flip_cols``, and the basement
+of the integral forms, ``nonattacking.beta_perm``, which no suite calls by
+name.
 """
 
 from click.testing import CliRunner
 
 import macpoly.cli as cli
-from macpoly import tableaux
+from macpoly import nonattacking, tableaux
 from macpoly.mpoly import MPoly
+from macpoly.shapes import identity_perm
 from macpoly.tableaux import Filling
 
 
@@ -161,3 +164,20 @@ def test_a_flip_that_does_not_climb_fails_the_family_weights(monkeypatch):
     assert failures(lines) == [
         f"FAIL family weights (2, 2) n={n} (root ((1, 2), (1, 2)))"
         for n in (2, 3)]
+
+
+def test_an_identity_basement_fails_the_hecke_and_tatom_suites(monkeypatch):
+    # Every basement of a diagram shares one walk plan and one weight table,
+    # so the basement's entries are all that tells the integral forms of
+    # one sorted shape apart; with the identity in place of the maximal
+    # sorting permutation, both suites must see it.
+    monkeypatch.setattr(nonattacking, "beta_perm",
+                        lambda alpha: identity_perm(len(alpha)))
+    for suite in ("hecke", "tatom"):
+        code, lines = validate(suite, 3)
+        assert code == cli.IDENTITY_EXIT, suite
+        assert failures(lines), suite
+    monkeypatch.undo()
+    for suite in ("hecke", "tatom"):
+        code, lines = validate(suite, 3)
+        assert code == 0 and not failures(lines), suite

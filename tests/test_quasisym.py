@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macpoly.mpoly import MPoly, specialize, t_pochhammer
+from macpoly import shapes
+from macpoly.mpoly import (MPoly, VariableMismatchError, divided_difference,
+                           specialize, t_pochhammer)
 from macpoly.nonattacking import e_integral, j_compact, pr2, schur_oracle
 from macpoly.quasisym import (NotQuasisymmetricError, demazure_t_atom,
                               g_integral, g_poly, hecke_T, placements,
@@ -115,6 +117,36 @@ def test_hecke_quadratic_relation(p):
     t = MPoly.t(n)
     tp = hecke_T(p, 1)
     assert hecke_T(tp, 1) - (t - MPoly.one(n)) * tp - t * p == MPoly.zero(n)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n - 1),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * n, st.integers(0, 1),
+                              st.integers(0, 2)),
+                    st.integers(-3, 3), max_size=6))))
+def test_hecke_matches_the_divided_difference_formula(case):
+    n, i, terms = case
+    p, t = MPoly(n, terms), MPoly.t(n)
+    factor = t * MPoly.x(n, i) - MPoly.x(n, i + 1)
+    assert hecke_T(p, i) == t * p - factor * divided_difference(p, i)
+
+
+@pytest.mark.parametrize("n, i", [(2, 0), (2, 2), (2, 3), (3, -1), (3, 3),
+                                  (1, 1)])
+def test_hecke_out_of_range_names_the_missing_variable(n, i):
+    with pytest.raises(VariableMismatchError) as expected:
+        MPoly.t(n) * MPoly.x(n, i) - MPoly.x(n, i + 1)
+    with pytest.raises(VariableMismatchError) as got:
+        hecke_T(MPoly.x(n, 1), i)
+    assert str(got.value) == str(expected.value)
+
+
+def test_every_placement_shares_one_walk_plan():
+    shapes._walk_plan.cache_clear()
+    g_integral((1, 2, 2), 5)
+    info = shapes._walk_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
 
 
 def test_hecke_recurrence():

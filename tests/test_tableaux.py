@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import permutations, product
+from math import inf
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,7 @@ from macpoly.shapes import cells, is_partition, partitions_of, perm_length
 from macpoly.tableaux import (EQUAL, GREATER, LESS, Filling,
                               block_decomposition, compare_columns,
                               enumerate_fillings, enumerate_sorted, family,
-                              ccw, family_tree, flip, htilde_brute,
+                              ccw, cyclic_key, family_tree, flip, htilde_brute,
                               htilde_compact, inv, inverted, is_packed,
                               is_sorted, maj, pds, perm_t, sort_filling,
                               x_weight, _shortest_rearranger)
@@ -168,6 +169,12 @@ def test_inverted_is_the_geometric_orientation():
             assert inverted(a, b, z) == right == (not below_left), (a, b, z, r)
     for a, b in product(vals, repeat=2):
         assert inverted(a, b) == (a > b)
+
+
+def test_inverted_compares_the_cyclic_keys():
+    for a, b, z in product(range(1, 6), range(1, 6), [*range(1, 6), inf]):
+        assert inverted(a, b, z) == (cyclic_key(a, z) > cyclic_key(b, z)), \
+            (a, b, z)
 
 
 def test_compare_columns_basics():
