@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import chain, islice
 from math import prod
 
@@ -303,9 +304,8 @@ def _check_j(args):
 
 def _check_family(args):
     """Compares each family's (maj, inv) tally, and its size, with the terms
-    of perm_t(s, n) shifted by (maj(s), inv(s)), as integer dicts."""
+    of the x-free perm_t(s) shifted by (maj(s), inv(s))."""
     lam, n = args
-    x_free = (0,) * n
     seen = set()
     for s in enumerate_sorted(lam, n):
         fam = family(s)
@@ -317,17 +317,15 @@ def _check_family(args):
             seen.add(g.cols)
             key = (maj(g), inv(g))
             counts[key] = counts.get(key, 0) + 1
-        weight = perm_t(s, n).terms()
+        weight = perm_t(s).terms()
         m, i = maj(s), inv(s)
-        if ({x_free + key: c for key, c in counts.items()}
-                != {k[:n] + (k[n] + m, k[n + 1] + i): c
-                    for k, c in weight.items()}):
+        if counts != {(a + m, b + i): c for (a, b), c in weight.items()}:
             return (f"family weights {lam} n={n}", False,
                     f"root {s.rows()}")
-        at_t1: dict[tuple[int, ...], int] = {}  # (x, q) -> coefficient at t = 1
-        for k, c in weight.items():
-            at_t1[k[:-1]] = at_t1.get(k[:-1], 0) + c
-        if {k: c for k, c in at_t1.items() if c} != {x_free + (0,): len(fam)}:
+        at_t1: dict[int, int] = {}  # q exponent -> coefficient at t = 1
+        for (a, _), c in weight.items():
+            at_t1[a] = at_t1.get(a, 0) + c
+        if {a: c for a, c in at_t1.items() if c} != {0: len(fam)}:
             return (f"family size {lam} n={n}", False, f"root {s.rows()}")
     total = n ** sum(lam)
     ok = len(seen) == total
@@ -378,8 +376,17 @@ def _check_hecke(args):
         return (f"hecke {alpha}", True, "no descent; skipped")
     swapped = list(alpha)
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    ok = hecke_T(e_integral(alpha, n), i) == e_integral(tuple(swapped), n)
+    ok = (hecke_T(_suite_e_integral(alpha, n), i)
+          == _suite_e_integral(tuple(swapped), n))
     return (f"hecke T_{i} {alpha}", ok, "")
+
+
+@lru_cache(maxsize=1024)
+def _suite_e_integral(alpha, n):
+    """e_integral, memoised for one suite run, as a composition's swap is
+    itself an item of the hecke suite; cmd_validate empties the memo
+    before and after every suite."""
+    return e_integral(alpha, n)
 
 
 def _check_tatom(args):
@@ -476,6 +483,7 @@ def cmd_validate(suite, max_size, jobs, output):
     for name in names:
         check, items = SUITES[name]
         work = items(max_size)
+        _suite_e_integral.cache_clear()
         if jobs > 1:
             # Imported here: it pulls in multiprocessing, which costs every
             # other command its import time.
@@ -484,6 +492,7 @@ def cmd_validate(suite, max_size, jobs, output):
                 results = list(pool.map(check, work))
         else:
             results = [check(w) for w in work]
+        _suite_e_integral.cache_clear()
         for label, ok, detail in results:
             lines.append(f"{'PASS' if ok else 'FAIL'} {label}"
                          + (f" ({detail})" if detail else ""))

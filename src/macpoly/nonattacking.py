@@ -23,8 +23,8 @@ coinv and the cells repeating the entry below down its search, and
 and the integral forms' cell weights are tables per shape, built once and
 shared by every basement and content of that shape.  The public
 :func:`coinv`, :func:`coinversion_triples` and :func:`maj_na` recompute
-the statistics per object through ``inverted``, and :func:`j_hhl` sums
-with them, as the oracle.
+the statistics per object through ``inverted``.  The oracle :func:`j_hhl`
+walks no search: it sums over tuples of columns, as ``htilde_brute`` does.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import inf
+from operator import ne
 
 from .mpoly import (MPoly, RationalForm, accumulate, cell_product,
                     expand_symmetric, read_out, weight_poly)
@@ -40,7 +41,7 @@ from .shapes import (Cell, Composition, Partition, Permutation, _walk, arm,
                      attacks, beta_perm, cells, check_composition,
                      check_partition, check_permutation, inc_sort, leg,
                      multiplicities, partitions_of)
-from .tableaux import _maj, inverted, x_content
+from .tableaux import _column_tally, _maj, _read_terms, inverted, x_content
 
 
 @dataclass(frozen=True)
@@ -348,18 +349,62 @@ def j_compact(mu, n: int) -> MPoly:
 
 def j_hhl(mu, n: int) -> MPoly:
     """Integral-form Macdonald polynomial as a sum over all nonattacking
-    fillings of the partition diagram itself; the brute-force route, which
-    recomputes maj and coinv per filling."""
+    fillings of the partition diagram itself, the brute-force route, taken
+    as tuples of columns by :func:`macpoly.tableaux._column_tally`: each
+    column's content, maj and repeat mask once per height, and whether two
+    columns may stand side by side and their coinversions once per pair of
+    heights (a column to the left is never shorter, so every triple lies
+    in one row).  The cell factors, 1 - t for each row-1 cell, are
+    multiplied out once per tuple of masks."""
     mu = check_partition(mu)
-    upper = [(i, r, (leg(mu, (i, r)) + 1, arm(mu, (i, r)) + 1))
-             for i, r in cells(mu) if r >= 2]
-    terms: dict[tuple[int, ...], int] = {}
-    for f in enumerate_na(mu, None, n):
-        factors = tuple(sorted(ab if f.entry(i, r) == f.entry(i, r - 1)
-                               else (0, 1) for i, r, ab in upper))
-        accumulate(terms, x_content(f.cols, n), cell_product(factors),
-                   maj_na(f), coinv(f))
-    return read_out(n, terms) * (MPoly.one(n) - MPoly.t(n)) ** len(mu)
+    upper = [(leg(mu, c) + 1, arm(mu, c) + 1) for c in sorted(cells(mu))
+             if c[1] >= 2]
+    # a filling's code: its masks over its content, a digit per value, then
+    # the exponents of q and of t, with room for a cell product's shift;
+    # mask bit k stands for the k-th cell of upper
+    radices = (sum(i * h for i, h in enumerate(mu)) + sum(b for _, b in upper)
+               + len(mu) + 1, 2 * sum(a for a, _ in upper) + 1, sum(mu) + 1)
+    unit = radices[0] * radices[1] * radices[2] ** n
+    bits = [sum(mu[:u]) - u for u in range(len(mu))]  # first bit per column
+    bound = unit << len(upper)
+
+    def code(u, c):
+        return ((_repeats(c) << bits[u]) * unit + (sum(
+            radices[2] ** (e - 1) for e in c) * radices[1] + _maj((c,)))
+            * radices[0])
+
+    def pair(cu, cv):  # each row of cv holds one triple, inverted or not
+        return (len(cv) - sum(map(inverted, cu, cv, (inf,) + cu))
+                if _side_by_side(cu, cv) else bound)
+
+    weights: dict[int, list] = {}  # masks -> cell product, as code shifts
+    terms: dict[int, int] = {}
+    for key, count in _column_tally(mu, n, code, pair, bound).items():
+        masks, key = divmod(key, unit)
+        w = weights.get(masks)
+        if w is None:
+            w = weights[masks] = [(a * radices[0] + b, c) for (a, b), c in
+                                  cell_product(tuple(sorted(
+                                      [ab if masks >> k & 1 else (0, 1)
+                                       for k, ab in enumerate(upper)]
+                                      + [(0, 1)] * len(mu))))]
+        for shift, c in w:
+            terms[key + shift] = terms.get(key + shift, 0) + c * count
+    return MPoly(n, _read_terms(terms, radices, n))
+
+
+def _repeats(col) -> int:
+    """Bit r - 2 set for each row r >= 2 of a column repeating the entry
+    below."""
+    return sum(1 << k for k in range(len(col) - 1) if col[k + 1] == col[k])
+
+
+def _side_by_side(left, right) -> bool:
+    """Whether two columns of a partition diagram, the left one no shorter,
+    may stand in it with the left one anywhere to the left: no two of their
+    cells attack (:func:`macpoly.shapes.attacks`) and share an entry, the
+    cells of one row, or a left cell and the right cell one row up."""
+    return all(map(ne, left, right)) and all(map(ne, left, right[1:]))
 
 
 def p_poly(mu, n: int) -> RationalForm:

@@ -22,7 +22,9 @@ the one walk, :func:`macpoly.shapes._walk`, which fills the columns left to
 right and carries maj and coinv; on a partition every triple is inverted or
 a coinversion, so inv is the count of all triples less coinv.  The public
 :func:`inv`, :func:`maj` and :func:`perm_t` recompute the statistics per
-object, and :func:`htilde_brute` sums with them, as the oracle.
+object.  The oracle :func:`htilde_brute` walks no search: it sums over
+tuples of columns, with maj and inv tabled per column and per two columns.
+The tableau checks read one table of same-height runs per shape.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, islice, product
+from itertools import chain, combinations, count, islice, product, repeat
 from math import inf
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .mpoly import (MPoly, accumulate, expand_symmetric, read_out,
                     t_multinomial_product, weight_poly)
@@ -182,17 +184,72 @@ def enumerate_fillings(shape, n: int):
 
 
 def htilde_brute(shape, n: int) -> MPoly:
-    """Modified Macdonald polynomial as the sum over all fillings."""
+    """Modified Macdonald polynomial as the sum over all n^|shape|
+    fillings, taken as tuples of columns by :func:`_column_tally`: each
+    column's content and maj once per height, and the inv of two columns
+    once per pair of heights, from :func:`inverted` with the left column's
+    entry below (+inf under row 1)."""
     shape = check_partition(shape)
-    terms: dict[tuple[int, ...], int] = {}
-    for f in enumerate_fillings(shape, n):
-        exps = [0] * n
-        for col in f.cols:
-            for e in col:
-                exps[e - 1] += 1
-        key = tuple(exps) + (maj(f), inv(f))
-        terms[key] = terms.get(key, 0) + 1
-    return MPoly(n, terms)
+    # a filling's code: its content, a digit per value, then maj, then inv
+    radices = (sum(i * h for i, h in enumerate(shape)) + 1,
+               sum(h * (h - 1) // 2 for h in shape) + 1, sum(shape) + 1)
+    tally = _column_tally(
+        shape, n, lambda u, c: (sum(radices[2] ** (e - 1) for e in c)
+                                * radices[1] + _maj((c,))) * radices[0],
+        lambda cu, cv: sum(map(inverted, cu, cv, (inf,) + cu)))
+    return MPoly(n, _read_terms(tally, radices, n))
+
+
+def _read_terms(tally, radices, n: int) -> dict:
+    """The term dict of a tally of codes (content * q_radix + e_q) * t_radix
+    + e_t, ``radices`` being (t_radix, q_radix, base): the content has a
+    digit per value, base above the cell count, so columns add no carry."""
+    t_radix, q_radix, base = radices
+    xs: dict[int, tuple] = {}  # content code -> x-exponents
+    terms = {}
+    for code, c in tally.items():
+        code, t = divmod(code, t_radix)
+        code, q = divmod(code, q_radix)
+        x = xs.get(code)
+        if x is None:
+            x = xs[code] = tuple(code // base ** k % base for k in range(n))
+        terms[(*x, q, t)] = c
+    return terms
+
+
+def _column_tally(shape, n: int, code, pair, bound=inf) -> Counter:
+    """Tally the codes of the n^|shape| fillings of a partition shape: the
+    sum of code(u, c) over its column c at each position u and of
+    pair(c, c') over each two of its columns, the left one first.  Both
+    are tabled first, per column and per two columns of each pair of
+    heights.  A filling or a prefix of it reaching ``bound`` is dropped.
+    The last column is summed in one C-level pass per prefix: its codes
+    plus the prefix's pair-table rows, tallied."""
+    cols = {h: list(product(range(1, n + 1), repeat=h)) for h in shape}
+    pairs = {hs: [[pair(cu, cv) for cv in cols[hs[1]]] for cu in cols[hs[0]]]
+             for hs in set(combinations(shape, 2))}
+    tally = Counter()
+    last = len(shape) - 1
+
+    def walk(u, s, acc):
+        # acc[w]: per column at position u + w, its code plus its pair
+        # values with the columns chosen left of u
+        if u == last:
+            out = map(add, acc[0], repeat(s))
+            tally.update(out if bound == inf else filter(bound.__gt__, out))
+            return
+        tables = [pairs[shape[u], h] for h in shape[u + 1:]]
+        for j, c in enumerate(acc[0]):
+            if s + c < bound:
+                walk(u + 1, s + c, [list(map(add, a, t[j]))
+                                    for a, t in zip(acc[1:], tables)])
+
+    if shape:
+        walk(0, 0, [[code(u, c) for c in cols[h]]
+                    for u, h in enumerate(shape)])
+    else:
+        tally[0] = 1
+    return tally
 
 
 # -- the column order and sorted tableaux ----------------------------------
@@ -213,12 +270,9 @@ def compare_columns(a, b) -> int:
 
 def is_sorted(f: Filling) -> bool:
     """True iff every run of same-height adjacent columns weakly increases."""
-    shape = f.shape
-    for i in range(1, len(shape)):
-        if shape[i - 1] == shape[i]:
-            if compare_columns(f.cols[i - 1], f.cols[i]) == GREATER:
-                return False
-    return True
+    cols = f.cols
+    return all(compare_columns(cols[i - 1], cols[i]) != GREATER
+               for i in _shape_table(f.shape)[1])
 
 
 def is_packed(f: Filling) -> bool:
@@ -229,7 +283,14 @@ def is_packed(f: Filling) -> bool:
 
 def components(shape) -> list[tuple[int, int]]:
     """Maximal runs of equal-height columns, as 1-based (lo, hi) ranges."""
-    shape = tuple(shape)
+    return list(_shape_table(tuple(shape))[0])
+
+
+@lru_cache(maxsize=1024)
+def _shape_table(shape) -> tuple:
+    """The maximal runs of equal-height columns of a shape, as 1-based (lo,
+    hi) ranges, and the columns i whose right neighbour has the same
+    height, memoised by the shape's tuple, the last 1,024 kept."""
     runs, lo = [], 1
     for i in range(2, len(shape) + 1):
         if shape[i - 1] != shape[lo - 1]:
@@ -237,7 +298,7 @@ def components(shape) -> list[tuple[int, int]]:
             lo = i
     if shape:
         runs.append((lo, len(shape)))
-    return runs
+    return tuple(runs), tuple(i for lo, hi in runs for i in range(lo, hi))
 
 
 def enumerate_sorted(shape, n: int, content=None):
@@ -257,21 +318,22 @@ def enumerate_sorted(shape, n: int, content=None):
         yield Filling._trusted(tuple([tuple(entries[col]) for col in cols]))
 
 
-def _require_sorted(f: Filling) -> None:
+def _require_sorted(f: Filling) -> tuple:
+    """The same-height runs of a sorted tableau; any other filling raises."""
     if not is_sorted(f):
         raise ValueError("filling is not a sorted tableau")
+    return _shape_table(f.shape)[0]
 
 
 def _signature(cols, runs):
     """Per same-height run: its width and sorted column multiplicities."""
-    return tuple((hi - lo + 1, tuple(sorted(Counter(cols[lo - 1:hi]).values())))
-                 for lo, hi in runs)
+    blocks = [cols[lo - 1:hi] for lo, hi in runs]
+    return tuple((len(b), tuple(sorted(map(b.count, set(b))))) for b in blocks)
 
 
 def perm_t(f: Filling, nvars: int = 0) -> MPoly:
     """Product over same-height runs of t-multinomials of column multiplicities."""
-    _require_sorted(f)
-    sig = _signature(f.cols, components(f.shape))
+    sig = _signature(f.cols, _require_sorted(f))
     return weight_poly(t_multinomial_product(sig), nvars)
 
 
@@ -285,7 +347,7 @@ def htilde_compact(shape, n: int) -> MPoly:
     mask, which holds the top-cell bits, fixes the perm_t weight.
     """
     shape = check_partition(shape)
-    runs = components(shape)
+    runs = _shape_table(shape)[0]
     cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
             for i in range(len(shape))]
     triples = sum(i * h for i, h in enumerate(shape))
@@ -441,25 +503,25 @@ def family(f: Filling) -> list[Filling]:
     """All fillings generated from a sorted tableau by the flip operators,
     in canonical (row-major) order.
 
-    Every call glues the column tuples of the memoised members of the
-    rectangular components (:func:`_component_family`) into a fresh list.
-    A family of more than one member is sorted by its entries in row-major
-    order, read through an index worked out once from the root's shape,
-    and checked for duplicates on the column tuples.
+    The root alone when each rectangular component's family is; otherwise
+    the memoised members of the components (:func:`_component_family`),
+    glued into a fresh list, sorted by the entries in row-major order
+    through an index worked out once from the root's shape, and checked
+    for duplicates on the column tuples.
     """
-    _require_sorted(f)
     parts = [_component_family(f.cols[lo - 1:hi])[0]
-             for lo, hi in components(f.shape)]
+             for lo, hi in _require_sorted(f)]
+    if all(len(members) == 1 for members in parts):
+        return [f]
     members = [sum(combo, ()) for combo in product(*parts)]
-    if len(members) > 1:
-        # the row-major order of rows(), read off a filling whose entries
-        # are their own positions in the flat column-major entries
-        at = count()
-        index = Filling._trusted(tuple(tuple(islice(at, h)) for h in f.shape))
-        entries = itemgetter(*chain.from_iterable(index.rows()))
-        members.sort(key=lambda cols: entries((*chain.from_iterable(cols),)))
-        if len(set(members)) != len(members):
-            raise AssertionError("family produced a duplicate member")
+    # the row-major order of rows(), read off a filling whose entries are
+    # their own positions in the flat column-major entries
+    at = count()
+    index = Filling._trusted(tuple(tuple(islice(at, h)) for h in f.shape))
+    entries = itemgetter(*chain.from_iterable(index.rows()))
+    members.sort(key=lambda cols: entries((*chain.from_iterable(cols),)))
+    if len(set(members)) != len(members):
+        raise AssertionError("family produced a duplicate member")
     return [Filling._trusted(cols) for cols in members]
 
 
@@ -471,8 +533,7 @@ def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
     family exactly once.  Each memoised component edge is glued between the
     prefix members and the root's columns to the right.
     """
-    _require_sorted(f)
-    runs = components(f.shape)
+    runs = _require_sorted(f)
     walks = [_component_family(f.cols[lo - 1:hi]) for lo, hi in runs]
     out = []
     for k, ((lo, hi), (_, edges)) in enumerate(zip(runs, walks)):
@@ -493,7 +554,7 @@ def sort_filling(f: Filling) -> Filling:
     checks, and checked sorted on every call.
     """
     out = Filling._trusted(sum((_sort_component(f.cols[lo - 1:hi])
-                                for lo, hi in components(f.shape)), ()))
+                                for lo, hi in _shape_table(f.shape)[0]), ()))
     _require_sorted(out)
     return out
 

@@ -1,8 +1,9 @@
 """Every name imported into a package module is used in that module,
 every module-level private function is referenced by some package module,
 every module imports on its own, the unchecked constructors stay in
-the modules that define their classes, and every module-level memo is
-bounded.
+the modules that define their classes, every module-level memo is
+bounded, and the brute-force oracles name none of the searches the compact
+routes read.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
@@ -202,3 +203,44 @@ def test_checker_finds_every_unbounded_cache():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_level_caches_are_bounded(module):
     assert unbounded_caches((PACKAGE / module).read_text()) == [], module
+
+
+def names_reached(sources: dict[str, str], roots) -> set[str]:
+    """Every name read by the module-level functions named in ``roots`` and,
+    in turn, by every module-level function of the sources they read."""
+    defs: dict[str, list] = {}
+    for src in sources.values():
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    reached, todo, names = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in defs.get(name, ()):
+            refs = set(_references(node))
+            names |= refs
+            todo.extend(refs)
+    return names
+
+
+def test_checker_follows_helpers_across_modules():
+    sources = {"a.py": ("from .b import helper\n"
+                        "def oracle():\n    return helper()\n"
+                        "def other():\n    return _walk()\n"),
+               "b.py": "def helper():\n    return deep.enumerate_na()\n"}
+    assert {"helper", "enumerate_na"} <= names_reached(sources, ["oracle"])
+    assert "_walk" not in names_reached(sources, ["oracle"])
+
+
+# The searches of the compact routes, which the oracles must not share.
+SEARCHES = {"_walk", "enumerate_na", "enumerate_sorted"}
+
+
+def test_brute_force_oracles_name_no_search_of_the_compact_routes():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    reached = names_reached(sources, ["htilde_brute", "j_hhl"])
+    assert {"_column_tally", "inverted", "_side_by_side"} <= reached
+    assert not SEARCHES & reached

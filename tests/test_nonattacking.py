@@ -17,8 +17,9 @@ from macpoly.nonattacking import (AugmentedFilling, attacks, coinv,
                                   e_integral, enumerate_na, is_nonattacking,
                                   is_ordered, j_compact, j_hhl, maj_na,
                                   p_poly, pr1, pr2, schur_oracle)
-from macpoly.shapes import (conjugate, identity_perm, multiplicities,
-                            partitions_of)
+from macpoly.shapes import (arm, conjugate, identity_perm, leg,
+                            multiplicities, partitions_of)
+from macpoly.tableaux import x_content
 
 # ordered nonattacking filling of (0,0,1,2,2,2,3) with maj 3, coinv 7
 WORKED = AugmentedFilling((0, 0, 1, 2, 2, 2, 3),
@@ -234,6 +235,47 @@ def test_j_single_cell():
     assert j_compact((1,), 2) == expect
     assert j_hhl((1,), 2) == expect
     assert j_hhl((), 2) == MPoly.one(2)
+
+
+def _j_per_filling(mu, n):
+    """The sum that j_hhl took before it went by columns: the public coinv
+    and maj_na of every filling that is_nonattacking keeps, over all
+    n^|mu| fillings rather than enumerate_na's search, and the cell
+    factors multiplied out per filling."""
+    mu = tuple(mu)
+    one, t = MPoly.one(n), MPoly.t(n)
+    total = MPoly.zero(n)
+    for flat in product(range(1, n + 1), repeat=sum(mu)):
+        at = iter(flat)
+        f = AugmentedFilling(mu, [[next(at) for _ in range(h)] for h in mu])
+        if not is_nonattacking(f):
+            continue
+        w = MPoly.monomial(n, x_content(f.cols, n), maj_na(f), coinv(f))
+        for i, r in f.cells():
+            if r >= 2 and f.entry(i, r) == f.entry(i, r - 1):
+                w = w * (one - MPoly.monomial(n, (0,) * n, leg(mu, (i, r)) + 1,
+                                              arm(mu, (i, r)) + 1))
+            else:
+                w = w * (one - t)
+        total = total + w
+    return total
+
+
+def test_j_hhl_equals_the_per_filling_sum():
+    for m in range(5):
+        for mu in partitions_of(m):
+            for n in range(5):
+                assert j_hhl(mu, n) == _j_per_filling(mu, n), (mu, n)
+
+
+def test_j_hhl_edges():
+    assert j_hhl((), 0) == MPoly.one(0)
+    assert j_hhl((2, 1), 0) == MPoly.zero(0)
+    # fewer variables than parts: row 1 cannot hold distinct entries
+    assert j_hhl((2, 1), 1) == MPoly.zero(1)
+    assert j_hhl((1, 1, 1), 2) == MPoly.zero(2)
+    with pytest.raises(ValueError, match="is not a partition"):
+        j_hhl((1, 2), 2)
 
 
 def test_j_compact_equals_j_hhl():

@@ -4,10 +4,14 @@ is broken.
 
 Every fault is planted by replacing one name on ``macpoly.cli``, the names
 the suites call, so the checks themselves run unchanged; the exceptions are
-the flip inside the family walk, ``tableaux._flip_cols``, and the basement
-of the integral forms, ``nonattacking.beta_perm``, which no suite calls by
-name.
+the flip inside the family walk, ``tableaux._flip_cols``, the basement of
+the integral forms, ``nonattacking.beta_perm``, and the column tables of
+the brute-force oracles, ``tableaux.inverted`` and
+``nonattacking._side_by_side``, which no suite calls by name.
 """
+
+from math import inf
+from operator import ne
 
 from click.testing import CliRunner
 
@@ -181,3 +185,48 @@ def test_an_identity_basement_fails_the_hecke_and_tatom_suites(monkeypatch):
     for suite in ("hecke", "tatom"):
         code, lines = validate(suite, 3)
         assert code == 0 and not failures(lines), suite
+
+
+def test_the_hecke_suite_computes_each_integral_form_once_per_run(
+        monkeypatch):
+    # A composition's swap is itself an item of the suite; the memo holds
+    # for one run only, so a second run computes every form again.
+    calls = []
+
+    def counted(alpha, n=None):
+        calls.append(alpha)
+        return nonattacking.e_integral(alpha, n)
+
+    monkeypatch.setattr(cli, "e_integral", counted)
+    for run in (1, 2):
+        code, lines = validate("hecke", 5)
+        assert code == 0 and not failures(lines)
+        assert len(calls) == 54 * run and len(set(calls)) == 54
+
+
+def test_inverted_flipped_over_the_basement_fails_compact_vs_brute(
+        monkeypatch):
+    # The sorted walk inlines its own inversion test, so only htilde_brute,
+    # which tables the inv of two columns through tableaux.inverted, sees
+    # the fault; every shape with a row-1 pair fails.
+    real = tableaux.inverted
+    monkeypatch.setattr(tableaux, "inverted",
+                        lambda a, b, z=inf: real(a, b, z) != (z == inf))
+    code, lines = validate("compact-vs-brute", 3)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [f"FAIL htilde compact=brute {lam} n={n}"
+                               for lam, n in [((1, 1), 2), ((1, 1, 1), 3),
+                                              ((2, 1), 3)]]
+
+
+def test_columns_side_by_side_one_row_apart_fail_j_identities(monkeypatch):
+    # With the attack of a cell on the cell one row up in a column to its
+    # right dropped, j_hhl keeps fillings that j_compact's walk does not.
+    # The first partition with a right column two cells tall is (2, 2), so
+    # the suite needs --max 4 to see it.
+    monkeypatch.setattr(nonattacking, "_side_by_side",
+                        lambda left, right: all(map(ne, left, right)))
+    code, lines = validate("j-identities", 4)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        "FAIL J compact=brute (2, 2) n=4 (routes disagree)"]

@@ -17,7 +17,7 @@ from macpoly.tableaux import (EQUAL, GREATER, LESS, Filling,
                               ccw, cyclic_key, family_tree, flip, htilde_brute,
                               htilde_compact, inv, inverted, is_packed,
                               is_sorted, maj, pds, perm_t, sort_filling,
-                              x_weight, _shortest_rearranger)
+                              x_content, x_weight, _shortest_rearranger)
 
 BIG_SORTED = Filling(((9, 5, 5, 1, 6), (9, 5, 5, 1, 6), (9, 6, 2, 1, 6),
                       (1, 6), (3, 6), (2,), (2,), (3,), (3,)))
@@ -125,6 +125,32 @@ def test_htilde_brute_small():
     h = htilde_brute((2, 1, 1), 3)
     ones = {f"x{i}": 1 for i in range(1, 4)} | {"q": 1, "t": 1}
     assert specialize(h, ones) == MPoly.const(3, 81)
+
+
+def _htilde_per_filling(shape, n):
+    """The sum that htilde_brute took before it went by columns: the public
+    inv and maj of every filling."""
+    terms = {}
+    for f in enumerate_fillings(shape, n):
+        key = x_content(f.cols, n) + (maj(f), inv(f))
+        terms[key] = terms.get(key, 0) + 1
+    return MPoly(n, terms)
+
+
+def test_htilde_brute_equals_the_per_filling_sum():
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(5):
+                assert htilde_brute(lam, n) == _htilde_per_filling(lam, n), \
+                    (lam, n)
+
+
+def test_htilde_brute_edges():
+    assert htilde_brute((), 3) == MPoly.one(3)
+    assert htilde_brute((), 0) == MPoly.one(0)
+    assert htilde_brute((2, 1), 0) == MPoly.zero(0)
+    with pytest.raises(ValueError, match="is not a partition"):
+        htilde_brute((1, 2), 2)
 
 
 def _diagrams(max_cells, max_cols):
