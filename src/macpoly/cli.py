@@ -16,11 +16,12 @@ from math import prod
 import click
 
 from . import tableaux
-from .mpoly import MPoly, RationalForm, exact_div_xfree, specialize, t_pochhammer
+from .mpoly import (ExactDivisionError, MPoly, RationalForm, exact_div_xfree,
+                    specialize, t_pochhammer)
 from .nonattacking import (check_j_partition, coinv, e_integral, enumerate_na,
                            j_compact, j_hhl, maj_na, p_poly, pr1)
-from .quasisym import (demazure_t_atom, g_integral, g_poly, hecke_T, qs_gamma,
-                       qsym_expand)
+from .quasisym import (NotQuasisymmetricError, demazure_t_atom, g_integral,
+                       g_poly, hecke_T, qs_gamma, qsym_expand)
 from .shapes import (check_partition, compositions, multiplicities,
                      partitions_of, rearrangements)
 from .tableaux import (Filling, enumerate_fillings, enumerate_sorted, family,
@@ -297,7 +298,7 @@ def _check_j(args):
         return (f"J compact=brute {mu} n={n}", False, "routes disagree")
     try:
         exact_div_xfree(jc, _poch_scalar(mu, n))
-    except Exception as exc:
+    except ExactDivisionError as exc:
         return (f"J divisibility {mu} n={n}", False, str(exc))
     return (f"J compact=brute+divisible {mu} n={n}", True, "")
 
@@ -400,7 +401,7 @@ def _check_quasisym(args):
     gamma, n = args
     try:
         qsym_expand(g_integral(gamma, n))
-    except Exception as exc:
+    except NotQuasisymmetricError as exc:
         return (f"quasisymmetry {gamma} n={n}", False, str(exc))
     return (f"quasisymmetry {gamma} n={n}", True, "")
 

@@ -11,17 +11,17 @@ package's own term dicts, right by construction, without the checks.
 :class:`RationalForm` pairs an MPoly numerator with an x-free denominator;
 it never reduces to lowest terms, and equality is by cross-multiplication.
 
-The compact formulas sum x^content(f) * w_f(q, t) over fillings f.
-:func:`accumulate` adds each term in place into one dict, dropping
-coefficients that cancel.  The weights w_f, sorted tuples of ``((e_q,
-e_t), c)`` pairs, come from two bounded caches filled on first use, in
-plain integer arithmetic: :func:`t_multinomial_product`, keyed by ``(k,
-sorted multiplicities)`` signatures and built from Gaussian binomials by
-the t-Pascal recurrence on coefficient lists, and :func:`cell_product`,
-keyed by the sorted ``(a, b)`` of a filling's cell factors ``1 - q^a t^b``
-and multiplied out as a dict convolution.  The symmetric sums (``htilde``,
-``J``) accumulate only the x-free weights of the fillings of each
-partition content nu, and :func:`expand_symmetric` returns a
+The compact formulas sum x^content(f) * q^maj(f) * t^stat(f) * w(q, t)
+over fillings f, all through one kernel, :func:`walk_sum`: it reads the
+raw tuples of :func:`macpoly.shapes._walk`, takes each mask's weight once
+per sum, and adds each term in place into one dict by :func:`accumulate`,
+dropping coefficients that cancel.  The weights, ``((e_q, e_t), c)`` pairs
+cached by shape and mask in the routes' modules, are built in plain integer
+arithmetic from two bounded caches: :func:`t_multinomial_product` and the
+products of cell factors ``1 - q^a t^b`` of :func:`cell_product`.  The
+symmetric sums (``htilde``, ``J``) take the x-free weights of each
+partition content nu through :func:`sum_by_content`, and
+:func:`expand_symmetric` returns a
 :class:`SymmetricMPoly` that keeps those m_nu coefficients: it is written
 from them, and expanded to x-monomials only when something else reads its
 terms.
@@ -44,7 +44,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from operator import add, getitem, itemgetter, not_
 
-from .shapes import is_partition, rearrangements
+from .shapes import is_partition, partitions_of, rearrangements
 
 
 class VariableMismatchError(ValueError):
@@ -633,10 +633,44 @@ def cell_product(factors):
     return tuple(sorted(out.items()))
 
 
+def walk_sum(walk, weight, nvars: int | None = None, size: int = 0,
+             inv_total: int | None = None, terms: dict | None = None) -> dict:
+    """Add x^content q^maj t^stat weight(mask) per raw ``(entries, maj,
+    coinv, mask)`` tuple of a walk into ``terms`` (new when None) and return
+    it: weight once per mask met, the content counting 1..nvars among the
+    first ``size`` entries (none for nvars None, a one-content walk), and
+    stat coinv, or inv = inv_total - coinv."""
+    if terms is None:
+        terms = {}
+    weights: dict[int, tuple] = {}  # mask -> weight(mask), for this sum
+    content = ()
+    for entries, m, c, mask in walk:
+        w = weights.get(mask)
+        if w is None:
+            w = weights[mask] = weight(mask)
+        if nvars is not None:
+            exps = [0] * nvars
+            for e in entries[:size]:
+                exps[e - 1] += 1
+            content = tuple(exps)
+        accumulate(terms, content, w, m,
+                   c if inv_total is None else inv_total - c)
+    return terms
+
+
+def sum_by_content(n: int, size: int, content_sum) -> MPoly:
+    """A sum over the fillings of ``size`` cells with entries 1..n.  It is
+    symmetric in x, so it is taken over the fillings of each partition
+    content nu only, ``content_sum(nu)`` giving their x-free term dict, and
+    expanded to the rearrangements of nu last."""
+    return expand_symmetric(n, {nu: read_out(0, content_sum(nu))
+                                for nu in partitions_of(size) if len(nu) <= n})
+
+
 def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
                texp: int = 0) -> None:
     """Add x^content * q^qexp * t^texp * weight into a term dict in place,
-    deleting coefficients that cancel; :func:`read_out` reads it out.
+    deleting coefficients that cancel; :func:`walk_sum` calls it per filling.
 
     Touches only the keys of one small weight, where ``MPoly.__add__``
     would copy the whole growing sum.
@@ -651,7 +685,7 @@ def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
 
 
 def read_out(nvars: int, terms: dict) -> MPoly:
-    """The MPoly of a term dict that :func:`accumulate` or another kernel
+    """The MPoly of a term dict that :func:`walk_sum` or another kernel
     loop built, zero-free and with keys of width nvars + 2 by construction,
     read out without the checks of ``MPoly(nvars, terms)``."""
     return MPoly._trusted(nvars, terms)

@@ -16,31 +16,31 @@ of :func:`macpoly.tableaux.inverted`: upper entry a, third entry b, lower
 entry z, judged in the cyclic order read upward from z.
 
 The compact sums (:func:`j_compact`, :func:`e_integral_sum`,
-:func:`e_general_q0` and :func:`macpoly.quasisym.qs_gamma`) read the raw
-tuples of the one walk, :func:`macpoly.shapes._walk`, which carries maj,
-coinv and the cells repeating the entry below down its search, and
-:func:`enumerate_na` wraps the same tuples in fillings.  The walk's plan
-and the integral forms' cell weights are tables per shape, built once and
-shared by every basement and content of that shape.  The public
-:func:`coinv`, :func:`coinversion_triples` and :func:`maj_na` recompute
-the statistics per object through ``inverted``.  The oracle :func:`j_hhl`
-walks no search: it sums over tuples of columns, as ``htilde_brute`` does.
+:func:`e_general_q0` and :func:`macpoly.quasisym.qs_gamma`) sum the raw
+tuples of the one walk, :func:`macpoly.shapes._walk`, through the kernel
+:func:`macpoly.mpoly.walk_sum`, and :func:`enumerate_na` wraps the same
+tuples in fillings.  The integral forms' weight of a walk mask (bit k: cell
+k repeats the entry below) is cached by shape and mask, whatever the
+basement or content.  The public :func:`coinv`, :func:`coinversion_triples`
+and :func:`maj_na` recompute the statistics per object through
+``inverted``.  The oracle :func:`j_hhl` walks no search: it sums over
+tuples of columns, as ``htilde_brute`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import inf
 from operator import ne
 
-from .mpoly import (MPoly, RationalForm, accumulate, cell_product,
-                    expand_symmetric, read_out, weight_poly)
+from .mpoly import (MPoly, RationalForm, cell_product, read_out,
+                    sum_by_content, walk_sum, weight_poly)
 from .shapes import (Cell, Composition, Partition, Permutation, _walk, arm,
                      attacks, beta_perm, cells, check_composition,
                      check_partition, check_permutation, inc_sort, leg,
-                     multiplicities, partitions_of)
+                     multiplicities)
 from .tableaux import _column_tally, _maj, _read_terms, inverted, x_content
 
 
@@ -202,72 +202,39 @@ def _columns(order, width: int, entries) -> tuple[tuple[int, ...], ...]:
 
 # -- scalar products --------------------------------------------------------
 
-def _poch_factors(parts) -> list[tuple[int, int]]:
-    """The cell factors (0, j), j <= m, of (t;t)_m per part multiplicity m."""
-    return [(0, j) for m in multiplicities(parts).values()
-            for j in range(1, m + 1)]
-
-
-def _factor_poly(factors, nvars: int) -> MPoly:
-    return weight_poly(cell_product(tuple(sorted(factors))), nvars)
-
-
 def pr1(mu, nvars: int = 0) -> MPoly:
     """Product over the diagram of mu of (1 - q^leg t^(arm+1))."""
     mu = check_partition(mu)
-    return _factor_poly([(leg(mu, c), arm(mu, c) + 1) for c in cells(mu)],
-                        nvars)
+    return weight_poly(cell_product(tuple(sorted(
+        (leg(mu, c), arm(mu, c) + 1) for c in cells(mu)))), nvars)
 
 
 def pr2(alpha, nvars: int = 0) -> MPoly:
     """(t;t) factors of the part multiplicities, times
     (1 - q^(leg+1) t^(arm+1)) over the non-bottom cells of the sorted diagram."""
     alpha = check_composition(alpha)
-    shape = inc_sort(alpha)
-    return _factor_poly(_poch_factors(alpha)
-                        + [(leg(shape, c) + 1, arm(shape, c) + 1)
-                           for c in cells(shape) if c[1] >= 2], nvars)
+    return weight_poly(_integral_weight(inc_sort(alpha), -1), nvars)
 
 
 @lru_cache(maxsize=1024)
-def _weight_table(shape) -> tuple:
-    """The per-shape tables of :func:`_integral_terms`: (k, (leg + 1,
-    arm + 1)) for each cell k above row 1 in the walk's order, the (t;t)
-    factors of the column heights, and the eq mask -> weight dict that the
-    sums fill as they meet masks and share from then on."""
-    upper = [(k, (leg(shape, c) + 1, arm(shape, c) + 1))
-             for k, c in enumerate(cells(shape)) if c[1] >= 2]
-    return upper, _poch_factors(shape), {}
+def _shape_factors(shape) -> tuple:
+    """A shape's (t;t)_m factors (0, j), j <= m, per column height
+    multiplicity m, and (k, (leg + 1, arm + 1)) per cell k above row 1, k
+    counted in the walk's order, which is that of the mask's bits."""
+    return ([(0, j) for m in multiplicities(shape).values()
+             for j in range(1, m + 1)],
+            [(k, (leg(shape, c) + 1, arm(shape, c) + 1))
+             for k, c in enumerate(cells(shape)) if c[1] >= 2])
 
 
-def _integral_terms(terms: dict, walk, shape, basement,
-                    n: int | None) -> None:
-    """Add x^f q^maj t^coinv per raw filling of a walk, times, per cell above
-    row 1, 1 - q^(leg+1) t^(arm+1) where it repeats the entry below and
-    1 - t where it does not, times the (t;t) factors of the column heights;
-    with n None, the fillings share one content and only the x-free part is
-    added.  The weight of each eq mask is built once per shape, in
-    :func:`_weight_table`, whatever the basement.  With a basement, row 1
-    must copy it, which makes the filling ordered (the basement of an
-    integral form decreases along each run of equal heights); a filling
-    that does not raises."""
-    upper, poch, weights = _weight_table(shape)
-    size = sum(shape)
-    # row 1 leads the cells order: the basement under its nonempty columns
-    bottom = None if basement is None else [
-        b for h, b in zip(shape, basement) if h]
-    for entries, m, c, eq in walk:
-        if bottom is not None and entries[:len(bottom)] != bottom:
-            f = AugmentedFilling(shape, _columns(cells(shape), len(shape),
-                                                 entries), basement)
-            raise AssertionError(
-                f"filling {f.rows()} is not ordered on the basement {basement}")
-        w = weights.get(eq)
-        if w is None:
-            w = weights[eq] = cell_product(tuple(sorted(
-                poch + [ab if eq >> k & 1 else (0, 1) for k, ab in upper])))
-        accumulate(terms, () if n is None else x_content((entries[:size],), n),
-                   w, m, c)
+@lru_cache(maxsize=4096)
+def _integral_weight(shape, mask):
+    """The integral forms' weight at a walk mask, memoised by shape and mask:
+    the (t;t) factors of the column heights and, per cell above row 1,
+    1 - q^(leg+1) t^(arm+1) where it repeats the entry below, else 1 - t."""
+    poch, upper = _shape_factors(shape)
+    return cell_product(tuple(sorted(
+        poch + [ab if mask >> k & 1 else (0, 1) for k, ab in upper])))
 
 
 def e_integral(alpha, n: int | None = None) -> MPoly:
@@ -293,8 +260,24 @@ def e_integral_sum(alphas, n: int) -> MPoly:
         if inc_sort(alpha) != shape:
             raise ValueError(f"{alpha} does not sort to {shape}")
         basement = beta_perm(alpha)
-        _integral_terms(terms, _walk(shape, basement, n), shape, basement, n)
+        # row 1 leads the cells order and must copy the basement under the
+        # nonempty columns, which makes each filling ordered (the basement of
+        # an integral form decreases along each run of equal heights)
+        bottom = [b for h, b in zip(shape, basement) if h]
+        walk_sum(map(partial(_on_basement, shape, basement, bottom),
+                     _walk(shape, basement, n)),
+                 partial(_integral_weight, shape), n, sum(shape), terms=terms)
     return read_out(n, terms)
+
+
+def _on_basement(shape, basement, bottom: list, raw):
+    """The raw filling when its row 1 is ``bottom``; raises otherwise."""
+    if raw[0][:len(bottom)] != bottom:
+        f = AugmentedFilling(shape, _columns(cells(shape), len(shape), raw[0]),
+                             basement)
+        raise AssertionError(
+            f"filling {f.rows()} is not ordered on the basement {basement}")
+    return raw
 
 
 def e_general_q0(alpha, basement, n: int) -> MPoly:
@@ -309,12 +292,10 @@ def e_general_q0(alpha, basement, n: int) -> MPoly:
     basement = check_permutation(basement)
     if len(alpha) != len(basement) or n != len(basement):
         raise ValueError("shape, basement and variable count must agree")
-    terms: dict[tuple[int, ...], int] = {}
     size = sum(alpha)
-    for entries, _, c, eq in _walk(alpha, basement, n, no_descents=True):
-        accumulate(terms, x_content((entries[:size],), n),
-                   cell_product(((0, 1),) * (size - eq.bit_count())), 0, c)
-    return read_out(n, terms)
+    return read_out(n, walk_sum(
+        _walk(alpha, basement, n, no_descents=True),
+        lambda eq: cell_product(((0, 1),) * (size - eq.bit_count())), n, size))
 
 
 def check_j_partition(mu, n: int) -> Partition:
@@ -328,23 +309,12 @@ def check_j_partition(mu, n: int) -> Partition:
 
 def j_compact(mu, n: int) -> MPoly:
     """Integral-form Macdonald polynomial as a sum over ordered
-    nonattacking fillings of the increasing diagram.
-
-    The sum is symmetric in x, so it is taken over the fillings of each
-    partition content nu only and expanded to the rearrangements of nu
-    last.
-    """
+    nonattacking fillings of the increasing diagram, by content."""
     mu = check_j_partition(mu, n)
     shape = (0,) * (n - len(mu)) + tuple(sorted(mu))
-    coeffs = {}
-    for nu in partitions_of(sum(mu)):
-        if len(nu) > n:
-            continue
-        terms: dict[tuple[int, int], int] = {}
-        _integral_terms(terms, _walk(shape, None, n, ordered_only=True,
-                                     content=nu), shape, None, None)
-        coeffs[nu] = read_out(0, terms)
-    return expand_symmetric(n, coeffs)
+    return sum_by_content(n, sum(mu), lambda nu: walk_sum(
+        _walk(shape, None, n, ordered_only=True, content=nu),
+        partial(_integral_weight, shape)))
 
 
 def j_hhl(mu, n: int) -> MPoly:

@@ -4,7 +4,9 @@ expansion, Hecke operators, and Demazure t-atoms.
 G over a strong composition gamma sums the integral-form permuted-basement
 polynomials over all weak compositions whose positive parts are gamma in
 order; every such composition shares the same increasing sort, so the sum
-is a polynomial multiple of a single x-free scalar.
+is a polynomial multiple of a single x-free scalar.  :func:`qs_gamma` sums
+the walk without descents through :func:`macpoly.mpoly.walk_sum` at weight
+1, the walk dropping each filling at its first coinversion.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .mpoly import (ONE, MPoly, RationalForm, VariableMismatchError,
-                    accumulate, read_out, weight_poly)
+                    read_out, walk_sum, weight_poly)
 from .nonattacking import e_general_q0, e_integral_sum, pr2
 from .shapes import _walk, check_composition, identity_perm
-from .tableaux import x_content
 
 
 class NotQuasisymmetricError(ValueError):
@@ -169,8 +170,7 @@ def qs_gamma(gamma, n: int) -> MPoly:
     t=0, where a t-atom term x^f t^coinv (1-t)^ndiff leaves x^f if coinv = 0."""
     terms: dict[tuple[int, ...], int] = {}
     for alpha in placements(gamma, n):
-        size = sum(alpha)
-        for entries, *_ in _walk(alpha, identity_perm(n), n, no_descents=True,
-                                 coinv_cap=0):
-            accumulate(terms, x_content((entries[:size],), n), ONE)
+        walk_sum(_walk(alpha, identity_perm(n), n, no_descents=True,
+                       coinv_cap=0), lambda eq: ONE, n, sum(alpha),
+                 terms=terms)
     return read_out(n, terms)

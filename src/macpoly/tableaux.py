@@ -17,10 +17,11 @@ same rule judges inv, the column order, the flip operators and the
 coinversions of :mod:`macpoly.nonattacking`; :func:`ccw` states it
 geometrically.
 
-:func:`htilde_compact` and :func:`enumerate_sorted` read the sorted mode of
-the one walk, :func:`macpoly.shapes._walk`, which fills the columns left to
-right and carries maj and coinv; on a partition every triple is inverted or
-a coinversion, so inv is the count of all triples less coinv.  The public
+:func:`htilde_compact`, through the kernel :func:`macpoly.mpoly.walk_sum`,
+and :func:`enumerate_sorted` read the sorted mode of the one walk,
+:func:`macpoly.shapes._walk`, which fills the columns left to right and
+carries maj and coinv; on a partition every triple is inverted or a
+coinversion, so inv is the count of all triples less coinv.  The public
 :func:`inv`, :func:`maj` and :func:`perm_t` recompute the statistics per
 object.  The oracle :func:`htilde_brute` walks no search: it sums over
 tuples of columns, with maj and inv tabled per column and per two columns.
@@ -31,16 +32,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, count, islice, product, repeat
 from math import inf
 from operator import add, itemgetter
 
-from .mpoly import (MPoly, accumulate, expand_symmetric, read_out,
-                    t_multinomial_product, weight_poly)
+from .mpoly import (MPoly, sum_by_content, t_multinomial_product, walk_sum,
+                    weight_poly)
 from .shapes import (Partition, _walk, canonical_w0_word, check_partition,
-                     check_permutation, is_partition, partitions_of,
-                     rearrangements)
+                     check_permutation, is_partition, rearrangements)
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -338,34 +338,26 @@ def perm_t(f: Filling, nvars: int = 0) -> MPoly:
 
 
 def htilde_compact(shape, n: int) -> MPoly:
-    """Modified Macdonald polynomial as the sum over sorted tableaux.
-
-    The sum is symmetric in x, so it is taken over the tableaux of each
-    partition content nu only and expanded to the rearrangements of nu last.
-    inv is the count of all triples less coinv.  Same-height neighbours are
-    equal columns when the right one's top cell repeats its partner, so the
-    mask, which holds the top-cell bits, fixes the perm_t weight.
-    """
+    """Modified Macdonald polynomial as the sum over sorted tableaux, by
+    content; inv is the count of all triples less coinv."""
     shape = check_partition(shape)
-    runs = _shape_table(shape)[0]
-    cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
-            for i in range(len(shape))]
     triples = sum(i * h for i, h in enumerate(shape))
-    weights: dict[int, tuple] = {}  # mask -> perm_t weight
-    coeffs = {}
-    for nu in partitions_of(sum(shape)):
-        if len(nu) > n:
-            continue
-        terms: dict[tuple[int, int], int] = {}
-        for entries, m, c, mask in _walk(shape, None, n, content=nu,
-                                         sorted_tableaux=True):
-            w = weights.get(mask)
-            if w is None:
-                w = weights[mask] = t_multinomial_product(_signature(
-                    [tuple(entries[col]) for col in cols], runs))
-            accumulate(terms, (), w, m, triples - c)
-        coeffs[nu] = read_out(0, terms)
-    return expand_symmetric(n, coeffs)
+    return sum_by_content(n, sum(shape), lambda nu: walk_sum(
+        _walk(shape, None, n, content=nu, sorted_tableaux=True),
+        partial(_perm_t_weight, shape), inv_total=triples))
+
+
+@lru_cache(maxsize=4096)
+def _perm_t_weight(shape, mask):
+    """The perm_t weight of a sorted tableau at a walk mask, memoised by
+    shape and mask.  A column repeats its same-height left neighbour exactly
+    when its top cell's bit is set, and equal columns of a run are adjacent,
+    so the columns labelled by their runs of repeats give the signature."""
+    labels, top = [], -1
+    for i, h in enumerate(shape):
+        top += h
+        labels.append(labels[-1] if mask >> top & 1 else i)
+    return t_multinomial_product(_signature(labels, _shape_table(shape)[0]))
 
 
 # -- inversion-flip operators ----------------------------------------------

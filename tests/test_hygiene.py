@@ -2,8 +2,8 @@
 every module-level private function is referenced by some package module,
 every module imports on its own, the unchecked constructors stay in
 the modules that define their classes, every module-level memo is
-bounded, and the brute-force oracles name none of the searches the compact
-routes read.
+bounded, the brute-force oracles name none of the searches the compact
+routes read, and only the kernel sums over the walk.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
@@ -244,3 +244,78 @@ def test_brute_force_oracles_name_no_search_of_the_compact_routes():
     reached = names_reached(sources, ["htilde_brute", "j_hhl"])
     assert {"_column_tally", "inverted", "_side_by_side"} <= reached
     assert not SEARCHES & reached
+
+
+def _enclosing(tree):
+    """Each node's parent, and the module-level function it lies in (None
+    at module level)."""
+    parent, function = {}, {}
+    for top in tree.body:
+        name = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            function[node] = name
+            for child in ast.iter_child_nodes(node):
+                parent[child] = node
+    return parent, function
+
+
+def _is_call_of(node, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def walk_readers(source: str) -> list[str]:
+    """The module-level functions that read ``_walk`` in any way but by
+    handing a ``_walk(...)`` call to ``walk_sum`` as its walk, directly or
+    through a ``map`` that checks each tuple."""
+    tree = ast.parse(source)
+    parent, function = _enclosing(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == "_walk"):
+            continue
+        call = walk = parent.get(node)
+        if not _is_call_of(call, "_walk"):
+            out.append(function[node])
+            continue
+        if (_is_call_of(parent.get(call), "map")
+                and call in parent[call].args[1:]):
+            walk = parent[call]
+        up = parent.get(walk)
+        if not (_is_call_of(up, "walk_sum") and up.args[:1] == [walk]):
+            out.append(function[node])
+    return sorted(out)
+
+
+def test_checker_finds_every_reader_of_the_walk():
+    source = ("def route(n):\n    return walk_sum(_walk(n), w)\n"
+              "def checked(n):\n    return walk_sum(map(f, _walk(n)), w)\n"
+              "def enumerate_na(n):\n    for raw in _walk(n):\n"
+              "        yield raw\n"
+              "def comp(n):\n    return [r for r in _walk(n)]\n"
+              "def alias(n):\n    w = _walk\n    return walk_sum(w(n), f)\n"
+              "def wrapped(n):\n    return walk_sum(list(_walk(n)), f)\n"
+              "def weight(n):\n    return walk_sum(f, _walk(n))\n")
+    assert walk_readers(source) == ["alias", "comp", "enumerate_na",
+                                    "weight", "wrapped"]
+
+
+def test_only_the_kernel_and_the_enumerators_iterate_the_walk():
+    readers = [(module, name) for module in MODULES
+               for name in walk_readers((PACKAGE / module).read_text())]
+    assert sorted(readers) == [("nonattacking.py", "enumerate_na"),
+                               ("tableaux.py", "enumerate_sorted")]
+
+
+def test_only_the_kernel_calls_accumulate():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = set()
+    for module, src in sources.items():
+        tree = ast.parse(src)
+        _, function = _enclosing(tree)
+        for node in ast.walk(tree):  # the innermost nodes reading it
+            if "accumulate" in _references(node) and not any(
+                    "accumulate" in _references(child)
+                    for child in ast.iter_child_nodes(node)):
+                readers.add((module, function[node]))
+    assert readers == {("mpoly.py", "walk_sum")}

@@ -1,6 +1,7 @@
 """The weighted-filling kernel: digest regression against recorded outputs,
-the cached t-multinomials, in-place accumulation, the unchecked read-out,
-enumeration restricted to one content, and the symmetric expansion."""
+the cached t-multinomials, in-place accumulation, the walk sum and the
+perm_t weight it reads off a mask, the unchecked read-out, enumeration
+restricted to one content, and the symmetric expansion."""
 
 import hashlib
 import random
@@ -11,14 +12,14 @@ import pytest
 from macpoly.mpoly import (ONE, MPoly, VariableMismatchError, accumulate,
                            cell_product, divided_difference, exact_div_xfree,
                            expand_symmetric, read_out, specialize,
-                           t_multinomial, t_pochhammer, weight_poly)
+                           t_multinomial, t_pochhammer, walk_sum, weight_poly)
 from macpoly.nonattacking import (e_general_q0, e_integral, e_integral_sum,
                                   enumerate_na, j_compact, j_hhl, pr1, pr2)
 from macpoly.quasisym import (demazure_t_atom, g_integral, placements,
                               qs_gamma, qsym_expand)
-from macpoly.shapes import partitions_of
-from macpoly.tableaux import (enumerate_sorted, htilde_compact, perm_t,
-                              x_content)
+from macpoly.shapes import _walk, partitions_of
+from macpoly.tableaux import (_perm_t_weight, enumerate_sorted, htilde_compact,
+                              perm_t, x_content)
 
 
 def _weak(n, deg):
@@ -197,6 +198,53 @@ def test_accumulate_drops_cancelled_terms_and_equals_the_add_chain():
         accumulate(terms, content, tuple((key, -c) for key, c in weight),
                    qexp, texp)
     assert terms == {}
+
+
+# Raw walk tuples: four entries of which the first three are cells, the
+# fourth a basement slot that the content must not count.
+_RAW = [([2, 1, 2, 3], 1, 0, 5), ([1, 1, 3, 2], 0, 2, 3),
+        ([3, 2, 1, 1], 2, 1, 5), ([2, 1, 2, 1], 1, 0, 5)]
+_ONE_MINUS_Q = (((0, 0), 1), ((1, 0), -1))
+
+
+def test_walk_sum_counts_the_content_of_the_cells_only():
+    calls = []
+
+    def weight(mask):
+        calls.append(mask)
+        return _ONE_MINUS_Q
+
+    one, q = MPoly.one(3), MPoly.q(3)
+    expected = sum((MPoly.monomial(3, x_content((entries[:3],), 3), m, c)
+                    * (one - q) for entries, m, c, _ in _RAW), MPoly.zero(3))
+    terms = {}
+    assert walk_sum(iter(_RAW), weight, 3, 3, terms=terms) is terms
+    assert read_out(3, terms) == expected
+    assert calls == [5, 3]  # once per mask, in the order first met
+
+
+def test_walk_sum_reads_inv_as_the_total_less_coinv():
+    one, q = MPoly.one(0), MPoly.q(0)
+    expected = sum((MPoly.monomial(0, (), m, 4 - c) * (one - q)
+                    for _, m, c, _ in _RAW), MPoly.zero(0))
+    assert read_out(0, walk_sum(iter(_RAW), lambda mask: _ONE_MINUS_Q,
+                                inv_total=4)) == expected
+    # without inv_total the t-exponent is coinv itself
+    assert read_out(0, walk_sum(iter(_RAW), lambda mask: ONE)) == sum(
+        (MPoly.monomial(0, (), m, c) for _, m, c, _ in _RAW), MPoly.zero(0))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_the_mask_weight_is_perm_t(m):
+    """The perm_t weight read off a sorted tableau's walk mask is perm_t of
+    the tableau, for every sorted tableau of lambda |- m at n <= 3."""
+    for lam in partitions_of(m):
+        for n in range(1, 4):
+            for (_, _, _, mask), f in zip(
+                    _walk(lam, None, n, sorted_tableaux=True),
+                    enumerate_sorted(lam, n), strict=True):
+                assert weight_poly(_perm_t_weight(lam, mask)) == perm_t(f), \
+                    (lam, f.cols)
 
 
 @pytest.mark.parametrize("m", range(1, 6))

@@ -194,6 +194,32 @@ def test_pr1_equals_pr2_of_sorted():
         assert pr1(mu) == pr2(mu)  # pr2 sorts internally
 
 
+def test_pr2_is_the_product_of_its_factors():
+    """pr2, the integral weight at the mask of all cells, equals (t;t)_m per
+    part multiplicity m times 1 - q^(leg+1) t^(arm+1) over the cells above
+    row 1 of the sorted diagram, multiplied as MPolys, for every weak
+    composition of at most 6 with 1 to 5 parts."""
+    from macpoly.shapes import cells, compositions
+    seen = 0
+    for parts in range(1, 6):
+        for size in range(7):
+            for alpha in compositions(size, parts):
+                n = len(alpha)
+                one, q, t = MPoly.one(n), MPoly.q(n), MPoly.t(n)
+                shape = tuple(sorted(alpha))
+                expected = one
+                for m in multiplicities(alpha).values():
+                    for j in range(1, m + 1):  # (t;t)_m
+                        expected = expected * (one - t ** j)
+                for c in cells(shape):
+                    if c[1] >= 2:
+                        expected = expected * (one - q ** (leg(shape, c) + 1)
+                                               * t ** (arm(shape, c) + 1))
+                assert pr2(alpha, n) == expected, alpha
+                seen += 1
+    assert seen == 791
+
+
 def test_pr_at_zero():
     for lam in [(1,), (2, 1), (3, 2, 1)]:
         assert specialize(pr1(lam), {"q": 0, "t": 0}) == MPoly.one(0)

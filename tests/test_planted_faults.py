@@ -7,7 +7,8 @@ the suites call, so the checks themselves run unchanged; the exceptions are
 the flip inside the family walk, ``tableaux._flip_cols``, the basement of
 the integral forms, ``nonattacking.beta_perm``, and the column tables of
 the brute-force oracles, ``tableaux.inverted`` and
-``nonattacking._side_by_side``, which no suite calls by name.
+``nonattacking._side_by_side``, which no suite calls by name.  An error
+that is not the identity's own, a bug, must not read as a failed identity.
 """
 
 from math import inf
@@ -17,7 +18,8 @@ from click.testing import CliRunner
 
 import macpoly.cli as cli
 from macpoly import nonattacking, tableaux
-from macpoly.mpoly import MPoly
+from macpoly.mpoly import ExactDivisionError, MPoly
+from macpoly.quasisym import NotQuasisymmetricError
 from macpoly.shapes import identity_perm
 from macpoly.tableaux import Filling
 
@@ -230,3 +232,41 @@ def test_columns_side_by_side_one_row_apart_fail_j_identities(monkeypatch):
     assert code == cli.IDENTITY_EXIT
     assert failures(lines) == [
         "FAIL J compact=brute (2, 2) n=4 (routes disagree)"]
+
+
+def _raising(exc):
+    def planted(*args):
+        raise exc
+    return planted
+
+
+def test_a_remainder_fails_j_identities_and_a_bug_does_not(monkeypatch):
+    # Only the exception of an inexact division is an identity failure; any
+    # other error in the check is a bug and must not print as FAIL.
+    monkeypatch.setattr(cli, "exact_div_xfree",
+                        _raising(ExactDivisionError("planted remainder")))
+    code, lines = validate("j-identities", 1)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        "FAIL J divisibility (1,) n=1 (planted remainder)"]
+    monkeypatch.setattr(cli, "exact_div_xfree", _raising(TypeError("bug")))
+    res = CliRunner().invoke(cli.main, ["validate", "--suite", "j-identities",
+                                        "--max", "1"])
+    assert isinstance(res.exception, TypeError)
+    assert res.exit_code not in (0, cli.IDENTITY_EXIT)
+    assert not failures(res.output.splitlines())
+
+
+def test_a_witness_fails_quasisym_and_a_bug_does_not(monkeypatch):
+    monkeypatch.setattr(cli, "qsym_expand", _raising(
+        NotQuasisymmetricError("planted witness", (None, None))))
+    code, lines = validate("quasisym", 1)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [f"FAIL quasisymmetry (1,) n={n} "
+                               "(planted witness)" for n in (3, 4)]
+    monkeypatch.setattr(cli, "qsym_expand", _raising(TypeError("bug")))
+    res = CliRunner().invoke(cli.main, ["validate", "--suite", "quasisym",
+                                        "--max", "1"])
+    assert isinstance(res.exception, TypeError)
+    assert res.exit_code not in (0, cli.IDENTITY_EXIT)
+    assert not failures(res.output.splitlines())
