@@ -41,7 +41,8 @@ from .shapes import (Cell, Composition, Partition, Permutation, _walk, arm,
                      attacks, beta_perm, cells, check_composition,
                      check_partition, check_permutation, inc_sort, leg,
                      multiplicities)
-from .tableaux import _column_tally, _maj, _read_terms, inverted, x_content
+from .tableaux import (_column_tally, _inversions, _maj, _read_terms, inverted,
+                       x_content)
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,7 @@ def j_hhl(mu, n: int) -> MPoly:
             * radices[0])
 
     def pair(cu, cv):  # each row of cv holds one triple, inverted or not
-        return (len(cv) - sum(map(inverted, cu, cv, (inf,) + cu))
+        return (len(cv) - _inversions(cu, cv)
                 if _side_by_side(cu, cv) else bound)
 
     weights: dict[int, list] = {}  # masks -> cell product, as code shifts

@@ -22,10 +22,16 @@ and :func:`enumerate_sorted` read the sorted mode of the one walk,
 :func:`macpoly.shapes._walk`, which fills the columns left to right and
 carries maj and coinv; on a partition every triple is inverted or a
 coinversion, so inv is the count of all triples less coinv.  The public
-:func:`inv`, :func:`maj` and :func:`perm_t` recompute the statistics per
-object.  The oracle :func:`htilde_brute` walks no search: it sums over
-tuples of columns, with maj and inv tabled per column and per two columns.
-The tableau checks read one table of same-height runs per shape.
+:func:`inv`, :func:`maj`, :func:`is_sorted` and :func:`flip` read bounded
+memos keyed by column tuples, each wrapping its rule: inv sums a per-pair
+table of inverted triples, maj a per-column table, and the column order
+and the flip each come from a per-pair table.  :func:`perm_t` and
+:func:`family` check sortedness through the column-order table, and
+:func:`sort_filling` checks each rectangular component once, in its memo.
+The oracle :func:`htilde_brute` walks no search and reads none of these
+memos: it sums over tuples of columns, with maj and inv tabled per column
+and per two columns afresh on every call.  The tableau checks read one
+table of same-height runs per shape.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations, count, islice, product, repeat
+from itertools import (chain, combinations, count, islice, product, repeat,
+                       starmap)
 from math import inf
 from operator import add, itemgetter
 
@@ -139,23 +146,41 @@ def inverted(a, b, z=inf) -> bool:
 
 
 def inv(f: Filling) -> int:
-    """Number of inverted triples, row-1 pairs over the basement included."""
-    # Column v right of column u is no taller, so the pair shares the rows
-    # of v; the entry below row 1 is the basement's +inf.
-    cols = f.cols
-    return sum(sum(map(inverted, cu, cv, (inf,) + cu))
-               for u, cu in enumerate(cols) for cv in cols[u + 1:])
+    """Number of inverted triples, row-1 pairs over the basement included:
+    the sum over each two columns of the memo :func:`_pair_inv`."""
+    return sum(starmap(_pair_inv, combinations(f.cols, 2)))
+
+
+def _inversions(cu, cv) -> int:
+    """The inverted triples of column cv standing right of column cu: cv is
+    no taller, so the pair shares the rows of cv, and the entry below row 1
+    is the basement's +inf."""
+    return sum(map(inverted, cu, cv, (inf,) + cu))
+
+
+@lru_cache(maxsize=16384)
+def _pair_inv(cu, cv) -> int:
+    """:func:`_inversions`, memoised by the two column tuples, the last
+    16,384 kept."""
+    return _inversions(cu, cv)
 
 
 def maj(f: Filling) -> int:
     """Sum of leg+1 over the cells above row 1 whose entry exceeds the
-    entry below."""
-    return _maj(f.cols)
+    entry below: the sum over the columns of the memo :func:`_column_maj`."""
+    return sum(map(_column_maj, f.cols))
 
 
 def _maj(cols) -> int:
     return sum(len(col) - k for col in cols for k in range(1, len(col))
                if col[k] > col[k - 1])
+
+
+@lru_cache(maxsize=4096)
+def _column_maj(col) -> int:
+    """:func:`_maj` of one column tuple, memoised by it, the last 4,096
+    kept."""
+    return _maj((col,))
 
 
 def x_content(cols, nvars: int) -> tuple[int, ...]:
@@ -174,21 +199,21 @@ def x_weight(f: Filling, nvars: int) -> MPoly:
 
 
 def enumerate_fillings(shape, n: int):
-    """All n^|shape| fillings with entries in 1..n, in a fixed order; the
-    shape is checked once and each filling is built without the checks."""
+    """All n^|shape| fillings with entries in 1..n, in a fixed order: the
+    product of per-height lists of column tuples, the last entry changing
+    fastest.  The shape is checked once and each filling is built without
+    the checks."""
     shape = check_partition(shape)
-    cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
-            for i in range(len(shape))]
-    for flat in product(range(1, n + 1), repeat=sum(shape)):
-        yield Filling._trusted(tuple([flat[col] for col in cols]))
+    cols = {h: list(product(range(1, n + 1), repeat=h)) for h in set(shape)}
+    for combo in product(*[cols[h] for h in shape]):
+        yield Filling._trusted(combo)
 
 
 def htilde_brute(shape, n: int) -> MPoly:
     """Modified Macdonald polynomial as the sum over all n^|shape|
     fillings, taken as tuples of columns by :func:`_column_tally`: each
     column's content and maj once per height, and the inv of two columns
-    once per pair of heights, from :func:`inverted` with the left column's
-    entry below (+inf under row 1)."""
+    once per pair of heights, by :func:`_inversions` with no memo."""
     shape = check_partition(shape)
     # a filling's code: its content, a digit per value, then maj, then inv
     radices = (sum(i * h for i, h in enumerate(shape)) + 1,
@@ -196,7 +221,7 @@ def htilde_brute(shape, n: int) -> MPoly:
     tally = _column_tally(
         shape, n, lambda u, c: (sum(radices[2] ** (e - 1) for e in c)
                                 * radices[1] + _maj((c,))) * radices[0],
-        lambda cu, cv: sum(map(inverted, cu, cv, (inf,) + cu)))
+        _inversions)
     return MPoly(n, _read_terms(tally, radices, n))
 
 
@@ -268,10 +293,18 @@ def compare_columns(a, b) -> int:
     return EQUAL
 
 
+@lru_cache(maxsize=16384)
+def _column_order(a, b) -> int:
+    """:func:`compare_columns` on two same-height column tuples, memoised by
+    them, the last 16,384 kept."""
+    return compare_columns(a, b)
+
+
 def is_sorted(f: Filling) -> bool:
-    """True iff every run of same-height adjacent columns weakly increases."""
+    """True iff every run of same-height adjacent columns weakly increases,
+    each two neighbours judged by the memo :func:`_column_order`."""
     cols = f.cols
-    return all(compare_columns(cols[i - 1], cols[i]) != GREATER
+    return all(_column_order(cols[i - 1], cols[i]) != GREATER
                for i in _shape_table(f.shape)[1])
 
 
@@ -369,10 +402,12 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
     must have equal height and not be identical).  Returns the new filling
     and r.  The swap climbs from row r for as long as it changes whether
     the pair one row up is inverted, judged in the cyclic order read upward
-    from the entry below its left cell before and after the swap, on the
-    column tuples, by :func:`_flip_cols`, which the family walk and
-    :func:`sort_filling` call directly.  The swap keeps the shape and the
-    entries of the valid input, so the result is built without the checks.
+    from the entry below its left cell before and after the swap.  The
+    flipped pair and r come from the memo :func:`_flip_pair`, keyed by the
+    two column tuples, through :func:`_flip_cols`, which the family walk
+    and :func:`sort_filling` call directly.  The swap keeps the shape and
+    the entries of the valid input, so the result is built without the
+    checks.
     """
     if not (1 <= i < len(f.cols)):
         raise ValueError(f"column {i} out of range")
@@ -383,19 +418,31 @@ def flip(f: Filling, i: int) -> tuple[Filling, int]:
 
 
 def _flip_cols(cols, i: int) -> tuple[tuple, int]:
-    """:func:`flip` on column tuples, columns i, i+1 of equal height."""
-    a, b = list(cols[i - 1]), list(cols[i])
-    h = len(a)
-    r = next((r for r in range(1, h + 1) if a[r - 1] != b[r - 1]), None)
-    if r is None:
+    """:func:`flip` on column tuples, columns i, i+1 of equal height, the
+    pair read from the memo :func:`_flip_pair`."""
+    flipped = _flip_pair(cols[i - 1], cols[i])
+    if flipped is None:
         raise ValueError(f"columns {i}, {i + 1} are identical")
+    a, b, r = flipped
+    return cols[:i - 1] + (a, b) + cols[i + 1:], r
+
+
+@lru_cache(maxsize=16384)
+def _flip_pair(a, b):
+    """The flip of two equal-height column tuples: the flipped left and
+    right columns and the pivot row, or None when the two are identical;
+    memoised by the two tuples, the last 16,384 kept."""
+    r = next((r for r in range(1, len(a) + 1) if a[r - 1] != b[r - 1]), None)
+    if r is None:
+        return None
+    a, b = list(a), list(b)
     k = r - 1
     a[k], b[k] = b[k], a[k]
-    while k + 1 < h and (inverted(a[k + 1], b[k + 1], b[k])
-                         != inverted(a[k + 1], b[k + 1], a[k])):
+    while k + 1 < len(a) and (inverted(a[k + 1], b[k + 1], b[k])
+                              != inverted(a[k + 1], b[k + 1], a[k])):
         k += 1
         a[k], b[k] = b[k], a[k]
-    return cols[:i - 1] + (tuple(a), tuple(b)) + cols[i + 1:], r
+    return tuple(a), tuple(b), r
 
 
 def pds(v) -> tuple[int, ...]:
@@ -542,13 +589,12 @@ def sort_filling(f: Filling) -> Filling:
     """The unique sorted tableau whose family contains f.
 
     Sorts one rectangular component at a time through the memo
-    :func:`_sort_component`; the tableau reached is built without the
-    checks, and checked sorted on every call.
+    :func:`_sort_component`, which checks each component it reaches sorted;
+    a glued filling is sorted exactly when each of its same-height
+    components is, so the tableau reached is built without the checks.
     """
-    out = Filling._trusted(sum((_sort_component(f.cols[lo - 1:hi])
-                                for lo, hi in _shape_table(f.shape)[0]), ()))
-    _require_sorted(out)
-    return out
+    return Filling._trusted(sum((_sort_component(f.cols[lo - 1:hi])
+                                 for lo, hi in _shape_table(f.shape)[0]), ()))
 
 
 @lru_cache(maxsize=1024)
@@ -557,7 +603,8 @@ def _sort_component(cols) -> tuple:
     memoised by the component's column tuple, the last 1,024 kept.
 
     Puts each row into sorted order from the bottom up by undoing
-    canonical operator words, on column tuples through :func:`_flip_cols`.
+    canonical operator words, on column tuples through :func:`_flip_cols`,
+    then checks the columns reached weakly increase.
     """
     for r in range(1, len(cols[0]) + 1):
         target = []
@@ -575,4 +622,6 @@ def _sort_component(cols) -> tuple:
                         f"undo step acted at row {rr}, expected {r}")
         if tuple(col[r - 1] for col in cols) != target:
             raise AssertionError("row did not reach sorted order")
+    if GREATER in starmap(_column_order, zip(cols, cols[1:])):
+        raise ValueError("filling is not a sorted tableau")
     return cols

@@ -3,7 +3,8 @@ every module-level private function is referenced by some package module,
 every module imports on its own, the unchecked constructors stay in
 the modules that define their classes, every module-level memo is
 bounded, the brute-force oracles name none of the searches the compact
-routes read, and only the kernel sums over the walk.
+routes read nor any memo of the tableau statistics, and only the kernel
+sums over the walk.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
@@ -244,6 +245,28 @@ def test_brute_force_oracles_name_no_search_of_the_compact_routes():
     reached = names_reached(sources, ["htilde_brute", "j_hhl"])
     assert {"_column_tally", "inverted", "_side_by_side"} <= reached
     assert not SEARCHES & reached
+
+
+def memos(source: str) -> set[str]:
+    """The module-level functions with a ``cache`` or ``lru_cache``
+    decorator of any form."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            for text in map(ast.unparse, node.decorator_list)
+            if re.match(r"(functools\.)?(lru_)?cache\b", text)}
+
+
+def test_brute_force_oracles_name_no_memo_of_the_tableau_statistics():
+    # A memo filled by an earlier call would let an oracle share the
+    # answers of the public statistics, and a fault planted in the rule
+    # they table would not reach the oracle.
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    tabled = memos(sources["tableaux.py"])
+    assert {"_pair_inv", "_column_maj", "_column_order",
+            "_flip_pair"} <= tabled
+    reached = names_reached(sources, ["htilde_brute", "j_hhl"])
+    assert "_inversions" in reached
+    assert not tabled & reached
 
 
 def _enclosing(tree):

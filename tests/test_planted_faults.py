@@ -6,9 +6,11 @@ Every fault is planted by replacing one name on ``macpoly.cli``, the names
 the suites call, so the checks themselves run unchanged; the exceptions are
 the flip inside the family walk, ``tableaux._flip_cols``, the basement of
 the integral forms, ``nonattacking.beta_perm``, and the column tables of
-the brute-force oracles, ``tableaux.inverted`` and
-``nonattacking._side_by_side``, which no suite calls by name.  An error
-that is not the identity's own, a bug, must not read as a failed identity.
+the brute-force oracles and, behind their memos, of the tableau statistics
+and the flip, ``tableaux.inverted`` and ``nonattacking._side_by_side``,
+which no suite calls by name.  A fault planted under a memo is planted
+between two calls of ``clear_tableaux_memos``.  An error that is not the
+identity's own, a bug, must not read as a failed identity.
 """
 
 from math import inf
@@ -22,6 +24,8 @@ from macpoly.mpoly import ExactDivisionError, MPoly
 from macpoly.quasisym import NotQuasisymmetricError
 from macpoly.shapes import identity_perm
 from macpoly.tableaux import Filling
+
+from memos import clear_tableaux_memos
 
 
 def validate(suite, mx):
@@ -146,7 +150,7 @@ def test_perm_t_not_free_of_q_fails_the_family_size(monkeypatch):
 
 def test_a_flip_that_does_not_climb_fails_the_family_weights(monkeypatch):
     # The family walk calls tableaux._flip_cols, not a name on cli.  The
-    # component memos are cleared around the patch, so a memo filled
+    # tableaux memos are cleared around the patch, so a memo filled
     # earlier cannot hide the fault, and the mutant's entries do not
     # outlive this test.
     def pivot_only(cols, i):
@@ -155,21 +159,45 @@ def test_a_flip_that_does_not_climb_fails_the_family_weights(monkeypatch):
         a[k], b[k] = b[k], a[k]
         return cols[:i - 1] + (tuple(a), tuple(b)) + cols[i + 1:], k + 1
 
-    def clear_memos():
-        tableaux._component_family.cache_clear()
-        tableaux._sort_component.cache_clear()
-
-    clear_memos()
+    clear_tableaux_memos()
     monkeypatch.setattr(tableaux, "_flip_cols", pivot_only)
     try:
         code, lines = validate("family-partition", 4)
     finally:
         monkeypatch.undo()
-        clear_memos()
+        clear_tableaux_memos()
     assert code == cli.IDENTITY_EXIT
     assert failures(lines) == [
         f"FAIL family weights (2, 2) n={n} (root ((1, 2), (1, 2)))"
         for n in (2, 3)]
+
+
+def test_the_cyclic_order_with_the_low_entries_first_fails_the_families(
+        monkeypatch):
+    # inv, the column order and the flip judge their triples through
+    # tableaux.inverted behind memos keyed by columns.  The memos are
+    # cleared before the patch, or answers tabled by an earlier test would
+    # hide the fault, and after the undo, or the mutant's answers would
+    # outlive this test.  The mutant reads the cyclic order upward from z
+    # with the entries at most z first; row 1 is unchanged, so the first
+    # shape to see it is (2, 2).
+    suites = ("operator-lemmas", "family-partition")
+    clear_tableaux_memos()
+    monkeypatch.setattr(tableaux, "inverted",
+                        lambda a, b, z=inf: (a > z, a) > (b > z, b))
+    try:
+        planted = [validate(suite, 4) for suite in suites]
+    finally:
+        monkeypatch.undo()
+        clear_tableaux_memos()
+    assert [(code, failures(lines)) for code, lines in planted] == [
+        (cli.IDENTITY_EXIT, [f"FAIL inv step (2, 2) n={n} "
+                             "(((1, 2), (1, 1)) col 1)" for n in (2, 3)]),
+        (cli.IDENTITY_EXIT, [f"FAIL family weights (2, 2) n={n} "
+                             "(root ((1, 2), (1, 2)))" for n in (2, 3)])]
+    for suite in suites:
+        code, lines = validate(suite, 4)
+        assert code == 0 and lines and not failures(lines), suite
 
 
 def test_an_identity_basement_fails_the_hecke_and_tatom_suites(monkeypatch):

@@ -19,6 +19,8 @@ from macpoly.tableaux import (EQUAL, GREATER, LESS, Filling,
                               is_sorted, maj, pds, perm_t, sort_filling,
                               x_content, x_weight, _shortest_rearranger)
 
+from memos import clear_tableaux_memos
+
 BIG_SORTED = Filling(((9, 5, 5, 1, 6), (9, 5, 5, 1, 6), (9, 6, 2, 1, 6),
                       (1, 6), (3, 6), (2,), (2,), (3,), (3,)))
 
@@ -83,6 +85,17 @@ def test_enumerate_fillings_counts():
     assert len(list(enumerate_fillings((2, 2), 2))) == 16
 
 
+def test_enumerate_fillings_follows_the_flat_entry_order():
+    # column by column, each bottom to top, the last entry changing fastest
+    for m in range(7):
+        for lam in partitions_of(m):
+            starts = [sum(lam[:i]) for i in range(len(lam) + 1)]
+            for n in (1, 2, 3):
+                flat = [tuple(e[a:b] for a, b in zip(starts, starts[1:]))
+                        for e in product(range(1, n + 1), repeat=m)]
+                assert [f.cols for f in enumerate_fillings(lam, n)] == flat
+
+
 def _inv_oracle(f):
     """Triple count via the inequality characterization, ties by reading order."""
     shape = f.shape
@@ -118,6 +131,42 @@ def test_inv_matches_inequality_oracle():
     for lam in partitions_of(4):
         for f in enumerate_fillings(lam, 3):
             assert inv(f) == _inv_oracle(f)
+
+
+def _fillings_up_to_five_cells():
+    return [f for m in range(6) for lam in partitions_of(m)
+            for n in (1, 2, 3) for f in enumerate_fillings(lam, n)]
+
+
+def _maj_direct(f):
+    return sum(len(col) - r for col in f.cols for r in range(1, len(col))
+               if col[r] > col[r - 1])
+
+
+def _is_sorted_direct(f):
+    return all(compare_columns(a, b) != GREATER
+               for a, b in zip(f.cols, f.cols[1:]) if len(a) == len(b))
+
+
+def test_the_memoised_statistics_are_the_direct_ones_cold_and_warm():
+    fillings = _fillings_up_to_five_cells()
+    clear_tableaux_memos()
+    for _ in ("cold", "warm"):
+        for f in fillings:
+            assert inv(f) == _inv_oracle(f), f
+            assert maj(f) == _maj_direct(f), f
+            assert is_sorted(f) == _is_sorted_direct(f), f
+
+
+def test_clear_tableaux_memos_empties_every_memo():
+    for f in _fillings_up_to_five_cells()[:400]:
+        inv(f), maj(f), is_sorted(f), sort_filling(f)
+    tables = [v for v in vars(tableaux).values() if hasattr(v, "cache_clear")]
+    assert {tableaux._pair_inv, tableaux._column_maj, tableaux._column_order,
+            tableaux._flip_pair, tableaux._sort_component} <= set(tables)
+    assert any(m.cache_info().currsize for m in tables)
+    clear_tableaux_memos()
+    assert all(m.cache_info().currsize == 0 for m in tables)
 
 
 def test_htilde_brute_small():
@@ -310,6 +359,9 @@ def test_flip_errors():
         flip(Filling(((1, 1), (1,))), 1)
     with pytest.raises(ValueError, match="are identical"):
         flip(Filling(((1,), (1,))), 1)
+    # the memoised pair table leaves the column numbers to the caller
+    with pytest.raises(ValueError, match="columns 2, 3 are identical"):
+        flip(Filling(((2,), (1,), (1,))), 2)
     for i in (0, 2, -1):
         with pytest.raises(ValueError, match="out of range"):
             flip(Filling(((1,), (2,))), i)
@@ -494,8 +546,7 @@ def test_sort_filling_without_the_memos_is_the_memoised_answer():
     for s in _sorted_roots_up_to_six_cells():
         for g in family(s):
             memoised = sort_filling(g)
-            tableaux._component_family.cache_clear()
-            tableaux._sort_component.cache_clear()
+            clear_tableaux_memos()
             assert sort_filling(g) == memoised == s, g
 
 
