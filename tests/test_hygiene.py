@@ -172,15 +172,21 @@ def test_trusted_constructors_stay_in_their_own_modules(module):
         assert TRUSTED_HOMES.get(receiver) == module, receiver
 
 
-def unbounded_caches(source: str) -> list[str]:
-    """The module-level functions memoised by ``functools.cache`` or
-    ``lru_cache`` in any form but ``lru_cache(maxsize=<int literal>)``."""
-    return [node.name for node in ast.parse(source).body
+def cache_decorators(source: str) -> list[tuple[str, str]]:
+    """(name, decorator) for each module-level function memoised by
+    ``functools.cache`` or ``lru_cache`` in any form."""
+    return [(node.name, text) for node in ast.parse(source).body
             if isinstance(node, ast.FunctionDef)
             for text in map(ast.unparse, node.decorator_list)
-            if re.match(r"(functools\.)?(lru_)?cache\b", text)
-            and not re.fullmatch(r"(functools\.)?lru_cache\(maxsize=\d+\)",
-                                 text)]
+            if re.match(r"(functools\.)?(lru_)?cache\b", text)]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The module-level functions memoised in any form but
+    ``lru_cache(maxsize=<int literal>)``."""
+    return [name for name, text in cache_decorators(source)
+            if not re.fullmatch(r"(functools\.)?lru_cache\(maxsize=\d+\)",
+                                text)]
 
 
 def test_checker_finds_every_unbounded_cache():
@@ -247,21 +253,12 @@ def test_brute_force_oracles_name_no_search_of_the_compact_routes():
     assert not SEARCHES & reached
 
 
-def memos(source: str) -> set[str]:
-    """The module-level functions with a ``cache`` or ``lru_cache``
-    decorator of any form."""
-    return {node.name for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef)
-            for text in map(ast.unparse, node.decorator_list)
-            if re.match(r"(functools\.)?(lru_)?cache\b", text)}
-
-
 def test_brute_force_oracles_name_no_memo_of_the_tableau_statistics():
     # A memo filled by an earlier call would let an oracle share the
     # answers of the public statistics, and a fault planted in the rule
     # they table would not reach the oracle.
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    tabled = memos(sources["tableaux.py"])
+    tabled = {name for name, _ in cache_decorators(sources["tableaux.py"])}
     assert {"_pair_inv", "_column_maj", "_column_order",
             "_flip_pair"} <= tabled
     reached = names_reached(sources, ["htilde_brute", "j_hhl"])
