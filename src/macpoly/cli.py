@@ -178,7 +178,7 @@ def cmd_enumerate(kind, shape, nvars, basement, ordered, packed, fmt, output):
         if given and kind != "nonattacking":
             raise click.UsageError(f"{name} applies to nonattacking only")
     parts = _parse_parts(shape)
-    base = tuple(_parse_parts(basement)) if basement else None
+    base = None if basement is None else tuple(_parse_parts(basement))
 
     def records():
         if kind == "fillings":

@@ -29,12 +29,14 @@ terms.
 :meth:`MPoly.to_json` writes the bytes of ``json.dumps(to_json_dict())``
 directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, through one
 emitter that joins each graded-lex degree in one C-level call, running no
-Python code per term.  A symmetric result lays out a degree as the
-x-monomials of every nu, sorted lex once, each joining the parts of its
-(nu, degree) block, made once and shared by all rearrangements of nu; a
-plain MPoly is one round of its sorted terms, each alone.  The result is
-one string, between an optional head and tail, so a large value is never
-copied again to wrap or end it.
+Python code per term.  Every polynomial is written as a sum over orbits of
+x-monomials, each orbit carrying one x-free coefficient: a symmetric
+result's orbits are the rearrangements of each nu (the m_nu basis), and a
+plain MPoly's are its x-monomials, each its own orbit.  A degree is laid
+out as the members of every orbit, sorted lex once, each joining the parts
+of its (orbit, degree) block, made once and shared by all the orbit's
+members.  The result is one string, between an optional head and tail, so
+a large value is never copied again to wrap or end it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
-from operator import add, getitem, itemgetter, not_
+from operator import add
 
 from .shapes import is_partition, partitions_of, rearrangements
 
@@ -126,13 +128,18 @@ class MPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in ascending graded-lex order on (x-exponents, q, t)."""
-        terms = self._terms
-        return [(k, terms[k]) for k in self._sorted_keys()]
-
-    def _sorted_keys(self) -> list[tuple[int, ...]]:
         # A lex sort, then a stable sort by degree: the _grlex order without
         # a Python call or a tuple-of-tuples comparison per key.
-        return sorted(sorted(self._terms), key=sum)
+        terms = self._terms
+        return [(k, terms[k]) for k in sorted(sorted(terms), key=sum)]
+
+    def by_x(self) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+        """The terms grouped by x-monomial, ``{x: {(e_q, e_t): c}}``, in
+        new dicts that the caller may change."""
+        n, groups = self.nvars, {}
+        for k, c in self._terms.items():
+            groups.setdefault(k[:n], {})[k[n:]] = c
+        return groups
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -243,26 +250,48 @@ class MPoly:
 
     # -- rendering ---------------------------------------------------------
 
+    def _orbits(self):
+        """``(coeffs, members)``: each orbit's x-free ``{(e_q, e_t): c}``, and
+        the function giving the x-monomials that an orbit's coefficient is
+        written at.  A plain MPoly's orbits are its x-monomials, each its
+        own only member."""
+        return self.by_x(), lambda x: (x,)
+
     def _layout(self):
         """``(xs, items, blocks, rounds)`` for :meth:`_write`.  A block
-        ``(x, lo, hi)`` holds the ``(e_q, e_t, c)`` of ``items[lo:hi]`` at
-        x or its rearrangements; a round gives each ``xs[j]`` its block's
-        index, or -1.  A plain MPoly has no blocks: ``xs[j]`` is item j's."""
-        n, terms = self.nvars, self._terms
-        keys = self._sorted_keys()
-        return (list(map(itemgetter(slice(0, n)), keys)),
-                list(zip(map(itemgetter(n), keys), map(itemgetter(n + 1), keys),
-                         map(terms.__getitem__, keys))), None, [range(len(keys))])
+        ``(o, lo, hi)`` holds the ``(e_q, e_t, c)`` of ``items[lo:hi]``, of
+        one degree, at every member of orbit o; a round gives each
+        ``xs[j]`` its block at one degree, or -1."""
+        # Each orbit's terms fall by degree |o| + e_q + e_t into blocks that
+        # its members share; the members of all orbits are sorted lex once,
+        # and each degree is one round, so no full key is sorted.
+        coeffs, members = self._orbits()
+        items, blocks, rounds = [], [], {}  # degree -> {orbit: its block}
+        for k, (o, qt) in enumerate(coeffs.items()):
+            by_degree: dict[int, list] = {}
+            size = sum(o)
+            for (e_q, e_t), c in sorted(qt.items()):
+                by_degree.setdefault(size + e_q + e_t, []).append(
+                    (e_q, e_t, c))
+            for degree, block in by_degree.items():
+                rounds.setdefault(degree, {})[k] = len(blocks)
+                blocks.append((o, len(items), len(items) + len(block)))
+                items += block
+        orbit_at = {x: k for k, o in enumerate(coeffs) for x in members(o)}
+        xs = sorted(orbit_at)
+        orbit_of = list(map(orbit_at.__getitem__, xs))
+        return (xs, items, blocks, (map(rounds[d].get, orbit_of, repeat(-1))
+                                    for d in sorted(rounds)))
 
     def _write(self, xfrag, make, lead, tail: str):
-        """The writers' one emitter, or None for zero: each block (or plain
-        term) is made once into parts that its x-monomial's ``xfrag`` joins,
-        and each round is one C-level join.  ``lead`` rewrites the start."""
+        """The writers' one emitter, or None for zero: each block is made
+        once into parts that each member's ``xfrag`` joins, and each round
+        is one C-level join.  ``lead`` rewrites the start."""
         xs, items, blocks, rounds = self._layout()
         if not items:
             return None
-        xfs = list(map({x: xfrag(x) for x in set(xs)}.__getitem__, xs))
-        parts = [*make(xs, items, blocks), None]
+        xfs = list(map(xfrag, xs))
+        parts = [*make(items, blocks), None]
         out = ["".join(map(str.join, compress(xfs, at), filter(None, at)))
                for at in (list(map(parts.__getitem__, r)) for r in rounds)]
         del xs, xfs, parts  # only the rounds are held while they are joined
@@ -292,11 +321,8 @@ class MPoly:
                     sign + (f"{mag}{mul_sep}{qts}" if qts and mag != 1
                             else qts or str(mag)))
 
-        def make(xs, items, blocks):  # a block: head, glues, tail; bare at x^0
+        def make(items, blocks):  # a block: head, glues, tail; bare at x^0
             heads, tails, bares = zip(*map(term, items))
-            if blocks is None:  # (head, tail) of each term, or (bare,) at x^0
-                return map(getitem, zip(zip(heads, tails), zip(bares)),
-                           map(not_, map(any, xs)))
             glues = list(map(add, tails, heads[1:]))
             return [[heads[lo], *glues[lo:hi - 1], tails[hi - 1]] if any(x)
                     else bares[lo:hi] for x, lo, hi in blocks]
@@ -338,11 +364,10 @@ class MPoly:
         """``json.dumps(to_json_dict())``, byte for byte, between head and tail."""
         head, tail = head + '{"nvars": %d, "terms": [' % self.nvars, "]}" + tail
 
-        def make(xs, items, blocks):  # a term is ", " + x-fragment + its rest
+        def make(items, blocks):  # a term is ", " + x-fragment + its rest
             rest = {i: '%d, "t": %d, "c": "%d"}' % i for i in set(items)}
             rests = list(map(rest.__getitem__, items))
-            return zip(repeat(""), rests) if blocks is None else [
-                ["", *rests[lo:hi]] for _, lo, hi in blocks]
+            return [["", *rests[lo:hi]] for _, lo, hi in blocks]
 
         return self._write(lambda x: ', {"x": %s, "q": ' % (list(x),), make,
                            lambda first: head + first[2:], tail) or head + tail
@@ -421,12 +446,8 @@ def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
     dlead = max(den, key=_grlex)
     dlc = den[dlead]
 
-    groups: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for k, c in p.terms().items():
-        groups.setdefault(k[:n], {})[k[n:]] = c
-
     out: dict[tuple[int, ...], int] = {}
-    for xk, num in groups.items():
+    for xk, num in p.by_x().items():
         # The keys met, grlex-largest on top; a key that cancelled after it
         # was pushed is skipped when it comes up.
         heap = [(-a - b, -a, (a, b)) for a, b in num]
@@ -709,39 +730,21 @@ class SymmetricMPoly(MPoly):
         self._terms = self._expand()
         return self._terms
 
-    def _padded(self, nu):
-        return nu + (0,) * (self.nvars - len(nu))
+    def _orbits(self):
+        # The orbit of nu is its distinct rearrangements padded with zeros.
+        pad = (0,) * self.nvars
+        return self._coeffs, lambda nu: rearrangements(nu + pad[len(nu):])
 
     def _expand(self) -> dict:
-        """Each coefficient written at every distinct rearrangement of nu
-        padded with zeros to nvars exponents."""
+        """Each coefficient written at every member of its orbit."""
+        coeffs, members = self._orbits()
         terms: dict[tuple[int, ...], int] = {}
-        for nu, qt in self._coeffs.items():
+        for nu, qt in coeffs.items():
             qt = qt.items()
-            for xexps in rearrangements(self._padded(nu)):
+            for xexps in members(nu):
                 for k, c in qt:
                     terms[xexps + k] = c
         return terms
-
-    def _layout(self):
-        # Each nu's terms fall by degree |nu| + e_q + e_t into blocks that its
-        # rearrangements share; the rearrangements of all nu are sorted lex
-        # once, and each degree is one round, so no term is sorted.
-        nus = list(self._coeffs)
-        items, blocks, rounds = [], [], {}  # degree -> the block of each nu
-        for k, nu in enumerate(nus):
-            by_degree: dict[int, list] = {}
-            for (e_q, e_t), c in sorted(self._coeffs[nu].items()):
-                by_degree.setdefault(sum(nu) + e_q + e_t, []).append((e_q, e_t, c))
-            for degree, block in by_degree.items():
-                rounds.setdefault(degree, [-1] * len(nus))[k] = len(blocks)
-                blocks.append((nu, len(items), len(items) + len(block)))
-                items += block
-        order = sorted((x, k) for k, nu in enumerate(nus)
-                       for x in rearrangements(self._padded(nu)))
-        nu_of = [k for _, k in order]
-        return ([x for x, _ in order], items, blocks,
-                (map(rounds[d].__getitem__, nu_of) for d in sorted(rounds)))
 
     def __reduce__(self):
         return MPoly, (self.nvars, self._terms)

@@ -174,21 +174,17 @@ def maj_na(f: AugmentedFilling) -> int:
 
 
 def enumerate_na(shape, basement, n: int, ordered_only: bool = False,
-                 no_descents: bool = False, content=None):
+                 no_descents: bool = False):
     """All nonattacking fillings of the diagram with entries 1..n.
 
     ordered_only restricts the bottom row as in :func:`is_ordered`;
     no_descents keeps only fillings with no descent anywhere, the basement
-    included (the surviving set at q = 0).  With ``content``, only the
-    fillings holding the value v exactly ``content[v-1]`` times are built,
-    in the same order: entries range over 1..len(content), and a value's
-    remaining budget is checked before the other conditions.
+    included (the surviving set at q = 0).
     """
     shape = check_composition(shape)
     order = cells(shape)
     base = None if basement is None else tuple(basement)
-    for entries, *_ in _walk(shape, basement, n, ordered_only, no_descents,
-                             content):
+    for entries, *_ in _walk(shape, basement, n, ordered_only, no_descents):
         yield AugmentedFilling._trusted(
             shape, _columns(order, len(shape), entries), base)
 

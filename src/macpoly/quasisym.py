@@ -89,11 +89,8 @@ def qsym_expand(p: MPoly) -> QSymExpansion:
     q,t-coefficient.
     """
     n = p.nvars
-    by_x: dict[tuple, dict] = {}  # x-exponents -> {(e_q, e_t): c}
-    for key, c in p.terms().items():
-        by_x.setdefault(key[:n], {})[key[n:]] = c
     groups: dict[tuple, dict[tuple, dict]] = {}
-    for xpart, qt in by_x.items():
+    for xpart, qt in p.by_x().items():
         comp = tuple(e for e in xpart if e)
         support = tuple(i for i, e in enumerate(xpart) if e)
         groups.setdefault(comp, {})[support] = qt
@@ -112,8 +109,9 @@ def qsym_expand(p: MPoly) -> QSymExpansion:
 
         for s in supports:
             got = by_support.get(s, {})
-            if got != ref:
-                qt = next(iter(set(ref) ^ set(got)), next(iter(ref)))
+            if got != ref:  # the witness: the least (q, t) key they differ at
+                qt = min(k for k in ref.keys() | got.keys()
+                         if ref.get(k) != got.get(k))
                 raise NotQuasisymmetricError(
                     f"coefficient of placement {s} of {comp} differs from "
                     f"placement {ref_support}",

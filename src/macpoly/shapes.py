@@ -318,9 +318,12 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
     the plan's order.  Bit k of ``mask`` is set when the k-th cell repeats
     its partner, in a sorted tableau with the columns agreeing below it.
     coinv never falls along the search, so a partial filling is dropped as
-    soon as its coinv exceeds ``coinv_cap``.  The per-cell plan is cached by
-    shape, mode and whether there is a basement; the basement's entries
-    only fill their slots of ``entries``.
+    soon as its coinv exceeds ``coinv_cap``.  With ``content``, only the
+    fillings holding the value v exactly ``content[v-1]`` times are built,
+    in the same order: entries range over 1..len(content), and a value's
+    remaining budget is checked before the other conditions.  The per-cell
+    plan is cached by shape, mode and whether there is a basement; the
+    basement's entries only fill their slots of ``entries``.
     """
     shape = (check_partition if sorted_tableaux else check_composition)(shape)
     if basement is not None:

@@ -334,20 +334,16 @@ def _shape_table(shape) -> tuple:
     return tuple(runs), tuple(i for lo, hi in runs for i in range(lo, hi))
 
 
-def enumerate_sorted(shape, n: int, content=None):
+def enumerate_sorted(shape, n: int):
     """All sorted tableaux with entries in 1..n, built constructively.
 
     Columns are filled left to right, each bottom to top and each
     same-height run as a weakly increasing chain under the column order.
-    With ``content``, only the tableaux holding the value v exactly
-    ``content[v-1]`` times are built, in the same order: entries range over
-    1..len(content), and a value's budget is checked before the column order.
     """
     shape = check_partition(shape)
     cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
             for i in range(len(shape))]
-    for entries, *_ in _walk(shape, None, n, content=content,
-                             sorted_tableaux=True):
+    for entries, *_ in _walk(shape, None, n, sorted_tableaux=True):
         yield Filling._trusted(tuple([tuple(entries[col]) for col in cols]))
 
 

@@ -9,7 +9,8 @@ import pytest
 from macpoly.nonattacking import AugmentedFilling, coinv, enumerate_na, maj_na
 from macpoly.shapes import _walk, cells, compositions, partitions_of
 from macpoly.tableaux import (Filling, _signature, components,
-                              enumerate_fillings, inv, is_sorted, maj)
+                              enumerate_fillings, inv, is_sorted, maj,
+                              x_content)
 
 
 def _triples(shape) -> int:
@@ -77,15 +78,19 @@ def test_inv_plus_coinv_counts_every_triple(m):
     assert seen == sum(n ** m for n in range(1, 4)) * len(partitions_of(m))
 
 
-def _check_walk(shape, basement, n, **kw):
+def _check_walk(shape, basement, n, content=None, **kw):
     """Each raw tuple of the walk against the public filling at the same
-    place of enumerate_na: entries, maj_na, coinv and the mask bits."""
+    place of enumerate_na, given a content among the fillings that hold it:
+    entries, maj_na, coinv and the mask bits."""
     order = cells(shape)
     below = [(i, r - 1) if r >= 2 or basement is not None else None
              for i, r in order]
-    for (entries, mj, c, eq), f in zip(_walk(shape, basement, n, **kw),
-                                       enumerate_na(shape, basement, n, **kw),
-                                       strict=True):
+    fillings = [f for f in enumerate_na(shape, basement, n, **kw)
+                if content is None
+                or x_content(f.cols, n) == content + (0,) * (n - len(content))]
+    for (entries, mj, c, eq), f in zip(
+            _walk(shape, basement, n, content=content, **kw), fillings,
+            strict=True):
         assert entries[:len(order)] == [f.entry(*cell) for cell in order]
         assert (mj, c) == (maj_na(f), coinv(f)), (shape, basement, f.cols)
         assert eq == sum(1 << k for k, (cell, b) in enumerate(zip(order, below))

@@ -238,6 +238,15 @@ def test_nonattacking_options_on_other_kinds_are_usage_errors(tmp_path, kind,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("basement", ["", " "])
+def test_an_empty_basement_is_given_and_a_usage_error(basement):
+    res = run("enumerate", "nonattacking", "--shape", "1,2", "--nvars", "2",
+              "--basement", basement)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "basement length does not match the shape" in res.output
+
+
 @pytest.mark.parametrize("extra", [
     ("--shape", "2,1"), ("--nvars", "3"), ("--shape", "2,1", "--nvars", "3")])
 def test_family_root_with_shape_or_nvars_is_a_usage_error(extra):

@@ -1,6 +1,6 @@
 """The weighted-filling kernel: digest regression against recorded outputs,
 the cached t-multinomials, in-place accumulation, the walk sum and the
-perm_t weight it reads off a mask, the unchecked read-out, enumeration
+perm_t weight it reads off a mask, the unchecked read-out, the walk
 restricted to one content, and the symmetric expansion."""
 
 import hashlib
@@ -14,7 +14,7 @@ from macpoly.mpoly import (ONE, MPoly, VariableMismatchError, accumulate,
                            expand_symmetric, read_out, specialize,
                            t_multinomial, t_pochhammer, walk_sum, weight_poly)
 from macpoly.nonattacking import (e_general_q0, e_integral, e_integral_sum,
-                                  enumerate_na, j_compact, j_hhl, pr1, pr2)
+                                  j_compact, j_hhl, pr1, pr2)
 from macpoly.quasisym import (demazure_t_atom, g_integral, placements,
                               qs_gamma, qsym_expand)
 from macpoly.shapes import _walk, partitions_of
@@ -247,36 +247,46 @@ def test_the_mask_weight_is_perm_t(m):
                     (lam, f.cols)
 
 
+def _raw(walk):
+    """A walk's raw tuples with each reused entry list copied."""
+    return [(tuple(entries), *stats) for entries, *stats in walk]
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_content_enumeration_is_the_filtered_full_enumeration(m):
+    """A walk given content nu yields the raw tuples of the full walk whose
+    cells hold nu, in the same order, for the sorted tableaux, the ordered
+    fillings of J's diagram and the nonattacking fillings of lambda."""
     n = m
     for lam in partitions_of(m):
         j_shape = (0,) * (n - len(lam)) + tuple(sorted(lam))
-        enumerators = (
-            lambda **kw: enumerate_sorted(lam, n, **kw),
-            lambda **kw: enumerate_na(j_shape, None, n, ordered_only=True, **kw),
-            lambda **kw: enumerate_na(lam, None, n, **kw),
+        walks = (
+            lambda **kw: _walk(lam, None, n, sorted_tableaux=True, **kw),
+            lambda **kw: _walk(j_shape, None, n, ordered_only=True, **kw),
+            lambda **kw: _walk(lam, None, n, **kw),
         )
-        for enum in enumerators:
-            everything = list(enum())
+        for walk in walks:
+            everything = _raw(walk())
             for nu in partitions_of(m):
                 padded = nu + (0,) * (n - len(nu))
-                expected = [f for f in everything
-                            if x_content(f.cols, n) == padded]
-                assert list(enum(content=nu)) == expected
+                expected = [r for r in everything
+                            if x_content((r[0][:m],), n) == padded]
+                assert _raw(walk(content=nu)) == expected
 
 
 def test_sorted_222_has_281_tableaux_of_partition_content():
-    assert len(list(enumerate_sorted((2, 2, 2), 6))) == 8436
+    assert sum(1 for _ in _walk((2, 2, 2), None, 6,
+                                sorted_tableaux=True)) == 8436
     assert sum(1 for nu in partitions_of(6)
-               for _ in enumerate_sorted((2, 2, 2), 6, content=nu)) == 281
+               for _ in _walk((2, 2, 2), None, 6, content=nu,
+                              sorted_tableaux=True)) == 281
 
 
 def test_content_must_fill_the_diagram():
     with pytest.raises(ValueError):
-        next(enumerate_sorted((2, 1), 3, content=(2,)))
+        next(_walk((2, 1), None, 3, content=(2,), sorted_tableaux=True))
     with pytest.raises(ValueError):
-        next(enumerate_na((1, 2), None, 3, content=(2, 2)))
+        next(_walk((1, 2), None, 3, content=(2, 2)))
 
 
 def test_expand_symmetric_writes_every_rearrangement():

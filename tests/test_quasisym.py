@@ -81,6 +81,16 @@ def test_qsym_expand_failure_witness():
     assert {w1[:2], w2[:2]} == {(1, 0), (0, 1)}
 
 
+def test_qsym_expand_witness_names_a_key_where_the_coefficients_differ():
+    x1, x2, q = MPoly.x(2, 1), MPoly.x(2, 2), MPoly.q(2)
+    p = x1 + q * x1 + x2 + 2 * q * x2
+    with pytest.raises(NotQuasisymmetricError) as err:
+        qsym_expand(p)
+    w1, w2 = err.value.witness
+    assert (w1, w2) == ((1, 0, 1, 0), (0, 1, 1, 0))
+    assert p.terms().get(w1) != p.terms().get(w2)
+
+
 def test_qsym_expand_mismatched_coefficient():
     p = MPoly.x(2, 1) + 2 * MPoly.x(2, 2)
     with pytest.raises(NotQuasisymmetricError):
