@@ -51,14 +51,21 @@ def _parse_rows(text: str) -> Filling:
 
 
 def _emit(lines, output):
-    """Write each line as it is produced, to the output file or stdout."""
-    if output:
-        with open(output, "w") as fh:
-            fh.writelines(lines)
-    else:
-        out = click.get_text_stream("stdout")
-        out.writelines(lines)
-        out.flush()
+    """Write each line as it is produced, to the output file or stdout; a
+    failed write is a usage error, but a closed pipe is left to click."""
+    try:
+        if output:
+            with open(output, "w") as fh:
+                fh.writelines(lines)
+        else:
+            out = click.get_text_stream("stdout")
+            out.writelines(lines)
+            out.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {output or 'stdout'}: "
+                               f"{exc.strerror or exc}")
 
 
 def _check_output(ctx, param, path):

@@ -14,17 +14,16 @@ it never reduces to lowest terms, and equality is by cross-multiplication.
 The compact formulas sum x^content(f) * q^maj(f) * t^stat(f) * w(q, t)
 over fillings f, all through one kernel, :func:`walk_sum`: it reads the
 raw tuples of :func:`macpoly.shapes._walk`, takes each mask's weight once
-per sum, and adds each term in place into one dict by :func:`accumulate`,
-dropping coefficients that cancel.  The weights, ``((e_q, e_t), c)`` pairs
-cached by shape and mask in the routes' modules, are built in plain integer
-arithmetic from two bounded caches: :func:`t_multinomial_product` and the
-products of cell factors ``1 - q^a t^b`` of :func:`cell_product`.  The
-symmetric sums (``htilde``, ``J``) take the x-free weights of each
-partition content nu through :func:`sum_by_content`, and
-:func:`expand_symmetric` returns a
-:class:`SymmetricMPoly` that keeps those m_nu coefficients: it is written
-from them, and expanded to x-monomials only when something else reads its
-terms.
+per sum, and adds each term in place into one dict, dropping coefficients
+that cancel.  A weight, ``((e_q, e_t), c)`` pairs, is built from the
+routes' per-shape tables and two bounded caches of plain integer
+arithmetic: :func:`t_multinomial_product` and the products of cell factors
+``1 - q^a t^b`` of :func:`cell_product`; no memo but the sum's own is keyed
+by the mask.  The symmetric sums (``htilde``, ``J``) take the x-free
+weights of each partition content nu through :func:`sum_by_content`, and
+:func:`expand_symmetric` returns a :class:`SymmetricMPoly` that keeps those
+m_nu coefficients: it is written from them, and expanded to x-monomials
+only when something else reads its terms.
 
 :meth:`MPoly.to_json` writes the bytes of ``json.dumps(to_json_dict())``
 directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, through one
@@ -657,15 +656,16 @@ def cell_product(factors):
 def walk_sum(walk, weight, nvars: int | None = None, size: int = 0,
              inv_total: int | None = None, terms: dict | None = None) -> dict:
     """Add x^content q^maj t^stat weight(mask) per raw ``(entries, maj,
-    coinv, mask)`` tuple of a walk into ``terms`` (new when None) and return
-    it: weight once per mask met, the content counting 1..nvars among the
-    first ``size`` entries (none for nvars None, a one-content walk), and
-    stat coinv, or inv = inv_total - coinv."""
+    coinv, mask)`` tuple of a walk into ``terms`` (new when None) in place,
+    touching only the weight's keys and deleting coefficients that cancel,
+    and return it: weight once per mask met, the content counting 1..nvars
+    among the first ``size`` entries (none for nvars None, a one-content
+    walk), and stat coinv, or inv = inv_total - coinv."""
     if terms is None:
         terms = {}
     weights: dict[int, tuple] = {}  # mask -> weight(mask), for this sum
     content = ()
-    for entries, m, c, mask in walk:
+    for entries, m, s, mask in walk:
         w = weights.get(mask)
         if w is None:
             w = weights[mask] = weight(mask)
@@ -674,8 +674,15 @@ def walk_sum(walk, weight, nvars: int | None = None, size: int = 0,
             for e in entries[:size]:
                 exps[e - 1] += 1
             content = tuple(exps)
-        accumulate(terms, content, w, m,
-                   c if inv_total is None else inv_total - c)
+        if inv_total is not None:
+            s = inv_total - s
+        for (a, b), c in w:
+            key = content + (a + m, b + s)
+            c += terms.get(key, 0)
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
     return terms
 
 
@@ -686,23 +693,6 @@ def sum_by_content(n: int, size: int, content_sum) -> MPoly:
     expanded to the rearrangements of nu last."""
     return expand_symmetric(n, {nu: read_out(0, content_sum(nu))
                                 for nu in partitions_of(size) if len(nu) <= n})
-
-
-def accumulate(terms: dict, content: tuple[int, ...], weight, qexp: int = 0,
-               texp: int = 0) -> None:
-    """Add x^content * q^qexp * t^texp * weight into a term dict in place,
-    deleting coefficients that cancel; :func:`walk_sum` calls it per filling.
-
-    Touches only the keys of one small weight, where ``MPoly.__add__``
-    would copy the whole growing sum.
-    """
-    for (a, b), c in weight:
-        key = content + (a + qexp, b + texp)
-        c += terms.get(key, 0)
-        if c:
-            terms[key] = c
-        else:
-            del terms[key]
 
 
 def read_out(nvars: int, terms: dict) -> MPoly:

@@ -20,8 +20,9 @@ The compact sums (:func:`j_compact`, :func:`e_integral_sum`,
 tuples of the one walk, :func:`macpoly.shapes._walk`, through the kernel
 :func:`macpoly.mpoly.walk_sum`, and :func:`enumerate_na` wraps the same
 tuples in fillings.  The integral forms' weight of a walk mask (bit k: cell
-k repeats the entry below) is cached by shape and mask, whatever the
-basement or content.  The public :func:`coinv`, :func:`coinversion_triples`
+k repeats the entry below) is the cached product of the shape's factors,
+tabled once whatever the basement or content; ``walk_sum`` takes it once
+per mask and sum.  The public :func:`coinv`, :func:`coinversion_triples`
 and :func:`maj_na` recompute the statistics per object through
 ``inverted``.  The oracle :func:`j_hhl` walks no search: it sums over
 tuples of columns, as ``htilde_brute`` does.
@@ -224,11 +225,10 @@ def _shape_factors(shape) -> tuple:
              for k, c in enumerate(cells(shape)) if c[1] >= 2])
 
 
-@lru_cache(maxsize=4096)
 def _integral_weight(shape, mask):
-    """The integral forms' weight at a walk mask, memoised by shape and mask:
-    the (t;t) factors of the column heights and, per cell above row 1,
-    1 - q^(leg+1) t^(arm+1) where it repeats the entry below, else 1 - t."""
+    """The integral forms' weight at a walk mask, the product (cached by
+    ``cell_product``) of the shape's (t;t) factors and, per cell above row
+    1, 1 - q^(leg+1) t^(arm+1) where it repeats the entry below, else 1 - t."""
     poch, upper = _shape_factors(shape)
     return cell_product(tuple(sorted(
         poch + [ab if mask >> k & 1 else (0, 1) for k, ab in upper])))

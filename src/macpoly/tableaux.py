@@ -376,12 +376,11 @@ def htilde_compact(shape, n: int) -> MPoly:
         partial(_perm_t_weight, shape), inv_total=triples))
 
 
-@lru_cache(maxsize=4096)
 def _perm_t_weight(shape, mask):
-    """The perm_t weight of a sorted tableau at a walk mask, memoised by
-    shape and mask.  A column repeats its same-height left neighbour exactly
-    when its top cell's bit is set, and equal columns of a run are adjacent,
-    so the columns labelled by their runs of repeats give the signature."""
+    """The perm_t weight of a sorted tableau at a walk mask.  A column
+    repeats its same-height left neighbour exactly when its top cell's bit
+    is set, and equal columns of a run are adjacent, so the columns labelled
+    by their runs of repeats and the shape's runs give the signature."""
     labels, top = [], -1
     for i, h in enumerate(shape):
         top += h

@@ -1,10 +1,17 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import macpoly
 from macpoly import cli
 from macpoly.cli import main
 from macpoly.nonattacking import e_integral, j_compact, p_poly
@@ -404,6 +411,64 @@ def test_unwritable_output_is_a_usage_error_before_any_work(
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     res = run(*argv, "--output", str(tmp_path / "out"))
     assert res.exit_code == 2 and "is not writable" in res.output
+
+
+_NO_DEVICE_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="no /dev/full on this system")
+
+
+@_NO_DEVICE_FULL
+@pytest.mark.parametrize("command", sorted(_OUTPUT_COMMANDS))
+def test_an_output_that_fails_to_write_is_a_usage_error(command):
+    res = run(*_OUTPUT_COMMANDS[command], "--output", "/dev/full")
+    assert res.exit_code == 2, res.output
+    assert "cannot write /dev/full" in res.output
+    assert os.strerror(errno.ENOSPC) in res.output
+    assert "Traceback" not in res.output
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose writes raise ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+def test_a_stdout_that_fails_to_write_is_a_usage_error(monkeypatch):
+    failing = _FailingStdout(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    monkeypatch.setattr(cli.click, "get_text_stream", lambda name: failing)
+    res = run(*_OUTPUT_COMMANDS["compute"])
+    assert res.exit_code == 2, res.output
+    assert "cannot write stdout" in res.output
+    assert os.strerror(errno.ENOSPC) in res.output
+
+
+def test_a_closed_pipe_is_left_to_click(monkeypatch):
+    failing = _FailingStdout(BrokenPipeError(errno.EPIPE, "Broken pipe"))
+    monkeypatch.setattr(cli.click, "get_text_stream", lambda name: failing)
+    res = run(*_OUTPUT_COMMANDS["compute"])
+    assert res.exit_code == 1 and "cannot write" not in res.output
+
+
+@_NO_DEVICE_FULL
+def test_a_full_stdout_exits_2_with_one_message_at_exit_too():
+    # A real process, so that the flush of stdout at interpreter exit runs.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(macpoly.__file__).resolve().parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "macpoly.cli",
+             *_OUTPUT_COMMANDS["compute"]],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Error: cannot write stdout" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # Every kind of value `compute` prints, with the library call that makes it;

@@ -212,6 +212,18 @@ def test_module_level_caches_are_bounded(module):
     assert unbounded_caches((PACKAGE / module).read_text()) == [], module
 
 
+def test_no_module_level_memo_is_keyed_by_a_mask():
+    # walk_sum takes each mask's weight once per sum; a memo by mask under
+    # it would keep a second copy of the same weights across sums.
+    memos = [node for p in PACKAGE.glob("*.py")
+             for node in ast.parse(p.read_text()).body
+             if isinstance(node, ast.FunctionDef)
+             and cache_decorators(ast.unparse(node))]
+    assert memos
+    assert not [node.name for node in memos
+                if "mask" in [a.arg for a in node.args.args]]
+
+
 def names_reached(sources: dict[str, str], roots) -> set[str]:
     """Every name read by the module-level functions named in ``roots`` and,
     in turn, by every module-level function of the sources they read."""
@@ -325,17 +337,3 @@ def test_only_the_kernel_and_the_enumerators_iterate_the_walk():
                for name in walk_readers((PACKAGE / module).read_text())]
     assert sorted(readers) == [("nonattacking.py", "enumerate_na"),
                                ("tableaux.py", "enumerate_sorted")]
-
-
-def test_only_the_kernel_calls_accumulate():
-    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    readers = set()
-    for module, src in sources.items():
-        tree = ast.parse(src)
-        _, function = _enclosing(tree)
-        for node in ast.walk(tree):  # the innermost nodes reading it
-            if "accumulate" in _references(node) and not any(
-                    "accumulate" in _references(child)
-                    for child in ast.iter_child_nodes(node)):
-                readers.add((module, function[node]))
-    assert readers == {("mpoly.py", "walk_sum")}

@@ -9,8 +9,8 @@ from itertools import permutations, product
 
 import pytest
 
-from macpoly.mpoly import (ONE, MPoly, VariableMismatchError, accumulate,
-                           cell_product, divided_difference, exact_div_xfree,
+from macpoly.mpoly import (ONE, MPoly, VariableMismatchError, cell_product,
+                           divided_difference, exact_div_xfree,
                            expand_symmetric, read_out, specialize,
                            t_multinomial, t_pochhammer, walk_sum, weight_poly)
 from macpoly.nonattacking import (e_general_q0, e_integral, e_integral_sum,
@@ -175,28 +175,35 @@ def test_cell_product_is_the_product_of_its_factors():
     assert cell_product(((0, 0), (1, 1))) == ()  # 1 - q^0 t^0 = 0
 
 
-def test_accumulate_drops_cancelled_terms_and_equals_the_add_chain():
+def test_walk_sum_drops_cancelled_terms_and_equals_the_add_chain():
+    # Hand-made raw tuples: two cells with entries in 1..2, the q and t
+    # shifts as maj and coinv, and a mask of its own per tuple, whose
+    # weight is the one drawn for it.
     rng = random.Random(2)
     terms, chain = {}, MPoly.zero(2)
     fed = []
     cancelled = 0
-    for _ in range(400):
-        content = (rng.randint(0, 1), rng.randint(0, 1))
+    for k in range(400):
+        entries = [rng.randint(1, 2), rng.randint(1, 2)]
+        content = (entries.count(1), entries.count(2))
         weight = tuple(sorted({(rng.randint(0, 1), rng.randint(0, 1)):
                                rng.choice((-2, -1, 1, 2)) for _ in range(2)}.items()))
         qexp, texp = rng.randint(0, 1), rng.randint(0, 1)
         before = len(terms)
-        accumulate(terms, content, weight, qexp, texp)
+        walk_sum([(entries, qexp, texp, k)], lambda mask: weight, 2, 2,
+                 terms=terms)
         cancelled += len(terms) < before
-        fed.append((content, weight, qexp, texp))
+        fed.append((entries, weight, qexp, texp))
         chain = chain + MPoly(2, {content + (a + qexp, b + texp): c
                                   for (a, b), c in weight})
         assert 0 not in terms.values()
     assert cancelled > 0
     assert MPoly(2, terms) == chain
-    for content, weight, qexp, texp in fed:
-        accumulate(terms, content, tuple((key, -c) for key, c in weight),
-                   qexp, texp)
+    negated = {k: tuple((key, -c) for key, c in weight)
+               for k, (_, weight, _, _) in enumerate(fed)}
+    walk_sum([(entries, qexp, texp, k)
+              for k, (entries, _, qexp, texp) in enumerate(fed)],
+             negated.__getitem__, 2, 2, terms=terms)
     assert terms == {}
 
 
@@ -352,10 +359,11 @@ def _divided_exactly():
 
 
 def _accumulated():
-    terms: dict = {}
-    accumulate(terms, (1, 0), cell_product(((0, 1),)))
-    accumulate(terms, (1, 0), (((0, 1), 1),))  # cancels the -t term
-    accumulate(terms, (0, 2), cell_product(((1, 1), (0, 2))), 1, 2)
+    # raw tuples (entries, maj, coinv, mask) over two variables
+    weights = {0: cell_product(((0, 1),)), 1: (((0, 1), 1),),
+               2: cell_product(((1, 1), (0, 2)))}
+    terms = walk_sum([([1, 1], 0, 0, 0), ([1, 1], 0, 0, 1),  # cancels -t
+                      ([2, 2], 1, 2, 2)], weights.__getitem__, 2, 2)
     return [read_out(2, terms), read_out(0, {})]
 
 
