@@ -16,8 +16,8 @@ from math import prod
 import click
 
 from . import tableaux
-from .mpoly import (ExactDivisionError, MPoly, RationalForm, exact_div_xfree,
-                    specialize, t_pochhammer)
+from .mpoly import (ExactDivisionError, MPoly, RationalForm, diff_witness,
+                    exact_div_xfree, specialize, t_pochhammer)
 from .nonattacking import (check_j_partition, coinv, e_integral, enumerate_na,
                            j_compact, j_hhl, maj_na, p_poly, pr1)
 from .quasisym import (NotQuasisymmetricError, demazure_t_atom, g_integral,
@@ -50,16 +50,29 @@ def _parse_rows(text: str) -> Filling:
         raise click.UsageError(str(exc))
 
 
+# The most characters handed to a text stream at once: the stream encodes
+# each write into a fresh bytes object, so a large string written whole
+# would be encoded into a second full copy.
+WRITE_SLICE = 1 << 16
+
+
+def _slices(lines):
+    for line in lines:
+        for start in range(0, len(line), WRITE_SLICE):
+            yield line[start:start + WRITE_SLICE]
+
+
 def _emit(lines, output):
-    """Write each line as it is produced, to the output file or stdout; a
-    failed write is a usage error, but a closed pipe is left to click."""
+    """Write each line as it is produced, in slices of at most WRITE_SLICE
+    characters, to the output file or stdout; a failed write is a usage
+    error, but a closed pipe is left to click."""
     try:
         if output:
             with open(output, "w") as fh:
-                fh.writelines(lines)
+                fh.writelines(_slices(lines))
         else:
             out = click.get_text_stream("stdout")
-            out.writelines(lines)
+            out.writelines(_slices(lines))
             out.flush()
     except BrokenPipeError:
         raise
@@ -286,10 +299,22 @@ def cmd_family(shape, nvars, root, fmt, output):
 # Each item function returns (label, ok, detail) and must stay importable at
 # module level so the process pool can pick it up.
 
+def _agree(a, b):
+    """(a == b, and the FAIL detail: the first monomial where they differ,
+    with the coefficient of each, or "")."""
+    witness = diff_witness(a, b)
+    if witness is None:
+        return True, ""
+    key, ca, cb = witness
+    n = len(key) - 2
+    return False, (f"first difference at x^{key[:n]} q^{key[n]} t^{key[n + 1]}"
+                   f": {ca} vs {cb}")
+
+
 def _check_compact_vs_brute(args):
     lam, n = args
-    ok = htilde_compact(lam, n) == htilde_brute(lam, n)
-    return (f"htilde compact=brute {lam} n={n}", ok, "")
+    return (f"htilde compact=brute {lam} n={n}",
+            *_agree(htilde_compact(lam, n), htilde_brute(lam, n)))
 
 
 def _poch_scalar(parts, n):
@@ -300,9 +325,10 @@ def _poch_scalar(parts, n):
 
 def _check_j(args):
     mu, n = args
-    jc, jh = j_compact(mu, n), j_hhl(mu, n)
-    if jc != jh:
-        return (f"J compact=brute {mu} n={n}", False, "routes disagree")
+    jc = j_compact(mu, n)
+    ok, detail = _agree(jc, j_hhl(mu, n))
+    if not ok:
+        return (f"J compact=brute {mu} n={n}", False, detail)
     try:
         exact_div_xfree(jc, _poch_scalar(mu, n))
     except ExactDivisionError as exc:
@@ -384,9 +410,9 @@ def _check_hecke(args):
         return (f"hecke {alpha}", True, "no descent; skipped")
     swapped = list(alpha)
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    ok = (hecke_T(_suite_e_integral(alpha, n), i)
-          == _suite_e_integral(tuple(swapped), n))
-    return (f"hecke T_{i} {alpha}", ok, "")
+    ok, detail = _agree(hecke_T(_suite_e_integral(alpha, n), i),
+                        _suite_e_integral(tuple(swapped), n))
+    return (f"hecke T_{i} {alpha}", ok, detail)
 
 
 @lru_cache(maxsize=1024)
@@ -401,7 +427,7 @@ def _check_tatom(args):
     alpha, n = args
     lhs = _poch_scalar(alpha, n) * demazure_t_atom(alpha, n)
     rhs = specialize(e_integral(alpha, n), {"q": 0})
-    return (f"tatom {alpha}", lhs == rhs, "")
+    return (f"tatom {alpha}", *_agree(lhs, rhs))
 
 
 def _check_quasisym(args):
@@ -416,18 +442,18 @@ def _check_quasisym(args):
 def _check_refinement(args):
     lam, n = args
     total = sum((g_integral(g, n) for g in rearrangements(lam)), MPoly.zero(n))
-    return (f"refinement {lam} n={n}", total == j_compact(lam, n), "")
+    return (f"refinement {lam} n={n}", *_agree(total, j_compact(lam, n)))
 
 
 def _check_schur(args):
     from .nonattacking import schur_oracle
     lam, n = args
     schur = schur_oracle(lam, n)
-    j00 = specialize(j_compact(lam, n), {"q": 0, "t": 0})
-    if j00 != schur:
-        return (f"schur J(0,0) {lam}", False, "")
+    ok, detail = _agree(specialize(j_compact(lam, n), {"q": 0, "t": 0}), schur)
+    if not ok:
+        return (f"schur J(0,0) {lam}", False, detail)
     total = sum((qs_gamma(g, n) for g in rearrangements(lam)), MPoly.zero(n))
-    return (f"schur QS sum {lam}", total == schur, "")
+    return (f"schur QS sum {lam}", *_agree(total, schur))
 
 
 def _check_pds(args):

@@ -15,9 +15,11 @@ The compact formulas sum x^content(f) * q^maj(f) * t^stat(f) * w(q, t)
 over fillings f, all through one kernel, :func:`walk_sum`: it reads the
 raw tuples of :func:`macpoly.shapes._walk`, takes each mask's weight once
 per sum, and adds each term in place into one dict, dropping coefficients
-that cancel.  A weight, ``((e_q, e_t), c)`` pairs, is built from the
-routes' per-shape tables and two bounded caches of plain integer
-arithmetic: :func:`t_multinomial_product` and the products of cell factors
+that cancel; a walk of one content is first tallied by (maj, coinv, mask),
+so each distinct triple adds its weight once, times its count.  A weight,
+``((e_q, e_t), c)`` pairs, is built from the routes' per-shape tables and
+two bounded caches of plain integer arithmetic:
+:func:`t_multinomial_product` and the products of cell factors
 ``1 - q^a t^b`` of :func:`cell_product`; no memo but the sum's own is keyed
 by the mask.  The symmetric sums (``htilde``, ``J``) take the x-free
 weights of each partition content nu through :func:`sum_by_content`, and
@@ -31,19 +33,24 @@ emitter that joins each graded-lex degree in one C-level call, running no
 Python code per term.  Every polynomial is written as a sum over orbits of
 x-monomials, each orbit carrying one x-free coefficient: a symmetric
 result's orbits are the rearrangements of each nu (the m_nu basis), and a
-plain MPoly's are its x-monomials, each its own orbit.  A degree is laid
-out as the members of every orbit, sorted lex once, each joining the parts
-of its (orbit, degree) block, made once and shared by all the orbit's
-members.  The result is one string, between an optional head and tail, so
-a large value is never copied again to wrap or end it.
+plain MPoly's are its x-monomials, each its own orbit.  Each (orbit,
+degree) block is made once and joined by the x-fragment of every member
+of its orbit, read from one lex-ordered table of the members' fragments:
+for a symmetric result :func:`_lex_members` builds it over the weak
+compositions of each |nu|, joining shared prefix and suffix strings in C,
+without listing any rearrangement.  The result is one string, between an
+optional head and tail, so a large value is never copied again to wrap or
+end it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
-from operator import add
+from itertools import chain, compress, groupby, islice
+from operator import add, itemgetter
 
 from .shapes import is_partition, partitions_of, rearrangements
 
@@ -250,83 +257,90 @@ class MPoly:
     # -- rendering ---------------------------------------------------------
 
     def _orbits(self):
-        """``(coeffs, members)``: each orbit's x-free ``{(e_q, e_t): c}``, and
-        the function giving the x-monomials that an orbit's coefficient is
-        written at.  A plain MPoly's orbits are its x-monomials, each its
-        own only member."""
-        return self.by_x(), lambda x: (x,)
+        """``(orbits, members)``: each orbit's key, whose first nvars
+        entries are an x-monomial of the orbit, with its x-free terms
+        ``((e_q, e_t), c)`` in lex order; and the function that lays out
+        the lex table of the orbits' members, ``members(nvars, keys,
+        piece, sep, head, tail)``, returning its ``visit`` (the contract of
+        :func:`_lex_members`).  A plain MPoly's orbits are its x-monomials
+        in lex order, each its own only member, keyed by its first term's
+        key."""
+        n, terms = self.nvars, self._terms
+        groups = (list(keys) for _, keys
+                  in groupby(sorted(terms), itemgetter(slice(0, n))))
+        return ((keys[0], [(k[n:], terms[k]) for k in keys])
+                for keys in groups), _own_members
 
-    def _layout(self):
-        """``(xs, items, blocks, rounds)`` for :meth:`_write`.  A block
-        ``(o, lo, hi)`` holds the ``(e_q, e_t, c)`` of ``items[lo:hi]``, of
-        one degree, at every member of orbit o; a round gives each
-        ``xs[j]`` its block at one degree, or -1."""
+    def _layout(self, piece, sep, head, tail):
+        """``(visit, rounds)`` for :meth:`_write`: the member table's
+        ``visit``, and per degree in ascending order the orbits with terms
+        of that degree and, for each, its block: those terms' ``(e_q, e_t,
+        c)``, and whether the orbit is x^0."""
         # Each orbit's terms fall by degree |o| + e_q + e_t into blocks that
-        # its members share; the members of all orbits are sorted lex once,
-        # and each degree is one round, so no full key is sorted.
-        coeffs, members = self._orbits()
-        items, blocks, rounds = [], [], {}  # degree -> {orbit: its block}
-        for k, (o, qt) in enumerate(coeffs.items()):
-            by_degree: dict[int, list] = {}
-            size = sum(o)
-            for (e_q, e_t), c in sorted(qt.items()):
+        # all its members share.
+        n = self.nvars
+        orbits, members = self._orbits()
+        keys, rounds = [], {}  # degree -> (orbits, their blocks)
+        for k, (o, qt) in enumerate(orbits):
+            keys.append(o)
+            x = o[:n]
+            size, bare, by_degree = sum(x), not any(x), {}
+            for (e_q, e_t), c in qt:
                 by_degree.setdefault(size + e_q + e_t, []).append(
                     (e_q, e_t, c))
             for degree, block in by_degree.items():
-                rounds.setdefault(degree, {})[k] = len(blocks)
-                blocks.append((o, len(items), len(items) + len(block)))
-                items += block
-        orbit_at = {x: k for k, o in enumerate(coeffs) for x in members(o)}
-        xs = sorted(orbit_at)
-        orbit_of = list(map(orbit_at.__getitem__, xs))
-        return (xs, items, blocks, (map(rounds[d].get, orbit_of, repeat(-1))
-                                    for d in sorted(rounds)))
+                block = (tuple(block), bare)
+                ks, blocks = rounds.setdefault(degree, ([], []))
+                ks.append(k)
+                blocks.append(block)
+        return members(n, keys, piece, sep, head, tail), [
+            rounds[d] for d in sorted(rounds)]
 
-    def _write(self, xfrag, make, lead, tail: str):
-        """The writers' one emitter, or None for zero: each block is made
-        once into parts that each member's ``xfrag`` joins, and each round
-        is one C-level join.  ``lead`` rewrites the start."""
-        xs, items, blocks, rounds = self._layout()
-        if not items:
+    def _write(self, piece, sep, ends, make, lead, tail: str):
+        """The writers' one emitter, or None for zero: each distinct block
+        is made once into parts that each member's x-fragment joins, and
+        each round is one C-level join over the members it visits.  A
+        fragment is ``ends`` around the ``sep``-join of the nonempty
+        ``piece(i, e_i)``; ``lead`` rewrites the start."""
+        visit, rounds = self._layout(piece, sep, *ends)
+        if not rounds:
             return None
-        xfs = list(map(xfrag, xs))
-        parts = [*make(items, blocks), None]
-        out = ["".join(map(str.join, compress(xfs, at), filter(None, at)))
-               for at in (list(map(parts.__getitem__, r)) for r in rounds)]
-        del xs, xfs, parts  # only the rounds are held while they are joined
+        make, out = cache(make), []
+        for ks, blocks in rounds:
+            frags, parts = visit(ks, list(map(make, blocks)))
+            out.append("".join(map(str.join, frags, parts)))
+        del visit, rounds, make  # only the rounds' strings are joined
         out[0] = lead(out[0])
         out[-1] += tail
         return "".join(out)
 
     def _render(self, head, tail, var_fmt, pow_fmt, mul_sep: str) -> str:
         n = self.nvars
-        names = [var_fmt("x", i) for i in range(1, n + 1)] + ["q", "t"]
+        names = [var_fmt("x", i) for i in range(1, n + 1)]
 
         @cache
         def power(name, e):
             return "" if not e else name if e == 1 else pow_fmt(name, e)
 
         @cache
-        def factors(exps, at=0):  # names[at:] ** exps, memoised for (q, t)
-            return mul_sep.join(filter(None, map(power, names[at:], exps)))
-
-        @cache
         def term(item):  # a term is head + x-monomial + tail, or bare at x^0
             e_q, e_t, c = item
-            qts, mag = factors((e_q, e_t), n), abs(c)
+            qts = mul_sep.join(filter(None, map(power, "qt", (e_q, e_t))))
+            mag = abs(c)
             sign = " - " if c < 0 else " + "
             return (sign if mag == 1 else f"{sign}{mag}{mul_sep}",
                     f"{mul_sep}{qts}" if qts else "",
                     sign + (f"{mag}{mul_sep}{qts}" if qts and mag != 1
                             else qts or str(mag)))
 
-        def make(items, blocks):  # a block: head, glues, tail; bare at x^0
+        def make(block):  # head, glues, tail; bare at x^0
+            items, bare = block
             heads, tails, bares = zip(*map(term, items))
-            glues = list(map(add, tails, heads[1:]))
-            return [[heads[lo], *glues[lo:hi - 1], tails[hi - 1]] if any(x)
-                    else bares[lo:hi] for x, lo, hi in blocks]
+            return bares if bare else [heads[0], *map(add, tails, heads[1:]),
+                                       tails[-1]]
 
-        return self._write(factors.__wrapped__, make, lambda first: head + (
+        return self._write(lambda i, e: power(names[i], e), mul_sep, ("", ""),
+                           make, lambda first: head + (
             "" if first[1] == "+" else "-") + first[3:], tail) or f"{head}0{tail}"
 
     def text(self, head="", tail="") -> str:
@@ -363,13 +377,28 @@ class MPoly:
         """``json.dumps(to_json_dict())``, byte for byte, between head and tail."""
         head, tail = head + '{"nvars": %d, "terms": [' % self.nvars, "]}" + tail
 
-        def make(items, blocks):  # a term is ", " + x-fragment + its rest
-            rest = {i: '%d, "t": %d, "c": "%d"}' % i for i in set(items)}
-            rests = list(map(rest.__getitem__, items))
-            return [["", *rests[lo:hi]] for _, lo, hi in blocks]
+        @cache
+        def rest(item):
+            return '%d, "t": %d, "c": "%d"}' % item
 
-        return self._write(lambda x: ', {"x": %s, "q": ' % (list(x),), make,
+        def make(block):  # a term is ", " + x-fragment + its rest
+            return ["", *map(rest, block[0])]
+
+        return self._write(lambda i, e: "%d" % e, ", ",
+                           (', {"x": [', '], "q": '), make,
                            lambda first: head + first[2:], tail) or head + tail
+
+
+def diff_witness(a: MPoly, b: MPoly):
+    """The first key in graded-lex order at which a and b differ, with the
+    coefficient of each there, ``(key, a_c, b_c)``; None when a == b."""
+    a._check(b)
+    if a == b:
+        return None
+    ta, tb = a._terms, b._terms
+    key = min((k for k in ta.keys() | tb.keys()
+               if ta.get(k, 0) != tb.get(k, 0)), key=_grlex)
+    return key, ta.get(key, 0), tb.get(key, 0)
 
 
 class RationalForm:
@@ -664,12 +693,19 @@ def walk_sum(walk, weight, nvars: int | None = None, size: int = 0,
     if terms is None:
         terms = {}
     weights: dict[int, tuple] = {}  # mask -> weight(mask), for this sum
-    content = ()
-    for entries, m, s, mask in walk:
+    content, count = (), 1
+    if nvars is None:
+        # One content: the fillings that agree in (maj, coinv, mask) add the
+        # same terms, so each such triple is added once, times its count.
+        walk = ((times, m, s, mask) for (m, s, mask), times
+                in Counter(map(itemgetter(1, 2, 3), walk)).items())
+    for entries, m, s, mask in walk:  # for nvars None, entries is the count
         w = weights.get(mask)
         if w is None:
             w = weights[mask] = weight(mask)
-        if nvars is not None:
+        if nvars is None:
+            count = entries
+        else:
             exps = [0] * nvars
             for e in entries[:size]:
                 exps[e - 1] += 1
@@ -678,7 +714,7 @@ def walk_sum(walk, weight, nvars: int | None = None, size: int = 0,
             s = inv_total - s
         for (a, b), c in w:
             key = content + (a + m, b + s)
-            c += terms.get(key, 0)
+            c = c * count + terms.get(key, 0)
             if c:
                 terms[key] = c
             else:
@@ -702,6 +738,85 @@ def read_out(nvars: int, terms: dict) -> MPoly:
     return MPoly._trusted(nvars, terms)
 
 
+def _pieces(piece, n: int, top: int) -> list:
+    """``piece(i, e)`` for each position i < n and exponent e <= top."""
+    pieces = [None] * n  # one allocation, so a huge n fails at once
+    for i in range(n):
+        pieces[i] = [piece(i, e) for e in range(top + 1)]
+    return pieces
+
+
+def _own_members(n: int, keys, piece, sep, head, tail):
+    """The lex table of orbits that are each their x-monomial's only member,
+    keys[k][:n] in lex order: see :func:`_lex_members`.  Its ``visit`` is
+    given the orbits ks in ascending order, so they are its members."""
+    pieces = _pieces(piece, n, max(map(max, islice(zip(*keys), n)), default=0))
+    frags = [head + sep.join(filter(None, map(list.__getitem__, pieces, k)))
+             + tail for k in keys]
+    return lambda ks, parts: (map(frags.__getitem__, ks), parts)
+
+
+def _lex_members(n: int, nus, piece, sep, head, tail):
+    """The lex table of the members of the orbits of the partitions nus,
+    each weak composition into n parts that rearranges one of them: a
+    member x's fragment is head, the sep-join of the nonempty strings
+    ``piece(i, x_i)``, then tail.  Returns ``visit(ks, parts)``, which
+    gives the fragments of the members of the orbits ks (indices into nus)
+    in lex order, and for each the parts of its orbit, ``parts[ks.index(k)]``
+    for orbit k."""
+    # The first n // 2 exponents (a prefix) and the last ones (a suffix) are
+    # each laid out once, with their fragment and the code of their
+    # multiset, sum of (n + 1) ** e, which adds without carrying.  Each
+    # prefix is joined, in C, to the suffixes completing it to a size in
+    # nus, and a member is kept when its code is an orbit's.
+    code_of = {sum(map((n + 1).__pow__, nu)) + n - len(nu): k
+               for k, nu in enumerate(nus)}
+    sizes = set(map(sum, nus))
+    top = max(sizes, default=0)
+    big = max(map(max, filter(None, nus)), default=0)  # no exponent exceeds it
+    pieces = _pieces(piece, n, big)
+    powers = [(n + 1) ** e for e in range(big + 1)]
+
+    def grow(level, positions):  # each (sum, code, fragment, nonempty), lex
+        for i in positions:
+            level = [(s + e, c + powers[e],
+                      f + sep + p if p and full else f + p, full or bool(p))
+                     for s, c, f, full in level
+                     for e, p in enumerate(pieces[i][:top - s + 1])]
+        return level
+
+    prefixes = grow([(0, 0, head, False)], range(n // 2))
+    suffixes = grow([(0, 0, "", False)], range(n // 2, n))
+    sums = list(map(itemgetter(0), suffixes))
+    by_sum = sorted(range(len(sums)), key=sums.__getitem__)  # lex within
+    sums.sort()
+    picks, frags, member_codes = {}, [], []
+    for s, c, f, full in prefixes:
+        if (s, full) not in picks:  # its completing suffixes, in lex order
+            ends = list(map(suffixes.__getitem__, sorted(chain.from_iterable(
+                by_sum[bisect_left(sums, t - s):bisect_right(sums, t - s)]
+                for t in sizes if t >= s))))
+            picks[s, full] = ([d for _, d, _, _ in ends],
+                              [(sep + g if full and more else g) + tail
+                               for _, _, g, more in ends])
+        ends, rests = picks[s, full]
+        frags += map(f.__add__, rests)
+        member_codes += map(c.__add__, ends)
+    orbit_of = list(map(code_of.get, member_codes))
+    if None in orbit_of:  # drop the members of orbits not in nus
+        keep = list(map(code_of.__contains__, member_codes))
+        frags = list(compress(frags, keep))
+        orbit_of = list(compress(orbit_of, keep))
+
+    def visit(ks, parts):  # one pass over the table, in C
+        row = [None] * len(nus)
+        for k, p in zip(ks, parts):
+            row[k] = p
+        at = list(map(row.__getitem__, orbit_of))
+        return compress(frags, at), filter(None, at)
+    return visit
+
+
 class SymmetricMPoly(MPoly):
     """The symmetric polynomial sum of coeffs[nu] * m_nu(x_1..x_nvars), held
     as its m_nu coefficients; made by :func:`expand_symmetric`.
@@ -722,16 +837,16 @@ class SymmetricMPoly(MPoly):
 
     def _orbits(self):
         # The orbit of nu is its distinct rearrangements padded with zeros.
-        pad = (0,) * self.nvars
-        return self._coeffs, lambda nu: rearrangements(nu + pad[len(nu):])
+        return ((nu, sorted(qt.items())) for nu, qt in self._coeffs.items()), \
+            _lex_members
 
     def _expand(self) -> dict:
-        """Each coefficient written at every member of its orbit."""
-        coeffs, members = self._orbits()
-        terms: dict[tuple[int, ...], int] = {}
-        for nu, qt in coeffs.items():
+        """Each coefficient written at every member of its orbit, in any
+        order: the distinct rearrangements of nu padded with zeros."""
+        pad, terms = (0,) * self.nvars, {}
+        for nu, qt in self._coeffs.items():
             qt = qt.items()
-            for xexps in members(nu):
+            for xexps in rearrangements(nu + pad[len(nu):]):
                 for k, c in qt:
                     terms[xexps + k] = c
         return terms

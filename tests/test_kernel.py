@@ -241,6 +241,43 @@ def test_walk_sum_reads_inv_as_the_total_less_coinv():
         (MPoly.monomial(0, (), m, c) for _, m, c, _ in _RAW), MPoly.zero(0))
 
 
+def test_walk_sum_tallies_a_one_content_walk_by_maj_coinv_and_mask():
+    # Without nvars the walk has one content, so the entries are never read
+    # and each (maj, coinv, mask) triple adds its weight once, times the
+    # number of tuples that carry it.  Mask 1 weighs the negation of mask
+    # 0, so the triples (5, 2, 0) and (5, 2, 1), three times each, cancel,
+    # and so do the terms given in advance and (5, 1, 2), twice; the other
+    # tuples have maj at most 2, so their keys stay apart.
+    rng = random.Random(5)
+    weights = {0: (((0, 0), 1), ((1, 1), -2)), 1: (((0, 0), -1), ((1, 1), 2)),
+               2: (((0, 1), 3),), 3: (((2, 0), -1), ((0, 2), 1))}
+    raw = [([rng.randint(1, 3)], rng.randint(0, 2), rng.randint(0, 2),
+            rng.choice((2, 3))) for _ in range(300)]
+    raw += [([1], 5, 2, 0)] * 3 + [([2], 5, 2, 1)] * 3 + [([3], 5, 1, 2)] * 2
+    rng.shuffle(raw)
+    calls = []
+
+    def weight(mask):
+        calls.append(mask)
+        return weights[mask]
+
+    for inv_total in (None, 5):
+        stat = (lambda s: s) if inv_total is None else (lambda s: 5 - s)
+        given = {(5, stat(1) + 1): -6}  # twice (5, 1, 2)'s 3 q^5 t^(stat+1)
+        expected = MPoly.zero(0)
+        for _, m, s, mask in raw:
+            expected += MPoly(0, {(a + m, b + stat(s)): c
+                                  for (a, b), c in weights[mask]})
+        expected += MPoly(0, given)
+        calls.clear()
+        terms = walk_sum(iter(raw), weight, inv_total=inv_total,
+                         terms=dict(given))
+        assert 0 not in terms.values()
+        assert read_out(0, terms) == expected
+        assert not any(a >= 5 for a, _ in terms)  # all of them cancelled
+        assert calls == list(dict.fromkeys(mask for *_, mask in raw))
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_the_mask_weight_is_perm_t(m):
     """The perm_t weight read off a sorted tableau's walk mask is perm_t of

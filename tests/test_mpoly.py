@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macpoly.mpoly import (ExactDivisionError, MPoly, RationalForm,
-                           VariableMismatchError, cell_product,
-                           divided_difference, exact_div_xfree, specialize,
-                           swap_vars, t_multinomial, t_pochhammer, weight_poly)
+                           VariableMismatchError, cell_product, diff_witness,
+                           divided_difference, exact_div_xfree,
+                           expand_symmetric, specialize, swap_vars,
+                           t_multinomial, t_pochhammer, weight_poly)
 
 N = 2  # default variable count for random polys
 
@@ -272,6 +273,22 @@ def test_rational_form_writer_matches_json_dumps(data):
     form = RationalForm(num, den)
     assert form.to_json() == json.dumps(form.to_json_dict())
     assert RationalForm.from_json_dict(json.loads(form.to_json())) == form
+
+
+def test_diff_witness_names_the_first_grlex_key_with_both_coefficients():
+    a = MPoly(2, {(1, 0, 0, 0): 2, (0, 0, 1, 0): 1, (0, 1, 0, 1): 5})
+    b = MPoly(2, {(1, 0, 0, 0): 2, (0, 0, 1, 0): 3, (0, 0, 0, 3): 4})
+    assert diff_witness(a, b) == ((0, 0, 1, 0), 1, 3)  # below (0, 1, 0, 1)
+    assert diff_witness(b, a) == ((0, 0, 1, 0), 3, 1)
+    # a key on one side only has coefficient 0 on the other, and at one
+    # degree the keys come in lex order: t before q before x_1
+    assert diff_witness(a, a + MPoly.t(2)) == ((0, 0, 0, 1), 0, 1)
+    assert diff_witness(a, MPoly(2, a.terms())) is None
+    sym = expand_symmetric(2, {(1,): MPoly(0, {(0, 0): 1})})
+    assert diff_witness(sym, MPoly.x(2, 1) + MPoly.x(2, 2)) is None
+    assert diff_witness(sym, MPoly.x(2, 2)) == ((1, 0, 0, 0), 1, 0)
+    with pytest.raises(VariableMismatchError):
+        diff_witness(a, MPoly.one(3))
 
 
 def test_writers_on_the_zero_poly_and_no_variables():

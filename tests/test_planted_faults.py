@@ -244,9 +244,11 @@ def test_inverted_flipped_over_the_basement_fails_compact_vs_brute(
                         lambda a, b, z=inf: real(a, b, z) != (z == inf))
     code, lines = validate("compact-vs-brute", 3)
     assert code == cli.IDENTITY_EXIT
-    assert failures(lines) == [f"FAIL htilde compact=brute {lam} n={n}"
-                               for lam, n in [((1, 1), 2), ((1, 1, 1), 3),
-                                              ((2, 1), 3)]]
+    assert failures(lines) == [
+        f"FAIL htilde compact=brute {lam} n={n} (first difference at "
+        f"x^{x} q^0 t^0: 1 vs 0)"
+        for lam, n, x in [((1, 1), 2, (0, 2)), ((1, 1, 1), 3, (0, 0, 3)),
+                          ((2, 1), 3, (0, 0, 3))]]
 
 
 def test_columns_side_by_side_one_row_apart_fail_j_identities(monkeypatch):
@@ -259,7 +261,61 @@ def test_columns_side_by_side_one_row_apart_fail_j_identities(monkeypatch):
     code, lines = validate("j-identities", 4)
     assert code == cli.IDENTITY_EXIT
     assert failures(lines) == [
-        "FAIL J compact=brute (2, 2) n=4 (routes disagree)"]
+        "FAIL J compact=brute (2, 2) n=4 "
+        "(first difference at x^(0, 0, 2, 2) q^1 t^1: -1 vs 0)"]
+
+
+def _plus(real, extra):
+    """real with the monomial extra(n) added to each of its results."""
+    return lambda value, n: real(value, n) + extra(n)
+
+
+def test_a_j_with_a_stray_q_fails_refinement_with_a_witness(monkeypatch):
+    # J_lam at x^0 q^1 t^0 is 0, and the sum of the G_gamma stays so; no
+    # key of lower degree differs, so each line names that monomial.
+    monkeypatch.setattr(cli, "j_compact", _plus(cli.j_compact, MPoly.q))
+    code, lines = validate("refinement", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        f"FAIL refinement {lam} n={n} (first difference at x^{(0,) * n} "
+        "q^1 t^0: 0 vs 1)" for lam, n in [((1,), 1), ((1, 1), 2), ((2,), 2)]]
+
+
+def test_a_stray_constant_or_t_fails_each_schur_check_with_a_witness(
+        monkeypatch):
+    # A constant survives q = t = 0 and fails J(0,0); a t in each QS_gamma
+    # leaves J(0,0) alone and fails the QS sum.
+    lams = [(1,), (1, 1), (2,)]
+    for name, extra, check, key in [
+            ("j_compact", MPoly.one, "J(0,0)", "q^0 t^0"),
+            ("qs_gamma", MPoly.t, "QS sum", "q^0 t^1")]:
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, _plus(getattr(cli, name), extra))
+            code, lines = validate("schur", 2)
+        assert code == cli.IDENTITY_EXIT
+        assert failures(lines) == [
+            f"FAIL schur {check} {lam} (first difference at "
+            f"x^{(0,) * sum(lam)} {key}: 1 vs 0)" for lam in lams]
+
+
+def test_a_stray_q_fails_tatom_and_hecke_with_a_witness(monkeypatch):
+    # Each suite's left side gains q (times a scalar with constant term 1
+    # for tatom) where its right side has no x-free q term.
+    witness = "(first difference at x^(0, 0, 0) q^1 t^0: 1 vs 0)"
+    monkeypatch.setattr(cli, "demazure_t_atom",
+                        _plus(cli.demazure_t_atom, MPoly.q))
+    code, lines = validate("tatom", 1)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [f"FAIL tatom {alpha} {witness}" for alpha in
+                               [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]]
+    real = cli.hecke_T
+    monkeypatch.setattr(cli, "hecke_T",
+                        lambda p, i: real(p, i) + MPoly.q(p.nvars))
+    code, lines = validate("hecke", 1)
+    assert code == cli.IDENTITY_EXIT
+    assert failures(lines) == [
+        f"FAIL hecke T_{i} {alpha} {witness}"
+        for i, alpha in [(2, (0, 1, 0)), (1, (1, 0, 0))]]
 
 
 def _raising(exc):

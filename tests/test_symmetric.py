@@ -12,13 +12,16 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from macpoly import cli
+from macpoly import cli, mpoly, shapes
 from macpoly.cli import main
 from macpoly.mpoly import (MPoly, RationalForm, SymmetricMPoly,
                            expand_symmetric, specialize)
 from macpoly.nonattacking import j_compact, pr1
-from macpoly.shapes import partitions_of
+from macpoly.quasisym import qs_gamma
+from macpoly.shapes import partitions_of, rearrangements
 from macpoly.tableaux import htilde_compact
+
+from test_mpoly import _reference_render
 
 WRITERS = ("to_json", "text", "latex")
 
@@ -98,6 +101,70 @@ def test_any_coefficient_map_writes_as_its_expansion(case):
     assert type(pickle.loads(pickle.dumps(r))) is MPoly
 
 
+def _qt(*terms):
+    return MPoly(0, dict(zip(terms[::2], terms[1::2])))
+
+
+# Coefficient maps at n = 5..9, beyond the draws above: sizes below n, nu
+# with n parts, nu = (), parts of 10 and more, and several sizes in one map.
+FIXED_MAPS = [
+    (5, {(): _qt((0, 0), 3), (2, 1): _qt((0, 0), -1, (2, 1), 7 ** 30),
+         (1, 1, 1, 1, 1): _qt((1, 0), 2, (0, 3), -1),
+         (12, 3): _qt((0, 1), 1)}),
+    (6, {(3, 2, 1): _qt((0, 0), 1, (1, 1), -2, (0, 2), 5),
+         (2, 2, 1, 1): _qt((3, 0), -4), (1, 1, 1, 1, 1, 1): _qt((0, 0), 1)}),
+    (7, {(1,) * 7: _qt((0, 0), 1, (2, 2), -1), (4,): _qt((0, 0), -3),
+         (2, 2): _qt((1, 2), 1, (0, 0), 2), (1,): _qt((5, 5), 1)}),
+    (8, {(2, 1): _qt((0, 0), 1, (1, 0), -1), (1, 1, 1): _qt((0, 1), 4),
+         (): _qt((2, 0), -1)}),
+    (9, {(): _qt((0, 0), 1), (1,): _qt((0, 1), -1), (9,): _qt((1, 1), 2),
+         (2, 2, 2, 1, 1, 1, 1, 1, 1): _qt((0, 0), 1, (0, 1), -1),
+         (3, 3, 3): _qt((2, 0), 6)}),
+]
+
+
+@pytest.mark.parametrize("n, coeffs", FIXED_MAPS,
+                         ids=[f"n{n}" for n, _ in FIXED_MAPS])
+def test_fixed_coefficient_maps_write_as_their_expansion(monkeypatch, n,
+                                                         coeffs):
+    """Each writer of a symmetric result, laid out from its lex table of
+    members, writes what the expansion through rearrangements writes, and
+    what the term-by-term reference writes."""
+    expected = {}
+    for nu, coeff in coeffs.items():
+        for xexps in rearrangements(nu + (0,) * (n - len(nu))):
+            for key, c in coeff.terms().items():
+                expected[xexps + key] = c
+    plain = MPoly(n, expected)
+    r = expand_symmetric(n, coeffs)
+    with monkeypatch.context() as m:
+        _forbid_expansion(m)
+        written = {w: getattr(r, w)() for w in WRITERS}
+    assert written == {w: getattr(plain, w)() for w in WRITERS}
+    assert written["to_json"] == json.dumps(plain.to_json_dict())
+    assert written["text"] == _reference_render(
+        plain, lambda b, i: f"{b}{i}", lambda n, e: f"{n}^{e}", "*")
+    assert written["latex"] == _reference_render(
+        plain, lambda b, i: f"{b}_{{{i}}}", lambda n, e: f"{n}^{{{e}}}", " ")
+
+
+def test_writing_a_symmetric_result_never_rearranges(monkeypatch):
+    """The writers lay out the members from their lex table: no writer
+    lists an orbit's rearrangements, as the expansion does."""
+    values = [htilde_compact((2, 1), 4), j_compact((2, 2), 5),
+              expand_symmetric(5, FIXED_MAPS[0][1])]
+
+    def refuse(parts):
+        raise AssertionError("rearrangements was called")
+    monkeypatch.setattr(mpoly, "rearrangements", refuse)
+    monkeypatch.setattr(shapes, "rearrangements", refuse)
+    for value in values:
+        for w in WRITERS:
+            assert getattr(value, w)()
+        for fmt in ("json", "text", "latex"):
+            assert cli._render_poly(value, fmt)
+
+
 def _denominators(nvars):
     qt = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                          st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
@@ -162,6 +229,24 @@ def test_writing_a_symmetric_result_as_text_allocates_little(value, fmt):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(out), (peak, len(out), peak / len(out))
+
+
+@pytest.mark.parametrize("fmt, bound", [("json", 6), ("text", 14)])
+def test_writing_a_plain_result_allocates_little_beyond_its_output(fmt,
+                                                                   bound):
+    """A plain result of many x-monomials with one term each, each its own
+    orbit, is written within the bounds the writer met before it laid out
+    orbits: 6 times the output for JSON and 14 times for text."""
+    value = qs_gamma((3, 3), 6)
+    assert type(value) is MPoly and len(value) == len(value.by_x()) == 336
+    cli._render_poly(value, fmt)  # fill what is filled on first use
+    tracemalloc.start()
+    try:
+        out = cli._render_poly(value, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(out), (peak, len(out), peak / len(out))
 
 
 def test_expand_symmetric_takes_partitions_only():
