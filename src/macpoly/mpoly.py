@@ -45,8 +45,6 @@ end it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, groupby, islice
@@ -272,15 +270,18 @@ class MPoly:
                 for keys in groups), _own_members
 
     def _layout(self, piece, sep, head, tail):
-        """``(visit, rounds)`` for :meth:`_write`: the member table's
-        ``visit``, and per degree in ascending order the orbits with terms
-        of that degree and, for each, its block: those terms' ``(e_q, e_t,
-        c)``, and whether the orbit is x^0."""
+        """``(visit, blocks, rounds)`` for :meth:`_write`: the member
+        table's ``visit``; the distinct blocks, each the ``(e_q, e_t, c)``
+        of an orbit's terms of one degree and whether the orbit is x^0;
+        and per degree in ascending order the orbits with terms of that
+        degree and the index of each one's block."""
         # Each orbit's terms fall by degree |o| + e_q + e_t into blocks that
-        # all its members share.
+        # all its members share.  Equal blocks are kept once, as a plain
+        # MPoly's x-monomials often have equal ones.
         n = self.nvars
         orbits, members = self._orbits()
-        keys, rounds = [], {}  # degree -> (orbits, their blocks)
+        keys, kept = [], {}  # each distinct block -> its index
+        rounds = {}  # degree -> (orbits, the indices of their blocks)
         for k, (o, qt) in enumerate(orbits):
             keys.append(o)
             x = o[:n]
@@ -289,12 +290,11 @@ class MPoly:
                 by_degree.setdefault(size + e_q + e_t, []).append(
                     (e_q, e_t, c))
             for degree, block in by_degree.items():
-                block = (tuple(block), bare)
-                ks, blocks = rounds.setdefault(degree, ([], []))
+                ks, at = rounds.setdefault(degree, ([], []))
                 ks.append(k)
-                blocks.append(block)
-        return members(n, keys, piece, sep, head, tail), [
-            rounds[d] for d in sorted(rounds)]
+                at.append(kept.setdefault((tuple(block), bare), len(kept)))
+        return (members(n, keys, piece, sep, head, tail), list(kept),
+                [rounds[d] for d in sorted(rounds)])
 
     def _write(self, piece, sep, ends, make, lead, tail: str):
         """The writers' one emitter, or None for zero: each distinct block
@@ -302,14 +302,13 @@ class MPoly:
         each round is one C-level join over the members it visits.  A
         fragment is ``ends`` around the ``sep``-join of the nonempty
         ``piece(i, e_i)``; ``lead`` rewrites the start."""
-        visit, rounds = self._layout(piece, sep, *ends)
-        if not rounds:
+        visit, blocks, rounds = self._layout(piece, sep, *ends)
+        if not blocks:
             return None
-        make, out = cache(make), []
-        for ks, blocks in rounds:
-            frags, parts = visit(ks, list(map(make, blocks)))
-            out.append("".join(map(str.join, frags, parts)))
-        del visit, rounds, make  # only the rounds' strings are joined
+        parts = make(blocks)
+        out = ["".join(map(str.join, *visit(
+            ks, list(map(parts.__getitem__, at))))) for ks, at in rounds]
+        del visit, parts  # only the rounds' strings are joined
         out[0] = lead(out[0])
         out[-1] += tail
         return "".join(out)
@@ -333,11 +332,16 @@ class MPoly:
                     sign + (f"{mag}{mul_sep}{qts}" if qts and mag != 1
                             else qts or str(mag)))
 
-        def make(block):  # head, glues, tail; bare at x^0
-            items, bare = block
-            heads, tails, bares = zip(*map(term, items))
-            return bares if bare else [heads[0], *map(add, tails, heads[1:]),
-                                       tails[-1]]
+        def make(blocks):  # a block: head, glues, tail; bare at x^0
+            heads, tails, bares = zip(*map(term, chain.from_iterable(
+                block for block, _ in blocks)))
+            glues, lo, out = list(map(add, tails, heads[1:])), 0, []
+            for block, bare in blocks:
+                hi = lo + len(block)
+                out.append(bares[lo:hi] if bare else
+                           [heads[lo], *glues[lo:hi - 1], tails[hi - 1]])
+                lo = hi
+            return out
 
         return self._write(lambda i, e: power(names[i], e), mul_sep, ("", ""),
                            make, lambda first: head + (
@@ -377,12 +381,15 @@ class MPoly:
         """``json.dumps(to_json_dict())``, byte for byte, between head and tail."""
         head, tail = head + '{"nvars": %d, "terms": [' % self.nvars, "]}" + tail
 
-        @cache
-        def rest(item):
-            return '%d, "t": %d, "c": "%d"}' % item
-
-        def make(block):  # a term is ", " + x-fragment + its rest
-            return ["", *map(rest, block[0])]
+        def make(blocks):  # a term is ", " + x-fragment + its rest
+            items = list(chain.from_iterable(block for block, _ in blocks))
+            rest = {i: '%d, "t": %d, "c": "%d"}' % i for i in set(items)}
+            rests, lo, out = list(map(rest.__getitem__, items)), 0, []
+            for block, _ in blocks:
+                hi = lo + len(block)
+                out.append(["", *rests[lo:hi]])
+                lo = hi
+            return out
 
         return self._write(lambda i, e: "%d" % e, ", ",
                            (', {"x": [', '], "q": '), make,
@@ -697,8 +704,13 @@ def walk_sum(walk, weight, nvars: int | None = None, size: int = 0,
     if nvars is None:
         # One content: the fillings that agree in (maj, coinv, mask) add the
         # same terms, so each such triple is added once, times its count.
-        walk = ((times, m, s, mask) for (m, s, mask), times
-                in Counter(map(itemgetter(1, 2, 3), walk)).items())
+        # (A Counter would count in C, but its first use in a process runs
+        # the Mapping check of collections.abc, which costs a forked
+        # request more than the loop saves on a small walk.)
+        tally: dict[tuple, int] = {}
+        for key in map(itemgetter(1, 2, 3), walk):
+            tally[key] = tally.get(key, 0) + 1
+        walk = ((times, m, s, mask) for (m, s, mask), times in tally.items())
     for entries, m, s, mask in walk:  # for nvars None, entries is the count
         w = weights.get(mask)
         if w is None:
@@ -787,15 +799,10 @@ def _lex_members(n: int, nus, piece, sep, head, tail):
 
     prefixes = grow([(0, 0, head, False)], range(n // 2))
     suffixes = grow([(0, 0, "", False)], range(n // 2, n))
-    sums = list(map(itemgetter(0), suffixes))
-    by_sum = sorted(range(len(sums)), key=sums.__getitem__)  # lex within
-    sums.sort()
     picks, frags, member_codes = {}, [], []
     for s, c, f, full in prefixes:
         if (s, full) not in picks:  # its completing suffixes, in lex order
-            ends = list(map(suffixes.__getitem__, sorted(chain.from_iterable(
-                by_sum[bisect_left(sums, t - s):bisect_right(sums, t - s)]
-                for t in sizes if t >= s))))
+            ends = [end for end in suffixes if s + end[0] in sizes]
             picks[s, full] = ([d for _, d, _, _ in ends],
                               [(sep + g if full and more else g) + tail
                                for _, _, g, more in ends])
