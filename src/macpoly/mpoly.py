@@ -778,23 +778,29 @@ def _lex_members(n: int, nus, piece, sep, head, tail):
     for orbit k."""
     # The first n // 2 exponents (a prefix) and the last ones (a suffix) are
     # each laid out once, with their fragment and the code of their
-    # multiset, sum of (n + 1) ** e, which adds without carrying.  Each
-    # prefix is joined, in C, to the suffixes completing it to a size in
-    # nus, and a member is kept when its code is an orbit's.
-    code_of = {sum(map((n + 1).__pow__, nu)) + n - len(nu): k
-               for k, nu in enumerate(nus)}
+    # multiset, sum of (n + 1) ** e, which adds without carrying.  They use
+    # only exponents some orbit has, each prefix is joined, in C, to the
+    # suffixes completing it to a size in nus, and a member is kept when
+    # its code is an orbit's.
     sizes = set(map(sum, nus))
     top = max(sizes, default=0)
     big = max(map(max, filter(None, nus)), default=0)  # no exponent exceeds it
     pieces = _pieces(piece, n, big)
     powers = [(n + 1) ** e for e in range(big + 1)]
+    code_of = {sum(map(powers.__getitem__, nu)) + n - len(nu): k
+               for k, nu in enumerate(nus)}
+    used = [False] * (big + 1)
+    for nu in nus:
+        for e in nu + (0,) * (len(nu) < n):
+            used[e] = True
 
     def grow(level, positions):  # each (sum, code, fragment, nonempty), lex
         for i in positions:
             level = [(s + e, c + powers[e],
                       f + sep + p if p and full else f + p, full or bool(p))
                      for s, c, f, full in level
-                     for e, p in enumerate(pieces[i][:top - s + 1])]
+                     for e, p in enumerate(pieces[i][:top - s + 1])
+                     if used[e]]
         return level
 
     prefixes = grow([(0, 0, head, False)], range(n // 2))
