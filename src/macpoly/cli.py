@@ -98,14 +98,14 @@ OUTPUT = click.option("--output", type=click.Path(), default=None,
                       callback=_check_output)
 
 
+# The writer of each `compute --format`, a method of MPoly and RationalForm.
+_WRITERS = {"json": "to_json", "latex": "latex", "text": "text"}
+
+
 def _render_poly(value, fmt: str) -> str:
     """The value written in one string, newline included, so that a large
     output is not copied once more to end it."""
-    if fmt == "json":
-        return value.to_json(tail="\n")
-    if fmt == "latex":
-        return value.latex(tail="\n")
-    return value.text(tail="\n")
+    return getattr(value, _WRITERS[fmt])(tail="\n")
 
 
 @click.group()
@@ -122,7 +122,7 @@ def main():
 @click.option("--nvars", type=click.IntRange(min=0), required=True)
 @click.option("--method", type=click.Choice(["compact", "brute", "both"]),
               default="compact", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]),
+@click.option("--format", "fmt", type=click.Choice(list(_WRITERS)),
               default="json", show_default=True)
 @click.option("--cap", type=int, default=8, show_default=True,
               help="size cap for brute-force routes")

@@ -28,19 +28,19 @@ m_nu coefficients: it is written from them, and expanded to x-monomials
 only when something else reads its terms.
 
 :meth:`MPoly.to_json` writes the bytes of ``json.dumps(to_json_dict())``
-directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, through one
-emitter that joins each graded-lex degree in one C-level call, running no
-Python code per term.  Every polynomial is written as a sum over orbits of
-x-monomials, each orbit carrying one x-free coefficient: a symmetric
-result's orbits are the rearrangements of each nu (the m_nu basis), and a
-plain MPoly's are its x-monomials, each its own orbit.  Each (orbit,
-degree) block is made once and joined by the x-fragment of every member
-of its orbit, read from one lex-ordered table of the members' fragments:
-for a symmetric result :func:`_lex_members` builds it over the weak
-compositions of each |nu|, joining shared prefix and suffix strings in C,
-without listing any rearrangement.  The result is one string, between an
-optional head and tail, so a large value is never copied again to wrap or
-end it.
+directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, each a
+format spec over one emitter, :meth:`MPoly._write`, that joins each
+graded-lex degree in one C-level call, running no Python code per term.
+Every polynomial is written as a sum over orbits of x-monomials, each
+orbit carrying one x-free coefficient: a symmetric result's orbits are the
+rearrangements of each nu (the m_nu basis), and a plain MPoly's are its
+x-monomials, each its own orbit.  Each (orbit, degree) block is made once,
+by :func:`_block_parts`, into texts that the bare x-fragment of each member
+of its orbit joins, read from one lex-ordered table of the members'
+fragments: for a symmetric result :func:`_lex_members` builds it over the
+weak compositions of each |nu|, joining shared prefix and suffix strings
+in C, without listing any rearrangement.  The result is one string, between
+an optional head and tail, so a large value is never copied again.
 """
 
 from __future__ import annotations
@@ -259,22 +259,25 @@ class MPoly:
         entries are an x-monomial of the orbit, with its x-free terms
         ``((e_q, e_t), c)`` in lex order; and the function that lays out
         the lex table of the orbits' members, ``members(nvars, keys,
-        piece, sep, head, tail)``, returning its ``visit`` (the contract of
-        :func:`_lex_members`).  A plain MPoly's orbits are its x-monomials
-        in lex order, each its own only member, keyed by its first term's
-        key."""
+        piece, sep)``, returning its ``visit`` (the contract of
+        :func:`_lex_members`), whose fragments are bare.  A plain MPoly's
+        orbits are its x-monomials in lex order, each its own only member,
+        keyed by its first term's key."""
         n, terms = self.nvars, self._terms
         groups = (list(keys) for _, keys
                   in groupby(sorted(terms), itemgetter(slice(0, n))))
         return ((keys[0], [(k[n:], terms[k]) for k in keys])
                 for keys in groups), _own_members
 
-    def _layout(self, piece, sep, head, tail):
-        """``(visit, blocks, rounds)`` for :meth:`_write`: the member
-        table's ``visit``; the distinct blocks, each the ``(e_q, e_t, c)``
-        of an orbit's terms of one degree and whether the orbit is x^0;
-        and per degree in ascending order the orbits with terms of that
-        degree and the index of each one's block."""
+    def _write(self, piece, sep, terms, lead, zero, head, tail: str) -> str:
+        """The writers' one emitter, given a format spec: each member's
+        x-fragment is the ``sep``-join of its nonempty ``piece(i, e_i)``;
+        ``terms`` gives the texts of the block terms (see
+        :func:`_block_parts`); ``lead`` rewrites the start of the first
+        term, and ``zero`` stands for a polynomial with no terms.  Each
+        distinct block is made once into parts that each member's fragment
+        joins, and each degree is one C-level join over the members its
+        round visits."""
         # Each orbit's terms fall by degree |o| + e_q + e_t into blocks that
         # all its members share.  Equal blocks are kept once, as a plain
         # MPoly's x-monomials often have equal ones.
@@ -293,23 +296,16 @@ class MPoly:
                 ks, at = rounds.setdefault(degree, ([], []))
                 ks.append(k)
                 at.append(kept.setdefault((tuple(block), bare), len(kept)))
-        return (members(n, keys, piece, sep, head, tail), list(kept),
-                [rounds[d] for d in sorted(rounds)])
-
-    def _write(self, piece, sep, ends, make, lead, tail: str):
-        """The writers' one emitter, or None for zero: each distinct block
-        is made once into parts that each member's x-fragment joins, and
-        each round is one C-level join over the members it visits.  A
-        fragment is ``ends`` around the ``sep``-join of the nonempty
-        ``piece(i, e_i)``; ``lead`` rewrites the start."""
-        visit, blocks, rounds = self._layout(piece, sep, *ends)
-        if not blocks:
-            return None
-        parts = make(blocks)
+        if not kept:
+            return head + zero + tail
+        visit = members(n, keys, piece, sep)
+        parts = _block_parts(list(kept), terms)
+        del keys, kept  # the table and the parts stand for them now
         out = ["".join(map(str.join, *visit(
-            ks, list(map(parts.__getitem__, at))))) for ks, at in rounds]
-        del visit, parts  # only the rounds' strings are joined
-        out[0] = lead(out[0])
+            ks, list(map(parts.__getitem__, at)))))
+            for ks, at in map(rounds.__getitem__, sorted(rounds))]
+        del visit, parts, rounds  # only the rounds' strings are joined
+        out[0] = head + lead(out[0])
         out[-1] += tail
         return "".join(out)
 
@@ -322,7 +318,7 @@ class MPoly:
             return "" if not e else name if e == 1 else pow_fmt(name, e)
 
         @cache
-        def term(item):  # a term is head + x-monomial + tail, or bare at x^0
+        def term(item):  # before and after the x-monomial, and bare at x^0
             e_q, e_t, c = item
             qts = mul_sep.join(filter(None, map(power, "qt", (e_q, e_t))))
             mag = abs(c)
@@ -332,20 +328,10 @@ class MPoly:
                     sign + (f"{mag}{mul_sep}{qts}" if qts and mag != 1
                             else qts or str(mag)))
 
-        def make(blocks):  # a block: head, glues, tail; bare at x^0
-            heads, tails, bares = zip(*map(term, chain.from_iterable(
-                block for block, _ in blocks)))
-            glues, lo, out = list(map(add, tails, heads[1:])), 0, []
-            for block, bare in blocks:
-                hi = lo + len(block)
-                out.append(bares[lo:hi] if bare else
-                           [heads[lo], *glues[lo:hi - 1], tails[hi - 1]])
-                lo = hi
-            return out
-
-        return self._write(lambda i, e: power(names[i], e), mul_sep, ("", ""),
-                           make, lambda first: head + (
-            "" if first[1] == "+" else "-") + first[3:], tail) or f"{head}0{tail}"
+        return self._write(lambda i, e: power(names[i], e), mul_sep,
+                           lambda items: zip(*map(term, items)),
+                           lambda first: first[3:] if first[1] == "+"
+                           else "-" + first[3:], "0", head, tail)
 
     def text(self, head="", tail="") -> str:
         """Plain-text rendering, terms in graded-lex order."""
@@ -379,21 +365,12 @@ class MPoly:
 
     def to_json(self, head="", tail="") -> str:
         """``json.dumps(to_json_dict())``, byte for byte, between head and tail."""
-        head, tail = head + '{"nvars": %d, "terms": [' % self.nvars, "]}" + tail
-
-        def make(blocks):  # a term is ", " + x-fragment + its rest
-            items = list(chain.from_iterable(block for block, _ in blocks))
-            rest = {i: '%d, "t": %d, "c": "%d"}' % i for i in set(items)}
-            rests, lo, out = list(map(rest.__getitem__, items)), 0, []
-            for block, _ in blocks:
-                hi = lo + len(block)
-                out.append(["", *rests[lo:hi]])
-                lo = hi
-            return out
-
-        return self._write(lambda i, e: "%d" % e, ", ",
-                           (', {"x": [', '], "q": '), make,
-                           lambda first: head + first[2:], tail) or head + tail
+        return self._write(
+            lambda i, e: "%d" % e, ", ",
+            lambda items: ([', {"x": ['] * len(items), list(map(
+                '], "q": %d, "t": %d, "c": "%d"}'.__mod__, items)), None),
+            lambda first: first[2:], "",
+            head + '{"nvars": %d, "terms": [' % self.nvars, "]}" + tail)
 
 
 def diff_witness(a: MPoly, b: MPoly):
@@ -758,24 +735,42 @@ def _pieces(piece, n: int, top: int) -> list:
     return pieces
 
 
-def _own_members(n: int, keys, piece, sep, head, tail):
+def _block_parts(blocks, terms) -> list:
+    """The parts of each ``(items, bare)`` block, the ``(e_q, e_t, c)`` of
+    its terms and whether it is at x^0, that a member's x-fragment joins:
+    ``terms(items)`` gives every block's terms' texts before the fragment,
+    after it, and alone at x^0 (None if never alone), and a block's parts
+    are its first before, each after glued to the next before, and its last
+    after; or its terms alone at x^0."""
+    befores, afters, alones = terms(list(chain.from_iterable(
+        items for items, _ in blocks)))
+    glues, lo, out = list(map(add, afters, befores[1:])), 0, []
+    for items, bare in blocks:
+        hi = lo + len(items)
+        out.append(alones[lo:hi] if bare and alones else
+                   [befores[lo], *glues[lo:hi - 1], afters[hi - 1]])
+        lo = hi
+    return out
+
+
+def _own_members(n: int, keys, piece, sep):
     """The lex table of orbits that are each their x-monomial's only member,
     keys[k][:n] in lex order: see :func:`_lex_members`.  Its ``visit`` is
     given the orbits ks in ascending order, so they are its members."""
     pieces = _pieces(piece, n, max(map(max, islice(zip(*keys), n)), default=0))
-    frags = [head + sep.join(filter(None, map(list.__getitem__, pieces, k)))
-             + tail for k in keys]
+    frags = [sep.join(filter(None, map(list.__getitem__, pieces, k)))
+             for k in keys]
     return lambda ks, parts: (map(frags.__getitem__, ks), parts)
 
 
-def _lex_members(n: int, nus, piece, sep, head, tail):
+def _lex_members(n: int, nus, piece, sep):
     """The lex table of the members of the orbits of the partitions nus,
     each weak composition into n parts that rearranges one of them: a
-    member x's fragment is head, the sep-join of the nonempty strings
-    ``piece(i, x_i)``, then tail.  Returns ``visit(ks, parts)``, which
-    gives the fragments of the members of the orbits ks (indices into nus)
-    in lex order, and for each the parts of its orbit, ``parts[ks.index(k)]``
-    for orbit k."""
+    member x's fragment is the sep-join of the nonempty strings
+    ``piece(i, x_i)``.  Returns ``visit(ks, parts)``, which gives the
+    fragments of the members of the orbits ks (indices into nus) in lex
+    order, and for each the parts of its orbit, ``parts[ks.index(k)]`` for
+    orbit k."""
     # The first n // 2 exponents (a prefix) and the last ones (a suffix) are
     # each laid out once, with their fragment and the code of their
     # multiset, sum of (n + 1) ** e, which adds without carrying.  They use
@@ -803,14 +798,14 @@ def _lex_members(n: int, nus, piece, sep, head, tail):
                      if used[e]]
         return level
 
-    prefixes = grow([(0, 0, head, False)], range(n // 2))
+    prefixes = grow([(0, 0, "", False)], range(n // 2))
     suffixes = grow([(0, 0, "", False)], range(n // 2, n))
     picks, frags, member_codes = {}, [], []
     for s, c, f, full in prefixes:
         if (s, full) not in picks:  # its completing suffixes, in lex order
             ends = [end for end in suffixes if s + end[0] in sizes]
             picks[s, full] = ([d for _, d, _, _ in ends],
-                              [(sep + g if full and more else g) + tail
+                              [sep + g if full and more else g
                                for _, _, g, more in ends])
         ends, rests = picks[s, full]
         frags += map(f.__add__, rests)

@@ -454,6 +454,45 @@ def test_a_closed_pipe_is_left_to_click(monkeypatch):
     assert res.exit_code == 1 and "cannot write" not in res.output
 
 
+class _Recording(io.StringIO):
+    """A stream that keeps each write it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("size", [cli.WRITE_SLICE, 3 * cli.WRITE_SLICE + 7])
+def test_emit_writes_slices_that_join_to_its_input(monkeypatch, tmp_path,
+                                                   size):
+    """`_emit` hands the --output file and stdout at most WRITE_SLICE
+    characters per write, and the writes join to its input."""
+    text = "".join(chr(32 + i % 95) for i in range(size - 1)) + "\n"
+    path = tmp_path / "out"
+    cli._emit([text], str(path))
+    assert path.read_bytes() == text.encode()
+    files = []
+
+    def recording_open(file, mode):
+        files.append(_Recording())
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    cli._emit([text], str(path))
+    stdout = _Recording()
+    monkeypatch.setattr(cli.click, "get_text_stream", lambda name: stdout)
+    cli._emit([text], None)
+    for stream in (*files, stdout):
+        assert max(map(len, stream.writes)) <= cli.WRITE_SLICE
+        assert len(stream.writes) == -(-size // cli.WRITE_SLICE)
+        assert "".join(stream.writes).encode() == text.encode()
+    assert len(files) == 1
+
+
 @_NO_DEVICE_FULL
 def test_a_full_stdout_exits_2_with_one_message_at_exit_too():
     # A real process, so that the flush of stdout at interpreter exit runs.
