@@ -171,10 +171,16 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
         brute_value = brute_route()
         if method == "brute":
             value = brute_value
-        elif not (value == brute_value):
-            click.echo(f"identity failure: compact and brute routes disagree "
-                       f"for {selector} {shape}", err=True)
-            sys.exit(IDENTITY_EXIT)
+        else:
+            a, b = value, brute_value
+            if selector == "P":  # two forms: the cross-multiplied numerators
+                a, b = a.numerator * b.denominator, b.numerator * a.denominator
+            ok, detail = _agree(a, b)
+            if not ok:
+                click.echo(f"identity failure: compact and brute routes "
+                           f"disagree for {selector} {shape} ({detail})",
+                           err=True)
+                sys.exit(IDENTITY_EXIT)
     _emit([_render_poly(value, fmt)], output)
 
 

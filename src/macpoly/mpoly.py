@@ -5,8 +5,8 @@ coefficients.  Keys are fixed-width tuples ``(e_x1, ..., e_xn, e_q, e_t)``;
 polynomials with different variable counts never mix implicitly (mixing is
 an error, not a coercion).  All coefficients are arbitrary-precision ints,
 so every identity in this package is checked exactly.  ``MPoly(nvars,
-terms)`` checks each key and drops zeros; :func:`read_out` takes the
-package's own term dicts, right by construction, without the checks.
+terms)`` checks each key and drops zeros; the one unchecked constructor,
+:func:`read_out`, takes the package's own term dicts, right by construction.
 
 :class:`RationalForm` pairs an MPoly numerator with an x-free denominator;
 it never reduces to lowest terms, and equality is by cross-multiplication.
@@ -36,11 +36,12 @@ orbit carrying one x-free coefficient: a symmetric result's orbits are the
 rearrangements of each nu (the m_nu basis), and a plain MPoly's are its
 x-monomials, each its own orbit.  Each (orbit, degree) block is made once,
 by :func:`_block_parts`, into texts that the bare x-fragment of each member
-of its orbit joins, read from one lex-ordered table of the members'
-fragments: for a symmetric result :func:`_lex_members` builds it over the
-weak compositions of each |nu|, joining shared prefix and suffix strings
-in C, without listing any rearrangement.  The result is one string, between
-an optional head and tail, so a large value is never copied again.
+of its orbit joins.  The members' fragments and orbits, ``(frags,
+orbit_of)``, are one lex-ordered table that :meth:`MPoly._write` reads once
+per degree, in C: for a symmetric result :func:`_lex_members` builds it
+over the weak compositions of each |nu|, joining shared prefix and suffix
+strings in C, without listing any rearrangement.  The result is one string,
+between an optional head and tail, so a large value is never copied again.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars: int, c: int) -> "MPoly":
-        return MPoly._trusted(nvars, {(0,) * (nvars + 2): c} if c else {})
+        return read_out(nvars, {(0,) * (nvars + 2): c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "MPoly":
@@ -163,15 +164,6 @@ class MPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    @staticmethod
-    def _trusted(nvars: int, terms: dict) -> "MPoly":
-        """The polynomial of a term dict already free of zeros, with keys of
-        width nvars + 2 and no negative exponent; skips validation."""
-        out = MPoly.__new__(MPoly)
-        out.nvars = nvars
-        out._terms = terms
-        return out
-
     def _check(self, other: "MPoly") -> None:
         if self.nvars != other.nvars:
             raise VariableMismatchError(
@@ -190,12 +182,12 @@ class MPoly:
                 terms[k] = nc
             else:
                 del terms[k]
-        return MPoly._trusted(self.nvars, terms)
+        return read_out(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._trusted(self.nvars, {k: -c for k, c in self._terms.items()})
+        return read_out(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -209,8 +201,8 @@ class MPoly:
         if isinstance(other, int):
             if other == 0:
                 return MPoly.zero(self.nvars)
-            return MPoly._trusted(self.nvars, {k: c * other for k, c
-                                               in self._terms.items()})
+            return read_out(self.nvars, {k: c * other for k, c
+                                         in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
@@ -223,7 +215,7 @@ class MPoly:
                     terms[k] = nc
                 else:
                     del terms[k]
-        return MPoly._trusted(self.nvars, terms)
+        return read_out(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -259,7 +251,7 @@ class MPoly:
         entries are an x-monomial of the orbit, with its x-free terms
         ``((e_q, e_t), c)`` in lex order; and the function that lays out
         the lex table of the orbits' members, ``members(nvars, keys,
-        piece, sep)``, returning its ``visit`` (the contract of
+        piece, sep)``, returning ``(frags, orbit_of)`` (the contract of
         :func:`_lex_members`), whose fragments are bare.  A plain MPoly's
         orbits are its x-monomials in lex order, each its own only member,
         keyed by its first term's key."""
@@ -276,8 +268,8 @@ class MPoly:
         :func:`_block_parts`); ``lead`` rewrites the start of the first
         term, and ``zero`` stands for a polynomial with no terms.  Each
         distinct block is made once into parts that each member's fragment
-        joins, and each degree is one C-level join over the members its
-        round visits."""
+        joins, and each degree is one C-level read of the members' table
+        and one join."""
         # Each orbit's terms fall by degree |o| + e_q + e_t into blocks that
         # all its members share.  Equal blocks are kept once, as a plain
         # MPoly's x-monomials often have equal ones.
@@ -298,13 +290,18 @@ class MPoly:
                 at.append(kept.setdefault((tuple(block), bare), len(kept)))
         if not kept:
             return head + zero + tail
-        visit = members(n, keys, piece, sep)
+        frags, orbit_of = members(n, keys, piece, sep)
         parts = _block_parts(list(kept), terms)
-        del keys, kept  # the table and the parts stand for them now
-        out = ["".join(map(str.join, *visit(
-            ks, list(map(parts.__getitem__, at)))))
-            for ks, at in map(rounds.__getitem__, sorted(rounds))]
-        del visit, parts, rounds  # only the rounds' strings are joined
+        del kept  # the parts stand for its blocks now
+        out = []
+        for ks, at in map(rounds.__getitem__, sorted(rounds)):
+            row = [None] * len(keys)  # each orbit's parts, None if no block
+            for k, i in zip(ks, at):
+                row[k] = parts[i]
+            got = list(map(row.__getitem__, orbit_of))  # each member's
+            out.append("".join(map(str.join, compress(frags, got),
+                                   filter(None, got))))
+        del keys, frags, orbit_of, parts, rounds, row, got  # only the strings
         out[0] = head + lead(out[0])
         out[-1] += tail
         return "".join(out)
@@ -529,22 +526,21 @@ def swap_vars(p: MPoly, i: int, j: int) -> MPoly:
 
 
 def _var_index(nvars: int, name: str) -> int:
-    if name == "q":
-        return nvars
-    if name == "t":
-        return nvars + 1
-    if name.startswith("x"):
-        i = int(name[1:])
-        if 1 <= i <= nvars:
-            return i - 1
+    """The key position of the variable named exactly q, t or x1..x<nvars>."""
+    if name in ("q", "t"):
+        return nvars + (name == "t")
+    digits = name[1:]
+    if (name[:1] == "x" and digits.isascii() and digits.isdigit()
+            and digits[0] != "0" and int(digits) <= nvars):
+        return int(digits) - 1
     raise VariableMismatchError(f"unknown variable {name!r} for nvars={nvars}")
 
 
 def specialize(p: MPoly, bindings: dict) -> MPoly:
     """Substitute integers or other variables for variables, exactly.
 
-    ``bindings`` maps variable names ("x3", "q", "t") to ints or to other
-    variable names.  The substitution is simultaneous, so swaps like
+    ``bindings`` maps the names "q", "t", "x1".."xn", and no others, to
+    ints or to such names.  The substitution is simultaneous, so swaps like
     ``{"q": "t", "t": "q"}`` behave as expected; unbound variables are
     untouched.
     """
@@ -723,8 +719,12 @@ def sum_by_content(n: int, size: int, content_sum) -> MPoly:
 def read_out(nvars: int, terms: dict) -> MPoly:
     """The MPoly of a term dict that :func:`walk_sum` or another kernel
     loop built, zero-free and with keys of width nvars + 2 by construction,
-    read out without the checks of ``MPoly(nvars, terms)``."""
-    return MPoly._trusted(nvars, terms)
+    read out without the checks of ``MPoly(nvars, terms)``: the one
+    unchecked constructor of an MPoly."""
+    out = MPoly.__new__(MPoly)
+    out.nvars = nvars
+    out._terms = terms
+    return out
 
 
 def _pieces(piece, n: int, top: int) -> list:
@@ -755,22 +755,19 @@ def _block_parts(blocks, terms) -> list:
 
 def _own_members(n: int, keys, piece, sep):
     """The lex table of orbits that are each their x-monomial's only member,
-    keys[k][:n] in lex order: see :func:`_lex_members`.  Its ``visit`` is
-    given the orbits ks in ascending order, so they are its members."""
+    keys[k][:n] in lex order: see :func:`_lex_members`."""
     pieces = _pieces(piece, n, max(map(max, islice(zip(*keys), n)), default=0))
     frags = [sep.join(filter(None, map(list.__getitem__, pieces, k)))
              for k in keys]
-    return lambda ks, parts: (map(frags.__getitem__, ks), parts)
+    return frags, range(len(keys))
 
 
 def _lex_members(n: int, nus, piece, sep):
     """The lex table of the members of the orbits of the partitions nus,
     each weak composition into n parts that rearranges one of them: a
     member x's fragment is the sep-join of the nonempty strings
-    ``piece(i, x_i)``.  Returns ``visit(ks, parts)``, which gives the
-    fragments of the members of the orbits ks (indices into nus) in lex
-    order, and for each the parts of its orbit, ``parts[ks.index(k)]`` for
-    orbit k."""
+    ``piece(i, x_i)``.  Returns ``(frags, orbit_of)``: the members'
+    fragments in lex order, and the orbit of each, an index into nus."""
     # The first n // 2 exponents (a prefix) and the last ones (a suffix) are
     # each laid out once, with their fragment and the code of their
     # multiset, sum of (n + 1) ** e, which adds without carrying.  They use
@@ -815,14 +812,7 @@ def _lex_members(n: int, nus, piece, sep):
         keep = list(map(code_of.__contains__, member_codes))
         frags = list(compress(frags, keep))
         orbit_of = list(compress(orbit_of, keep))
-
-    def visit(ks, parts):  # one pass over the table, in C
-        row = [None] * len(nus)
-        for k, p in zip(ks, parts):
-            row[k] = p
-        at = list(map(row.__getitem__, orbit_of))
-        return compress(frags, at), filter(None, at)
-    return visit
+    return frags, orbit_of
 
 
 class SymmetricMPoly(MPoly):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import macpoly
 from macpoly import cli
 from macpoly.cli import main
+from macpoly.mpoly import MPoly
 from macpoly.nonattacking import e_integral, j_compact, p_poly
 from macpoly.quasisym import demazure_t_atom, g_poly, qs_gamma
 from macpoly.tableaux import htilde_compact
@@ -84,6 +85,28 @@ def test_brute_on_a_single_route_selector_is_a_usage_error(selector, shape,
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"{selector} has a single route; --method brute" in res.output
+
+
+@pytest.mark.parametrize("selector, witness", [
+    ("htilde", "x^(0, 0) q^7 t^0: 0 vs 1"),
+    ("J", "x^(0, 0) q^0 t^7: 0 vs -2"),
+    # P's forms compare as cross-multiplied numerators, J * pr1 at each
+    # side; pr1 starts at 1, so the stray t^7 shows as it is.
+    ("P", "x^(0, 0) q^0 t^7: 0 vs -2")], ids=["htilde", "J", "P"])
+def test_routes_that_disagree_name_the_first_differing_monomial(
+        monkeypatch, selector, witness):
+    real_htilde, real_j = cli.htilde_brute, cli.j_hhl
+    monkeypatch.setattr(cli, "htilde_brute",
+                        lambda lam, n: real_htilde(lam, n) + MPoly.q(n) ** 7)
+    monkeypatch.setattr(cli, "j_hhl",
+                        lambda lam, n: real_j(lam, n) - 2 * MPoly.t(n) ** 7)
+    res = run("compute", selector, "--shape", "2,1", "--nvars", "2",
+              "--method", "both")
+    assert res.exit_code == cli.IDENTITY_EXIT
+    assert res.stdout == ""
+    assert res.stderr == (f"identity failure: compact and brute routes "
+                          f"disagree for {selector} 2,1 (first difference at "
+                          f"{witness})\n")
 
 
 @pytest.mark.parametrize("selector, shape, nvars", [
@@ -231,6 +254,28 @@ def test_enumerate_packed_filters_nonattacking_records():
     assert packed == [[[1, 2]], [[2, 1]]]
 
 
+# The text records of `enumerate`: rows top first, then the statistics; a
+# sorted record leaves its perm_t polynomial out.
+ENUMERATED_TEXT = {
+    "sorted": ["[[1], [1, 1]] inv=0 maj=0", "[[1], [1, 2]] inv=0 maj=0",
+               "[[2], [1, 1]] inv=0 maj=1", "[[2], [1, 2]] inv=0 maj=1",
+               "[[1], [2, 1]] inv=1 maj=0", "[[1], [2, 2]] inv=0 maj=0",
+               "[[2], [2, 1]] inv=1 maj=0", "[[2], [2, 2]] inv=0 maj=0"],
+    "nonattacking": ["[[1, None], [1, 2]] coinv=1 maj=0",
+                     "[[2, None], [1, 2]] coinv=1 maj=1",
+                     "[[1, None], [2, 1]] coinv=0 maj=0",
+                     "[[2, None], [2, 1]] coinv=0 maj=0"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENUMERATED_TEXT))
+def test_enumerate_text_records(kind):
+    res = run("enumerate", kind, "--shape", "2,1", "--nvars", "2",
+              "--format", "text")
+    assert res.exit_code == 0
+    assert res.stdout.splitlines() == ENUMERATED_TEXT[kind]
+
+
 @pytest.mark.parametrize("kind", ["fillings", "sorted"])
 @pytest.mark.parametrize("option", [("--basement", "1,2"), ("--ordered",)])
 def test_nonattacking_options_on_other_kinds_are_usage_errors(tmp_path, kind,
@@ -252,6 +297,14 @@ def test_an_empty_basement_is_given_and_a_usage_error(basement):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "basement length does not match the shape" in res.output
+
+
+@pytest.mark.parametrize("given", [(), ("--shape", "2,1"), ("--nvars", "3")])
+def test_family_without_a_root_or_both_shape_and_nvars_is_a_usage_error(given):
+    res = run("family", *given)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "give either --root or both --shape and --nvars" in res.output
 
 
 @pytest.mark.parametrize("extra", [

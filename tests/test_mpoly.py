@@ -116,6 +116,13 @@ def test_specialize():
     assert specialize(qt, {"q": "t", "t": "q"}) == MPoly.q(0) ** 2 * MPoly.t(0)
     # variable-to-variable collapse
     assert specialize(MPoly.x(2, 1), {"x1": "x2"}) == MPoly.x(2, 2)
+    # the names are exactly q, t and x1..xn, as a binding or as its value
+    for name in ("x", "xx", "x1.0", "x01", "x0", "x3", "x-1", " x1", "x1 ",
+                 "x\u00b9", "y1", "Q", ""):
+        for bindings in ({name: 0}, {"q": name}):
+            with pytest.raises(VariableMismatchError,
+                               match=f"unknown variable {name!r}"):
+                specialize(p, bindings)
 
 
 def test_t_multinomial_examples():
@@ -380,9 +387,3 @@ def test_specialize_matches_the_term_by_term_reference(p):
         assert specialize(p, bindings) == _specialize_reference(p, bindings), \
             bindings
 
-
-def test_specialize_keeps_the_last_binding_of_a_variable():
-    # "x1" and "x01" name one variable; the later binding wins, either way.
-    x1, x2 = MPoly.x(2, 1), MPoly.x(2, 2)
-    assert specialize(x1 * x2, {"x1": 2, "x01": "x2"}) == x2 ** 2
-    assert specialize(x1 * x2, {"x01": "x2", "x1": 2}) == 2 * x2
