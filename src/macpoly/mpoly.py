@@ -755,7 +755,7 @@ def _block_parts(blocks, terms) -> list:
 
 def _own_members(n: int, keys, piece, sep):
     """The lex table of orbits that are each their x-monomial's only member,
-    keys[k][:n] in lex order: see :func:`_lex_members`."""
+    keys[k][:n] in lex order, member k in orbit k: see :func:`_lex_members`."""
     pieces = _pieces(piece, n, max(map(max, islice(zip(*keys), n)), default=0))
     frags = [sep.join(filter(None, map(list.__getitem__, pieces, k)))
              for k in keys]
