@@ -5,8 +5,10 @@ coefficients.  Keys are fixed-width tuples ``(e_x1, ..., e_xn, e_q, e_t)``;
 polynomials with different variable counts never mix implicitly (mixing is
 an error, not a coercion).  All coefficients are arbitrary-precision ints,
 so every identity in this package is checked exactly.  ``MPoly(nvars,
-terms)`` checks each key and drops zeros; the one unchecked constructor,
-:func:`read_out`, takes the package's own term dicts, right by construction.
+terms)`` reads each exponent and coefficient as an int through
+``operator.index`` (a float or a Fraction raises TypeError), checks each
+key and drops zeros; the one unchecked constructor, :func:`read_out`,
+takes the package's own term dicts, right by construction.
 
 :class:`RationalForm` pairs an MPoly numerator with an x-free denominator;
 it never reduces to lowest terms, and equality is by cross-multiplication.
@@ -49,7 +51,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, groupby, islice
-from operator import add, itemgetter
+from operator import add, index, itemgetter
 
 from .shapes import is_partition, partitions_of, rearrangements
 
@@ -72,28 +74,32 @@ class MPoly:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms=None):
+        terms = terms or {}
+        keys, coeffs = [*map(tuple, terms)], [*terms.values()]
+        if {*map(type, chain(coeffs, chain.from_iterable(keys)))} - {int}:
+            # anything else must stand for an int, as operator.index reads it
+            keys = [tuple(map(index, k)) for k in keys]
+            coeffs = [*map(index, coeffs)]
         width = nvars + 2
-        clean: dict[tuple[int, ...], int] = {}
-        for key, coeff in (terms or {}).items():
-            key = tuple(key)
-            if len(key) != width:
-                raise VariableMismatchError(
-                    f"exponent key {key} has width {len(key)}, expected {width}")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            if coeff:
-                clean[key] = clean.get(key, 0) + coeff
+        if {*map(len, keys)} - {width}:
+            key = next(k for k in keys if len(k) != width)
+            raise VariableMismatchError(
+                f"exponent key {key} has width {len(key)}, expected {width}")
+        if min(map(min, keys), default=0) < 0:
+            raise ValueError(
+                f"negative exponent in {next(k for k in keys if min(k) < 0)}")
         self.nvars = nvars
-        self._terms = {k: c for k, c in clean.items() if c}
+        self._terms = dict(compress(zip(keys, coeffs), coeffs))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars)
+        return read_out(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, c: int) -> "MPoly":
+        c = index(c)
         return read_out(nvars, {(0,) * (nvars + 2): c} if c else {})
 
     @classmethod
@@ -513,16 +519,11 @@ def divided_difference(p: MPoly, i: int) -> MPoly:
 
 
 def swap_vars(p: MPoly, i: int, j: int) -> MPoly:
-    """The image of p under exchanging x_i and x_j."""
+    """The image of p under exchanging x_i and x_j, by :func:`specialize`."""
     n = p.nvars
     if not (1 <= i <= n and 1 <= j <= n):
         raise VariableMismatchError("swap index out of range")
-    terms = {}
-    for key, c in p.terms().items():
-        k = list(key)
-        k[i - 1], k[j - 1] = k[j - 1], k[i - 1]
-        terms[tuple(k)] = c
-    return MPoly(n, terms)
+    return specialize(p, {f"x{i}": f"x{j}", f"x{j}": f"x{i}"})
 
 
 def _var_index(nvars: int, name: str) -> int:
@@ -540,9 +541,9 @@ def specialize(p: MPoly, bindings: dict) -> MPoly:
     """Substitute integers or other variables for variables, exactly.
 
     ``bindings`` maps the names "q", "t", "x1".."xn", and no others, to
-    ints or to such names.  The substitution is simultaneous, so swaps like
-    ``{"q": "t", "t": "q"}`` behave as expected; unbound variables are
-    untouched.
+    ints (through ``operator.index``: a float raises) or to such names.
+    The substitution is simultaneous, so swaps like ``{"q": "t", "t":
+    "q"}`` behave as expected; unbound variables are untouched.
     """
     n = p.nvars
     value: dict[int, int] = {}  # index -> the int bound to it
@@ -553,7 +554,7 @@ def specialize(p: MPoly, bindings: dict) -> MPoly:
             dest[idx] = _var_index(n, val)
             value.pop(idx, None)
         else:
-            value[idx] = int(val)
+            value[idx] = index(val)
     zeros = [idx for idx, v in value.items() if not v]
     # the terms that no 0 binding kills, before any key is built
     alive = {k: c for k, c in p.terms().items()

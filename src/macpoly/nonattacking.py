@@ -24,8 +24,9 @@ k repeats the entry below) is the cached product of the shape's factors,
 tabled once whatever the basement or content; ``walk_sum`` takes it once
 per mask and sum.  The public :func:`coinv`, :func:`coinversion_triples`
 and :func:`maj_na` recompute the statistics per object through
-``inverted``.  The oracle :func:`j_hhl` walks no search: it sums over
-tuples of columns, as ``htilde_brute`` does.
+``inverted``.  The oracle :func:`j_hhl` walks no search: it reads the
+counts of :func:`macpoly.tableaux._column_tally`, as ``htilde_brute``
+does, with coinversions for pairs and repeat masks for extras.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .shapes import (Cell, Composition, Partition, Permutation, _walk, arm,
                      attacks, beta_perm, cells, check_composition,
                      check_partition, check_permutation, inc_sort, leg,
                      multiplicities)
-from .tableaux import (_column_tally, _inversions, _maj, _read_terms, inverted,
+from .tableaux import (_column_tally, _inversions, _maj, inverted,
                        x_content)
 
 
@@ -84,8 +85,8 @@ class AugmentedFilling:
         return self.cols[i - 1][r - 1]
 
     def cells(self) -> list[Cell]:
-        return [(i, r) for i in range(1, len(self.shape) + 1)
-                for r in range(1, self.shape[i - 1] + 1)]
+        """The diagram's cells, column by column, each bottom to top."""
+        return sorted(cells(self.shape))
 
     def x_weight(self, nvars: int) -> MPoly:
         return MPoly.monomial(nvars, x_content(self.cols, nvars))
@@ -316,48 +317,36 @@ def j_compact(mu, n: int) -> MPoly:
 
 def j_hhl(mu, n: int) -> MPoly:
     """Integral-form Macdonald polynomial as a sum over all nonattacking
-    fillings of the partition diagram itself, the brute-force route, taken
-    as tuples of columns by :func:`macpoly.tableaux._column_tally`: each
-    column's content, maj and repeat mask once per height, and whether two
-    columns may stand side by side and their coinversions once per pair of
-    heights (a column to the left is never shorter, so every triple lies
-    in one row).  The cell factors, 1 - t for each row-1 cell, are
-    multiplied out once per tuple of masks."""
+    fillings of the partition diagram itself, the brute-force route: the
+    counts of :func:`macpoly.tableaux._column_tally` with the coinversions
+    of two columns as the pair statistic, None where they may not stand
+    side by side (a column to the left is never shorter, so every triple
+    lies in one row), and each column's repeat mask as its extra.  The
+    cell factors, 1 - t for each row-1 cell, are multiplied out once per
+    mask and added to the counts, grouped by content."""
     mu = check_partition(mu)
     upper = [(leg(mu, c) + 1, arm(mu, c) + 1) for c in sorted(cells(mu))
-             if c[1] >= 2]
-    # a filling's code: its masks over its content, a digit per value, then
-    # the exponents of q and of t, with room for a cell product's shift;
-    # mask bit k stands for the k-th cell of upper
-    radices = (sum(i * h for i, h in enumerate(mu)) + sum(b for _, b in upper)
-               + len(mu) + 1, 2 * sum(a for a, _ in upper) + 1, sum(mu) + 1)
-    unit = radices[0] * radices[1] * radices[2] ** n
+             if c[1] >= 2]  # mask bit k stands for the k-th of these cells
     bits = [sum(mu[:u]) - u for u in range(len(mu))]  # first bit per column
-    bound = unit << len(upper)
-
-    def code(u, c):
-        return ((_repeats(c) << bits[u]) * unit + (sum(
-            radices[2] ** (e - 1) for e in c) * radices[1] + _maj((c,)))
-            * radices[0])
 
     def pair(cu, cv):  # each row of cv holds one triple, inverted or not
-        return (len(cv) - _inversions(cu, cv)
-                if _side_by_side(cu, cv) else bound)
+        return len(cv) - _inversions(cu, cv) if _side_by_side(cu, cv) else None
 
-    weights: dict[int, list] = {}  # masks -> cell product, as code shifts
-    terms: dict[int, int] = {}
-    for key, count in _column_tally(mu, n, code, pair, bound).items():
-        masks, key = divmod(key, unit)
-        w = weights.get(masks)
+    weights: dict[int, tuple] = {}  # mask -> its cell product
+    terms: dict[tuple, dict] = {}  # x-exponents -> {(e_q, e_t): coefficient}
+    for x, q, t, mask, count in _column_tally(
+            mu, n, pair, lambda u, c: _repeats(c) << bits[u]):
+        w = weights.get(mask)
         if w is None:
-            w = weights[masks] = [(a * radices[0] + b, c) for (a, b), c in
-                                  cell_product(tuple(sorted(
-                                      [ab if masks >> k & 1 else (0, 1)
-                                       for k, ab in enumerate(upper)]
-                                      + [(0, 1)] * len(mu))))]
-        for shift, c in w:
-            terms[key + shift] = terms.get(key + shift, 0) + c * count
-    return MPoly(n, _read_terms(terms, radices, n))
+            w = weights[mask] = cell_product(tuple(sorted(
+                [ab if mask >> k & 1 else (0, 1) for k, ab in enumerate(upper)]
+                + [(0, 1)] * len(mu))))
+        qt = terms.setdefault(x, {})
+        for (a, b), c in w:
+            k = q + a, t + b
+            qt[k] = qt.get(k, 0) + c * count
+    return MPoly(n, {(*x, *k): c for x, qt in terms.items()
+                     for k, c in qt.items()})
 
 
 def _repeats(col) -> int:

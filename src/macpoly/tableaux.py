@@ -28,10 +28,12 @@ table of inverted triples, maj a per-column table, and the column order
 and the flip each come from a per-pair table.  :func:`perm_t` and
 :func:`family` check sortedness through the column-order table, and
 :func:`sort_filling` checks each rectangular component once, in its memo.
-The oracle :func:`htilde_brute` walks no search and reads none of these
-memos: it sums over tuples of columns, with maj and inv tabled per column
-and per two columns afresh on every call.  The tableau checks read one
-table of same-height runs per shape.
+The oracles :func:`htilde_brute` and :func:`macpoly.nonattacking.j_hhl`
+walk no search and read none of these memos: each reads the counts of
+fillings by (content, maj, pair sum, extra) of one column tally,
+:func:`_column_tally`, which tables the statistics per column and per two
+columns afresh on every call.  The tableau checks read one table of
+same-height runs per shape.
 """
 
 from __future__ import annotations
@@ -211,49 +213,50 @@ def enumerate_fillings(shape, n: int):
 
 def htilde_brute(shape, n: int) -> MPoly:
     """Modified Macdonald polynomial as the sum over all n^|shape|
-    fillings, taken as tuples of columns by :func:`_column_tally`: each
-    column's content and maj once per height, and the inv of two columns
-    once per pair of heights, by :func:`_inversions` with no memo."""
+    fillings: the counts of :func:`_column_tally` with the inv of two
+    columns, :func:`_inversions`, as the pair statistic."""
     shape = check_partition(shape)
-    # a filling's code: its content, a digit per value, then maj, then inv
-    radices = (sum(i * h for i, h in enumerate(shape)) + 1,
-               sum(h * (h - 1) // 2 for h in shape) + 1, sum(shape) + 1)
-    tally = _column_tally(
-        shape, n, lambda u, c: (sum(radices[2] ** (e - 1) for e in c)
-                                * radices[1] + _maj((c,))) * radices[0],
-        _inversions)
-    return MPoly(n, _read_terms(tally, radices, n))
+    return MPoly(n, {(*x, q, t): c for x, q, t, _, c
+                     in _column_tally(shape, n, _inversions)})
 
 
-def _read_terms(tally, radices, n: int) -> dict:
-    """The term dict of a tally of codes (content * q_radix + e_q) * t_radix
-    + e_t, ``radices`` being (t_radix, q_radix, base): the content has a
-    digit per value, base above the cell count, so columns add no carry."""
-    t_radix, q_radix, base = radices
-    xs: dict[int, tuple] = {}  # content code -> x-exponents
-    terms = {}
-    for code, c in tally.items():
-        code, t = divmod(code, t_radix)
-        code, q = divmod(code, q_radix)
-        x = xs.get(code)
-        if x is None:
-            x = xs[code] = tuple(code // base ** k % base for k in range(n))
-        terms[(*x, q, t)] = c
-    return terms
+def _column_tally(shape, n: int, pair, extra=None):
+    """The n^|shape| fillings of a partition shape, taken as tuples of
+    columns, counted by (content, maj, pair sum, extra): the x-exponents;
+    the maj of the columns; the sum of pair(c, c') over each two columns,
+    c left of c', an int in 0..len(c') or None where the two may not stand
+    together, which drops the filling; and the sum of extra(u, c), a
+    nonnegative int, over the column c at each position u (0 without
+    ``extra``).  Yields each distinct one and its count, a 5-tuple.
 
-
-def _column_tally(shape, n: int, code, pair, bound=inf) -> Counter:
-    """Tally the codes of the n^|shape| fillings of a partition shape: the
-    sum of code(u, c) over its column c at each position u and of
-    pair(c, c') over each two of its columns, the left one first.  Both
-    are tabled first, per column and per two columns of each pair of
-    heights.  A filling or a prefix of it reaching ``bound`` is dropped.
-    The last column is summed in one C-level pass per prefix: its codes
-    plus the prefix's pair-table rows, tallied."""
+    The statistics are tabled per column and per two columns of each pair
+    of heights as one integer code, lowest digit first: the pair sum, below
+    1 + sum (i-1) h_i; maj; the content, a digit per value, base above the
+    cell count; then the extra.  A filling's code is the sum of its
+    columns' and its pairs' codes; a None pair reads as one past the
+    largest code, which drops every prefix reaching it.  The last column is
+    summed in one C-level pass per prefix, its codes plus the prefix's
+    pair-table rows, and tallied; each distinct code is read back once."""
+    base = sum(shape) + 1
+    p_radix = sum(i * h for i, h in enumerate(shape)) + 1
+    unit = (sum(h * (h - 1) // 2 for h in shape) + 1) * p_radix  # content 1
+    span = base ** n  # above every content
+    top = span * unit  # extra 1
     cols = {h: list(product(range(1, n + 1), repeat=h)) for h in shape}
-    pairs = {hs: [[pair(cu, cv) for cv in cols[hs[1]]] for cu in cols[hs[0]]]
-             for hs in set(combinations(shape, 2))}
-    tally = Counter()
+    own = {h: [sum(base ** (e - 1) for e in c) * unit + _maj((c,)) * p_radix
+               for c in cs] for h, cs in cols.items()}
+    if extra is None:
+        codes, bound = [own[h] for h in shape], top
+    else:
+        extras = [[extra(u, c) for c in cols[h]] for u, h in enumerate(shape)]
+        codes = [[a + e * top for a, e in zip(own[h], es)]
+                 for h, es in zip(shape, extras)]
+        bound = top * (1 + sum(max(es, default=0) for es in extras))
+    pairs = {hs: [[bound if v is None else v
+                   for v in map(pair, repeat(cu), cols[hs[1]])]
+                  for cu in cols[hs[0]]] for hs in set(combinations(shape, 2))}
+    drop = any(bound in row for rows in pairs.values() for row in rows)
+    tally = Counter([] if shape else [0])  # the empty shape: one filling
     last = len(shape) - 1
 
     def walk(u, s, acc):
@@ -261,7 +264,7 @@ def _column_tally(shape, n: int, code, pair, bound=inf) -> Counter:
         # values with the columns chosen left of u
         if u == last:
             out = map(add, acc[0], repeat(s))
-            tally.update(out if bound == inf else filter(bound.__gt__, out))
+            tally.update(filter(bound.__gt__, out) if drop else out)
             return
         tables = [pairs[shape[u], h] for h in shape[u + 1:]]
         for j, c in enumerate(acc[0]):
@@ -270,11 +273,17 @@ def _column_tally(shape, n: int, code, pair, bound=inf) -> Counter:
                                     for a, t in zip(acc[1:], tables)])
 
     if shape:
-        walk(0, 0, [[code(u, c) for c in cols[h]]
-                    for u, h in enumerate(shape)])
-    else:
-        tally[0] = 1
-    return tally
+        walk(0, 0, codes)
+    xs: dict[int, tuple] = {}  # content -> x-exponents
+    for code, count in tally.items():
+        head, rest = divmod(code, unit)
+        e, content = divmod(head, span)
+        x = xs.get(content)
+        if x is None:
+            x = xs[content] = tuple(content // base ** k % base
+                                    for k in range(n))
+        q, t = divmod(rest, p_radix)
+        yield x, q, t, e, count
 
 
 # -- the column order and sorted tableaux ----------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -41,6 +42,35 @@ def test_width_mismatch():
         MPoly(2, {(1, 0, 0): 1})
     with pytest.raises(VariableMismatchError):
         MPoly.x(2, 1) + MPoly.x(3, 1)
+    with pytest.raises(VariableMismatchError,
+                       match=re.escape("1 x-exponents for nvars=2")):
+        MPoly.monomial(2, (1,))
+    with pytest.raises(ValueError,
+                       match=re.escape("negative exponent in (1, -1, 0)")):
+        MPoly(1, {(1, 0, 0): 1, (1, -1, 0): 2})
+
+
+NOT_AN_INT = "object cannot be interpreted as an integer"
+
+
+def test_constructors_and_specialize_take_integers_only():
+    # a float or a Fraction once passed: 2.5 printed as 2.5*x1 but was
+    # written "c": "2", a float exponent broke to_json, and specialize
+    # evaluated at int(value)
+    for make in (lambda: MPoly(1, {(1, 0, 0): 2.5}),
+                 lambda: MPoly(1, {(1.0, 0, 0): 1}),
+                 lambda: MPoly(1, {(1, 0, 0): Fraction(2)}),
+                 lambda: MPoly.const(1, 2.5),
+                 lambda: specialize(MPoly.q(1), {"q": 2.5}),
+                 lambda: specialize(MPoly.q(1), {"q": Fraction(1, 2)})):
+        with pytest.raises(TypeError, match=NOT_AN_INT):
+            make()
+    # ints and whatever stands for one still pass, read as ints
+    p = MPoly(1, {(True, 0, 0): True, (0, 1, 0): 0})
+    assert p.terms() == {(1, 0, 0): 1} and type(p.coefficient((1,))) is int
+    assert p.to_json() == json.dumps(p.to_json_dict())
+    assert MPoly.const(1, True) == MPoly.one(1)
+    assert specialize(MPoly.q(1) * 3, {"q": True}) == MPoly.const(1, 3)
 
 
 def test_additive_inverse():
@@ -56,6 +86,10 @@ def test_q_plus_t_two_terms():
 def test_difference_of_squares():
     one, t = MPoly.one(0), MPoly.t(0)
     assert (one - t) * (one + t) == one - t ** 2
+    for e in (-1, 2.0):
+        with pytest.raises(ValueError,
+                           match="exponent must be a nonnegative int"):
+            t ** e
 
 
 def test_pochhammer_small():
@@ -63,6 +97,8 @@ def test_pochhammer_small():
     one, t = MPoly.one(0), MPoly.t(0)
     assert t_pochhammer(2) == one - t - t ** 2 + t ** 3
     assert t_pochhammer(3) == (one - t) * (one - t ** 2) * (one - t ** 3)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        t_pochhammer(-1)
 
 
 @given(polys(), polys(), polys())
@@ -92,6 +128,10 @@ def test_exact_div_examples():
 def test_exact_div_rejects_x_divisor():
     with pytest.raises(ValueError):
         exact_div_xfree(MPoly.x(1, 1), MPoly.x(1, 1))
+    with pytest.raises(VariableMismatchError, match="nvars mismatch"):
+        exact_div_xfree(MPoly.x(1, 1), MPoly.one(2))
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+        exact_div_xfree(MPoly.x(1, 1), MPoly.zero(1))
 
 
 def test_divided_difference_examples():
@@ -99,6 +139,14 @@ def test_divided_difference_examples():
     assert divided_difference(x1, 1) == MPoly.one(2)
     assert divided_difference(x1 * x2, 1).is_zero()
     assert divided_difference(x1 ** 2, 1) == x1 + x2
+    for i in (0, 2):
+        with pytest.raises(VariableMismatchError,
+                           match=f"divided difference index {i} out of range"):
+            divided_difference(x1, i)
+    for i, j in ((0, 1), (1, 3)):
+        with pytest.raises(VariableMismatchError,
+                           match="swap index out of range"):
+            swap_vars(x1, i, j)
 
 
 @given(polys())
@@ -209,6 +257,11 @@ def test_rational_form():
         RationalForm(one, MPoly.x(1, 1))
     with pytest.raises(ZeroDivisionError):
         RationalForm(one, MPoly.zero(0))
+    with pytest.raises(ValueError, match="denominator must be x-free"):
+        RationalForm(MPoly.one(1), MPoly.x(1, 1))
+    with pytest.raises(TypeError, match=re.escape(
+            "RationalForm is unhashable (equality is cross-multiplied)")):
+        hash(a)
 
 
 @settings(max_examples=30)

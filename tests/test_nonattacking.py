@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import permutations, product
@@ -14,7 +15,7 @@ from macpoly.mpoly import (MPoly, exact_div_xfree, specialize,
                            swap_vars, t_pochhammer)
 from macpoly.nonattacking import (AugmentedFilling, attacks, coinv,
                                   coinversion_triples, e_general_q0,
-                                  e_integral, enumerate_na, is_nonattacking,
+                                  e_integral, e_integral_sum, enumerate_na, is_nonattacking,
                                   is_ordered, j_compact, j_hhl, maj_na,
                                   p_poly, pr1, pr2, schur_oracle)
 from macpoly.shapes import (arm, conjugate, identity_perm, leg,
@@ -54,6 +55,18 @@ def test_nonattacking_basics():
     assert not is_nonattacking(two_equal)
     stacked = AugmentedFilling((3,), ((2, 2, 2),))
     assert is_nonattacking(stacked)
+
+
+def test_augmented_filling_checks_its_columns_and_basement():
+    with pytest.raises(ValueError,
+                       match="column lengths do not match the shape"):
+        AugmentedFilling((2, 1), ((1, 2), (1, 2)))
+    with pytest.raises(ValueError,
+                       match="basement length does not match the shape"):
+        AugmentedFilling((1, 1), ((1,), (2,)), (1, 2, 3))
+    with pytest.raises(ValueError, match="no basement row"):
+        AugmentedFilling((1, 1), ((1,), (2,))).entry(1, 0)
+    assert AugmentedFilling((1, 1), ((1,), (2,)), (2, 1)).entry(1, 0) == 2
 
 
 def test_ordered():
@@ -231,6 +244,9 @@ def test_e_integral_examples():
     assert e_integral((0, 0, 0)) == MPoly.one(3)
     with pytest.raises(ValueError):
         e_integral((1, 0), 3)
+    with pytest.raises(ValueError, match=re.escape(
+            "(2, 0) does not sort to (0, 1)")):
+        e_integral_sum([(1, 0), (2, 0)], 2)
 
 
 def test_e_integral_sums_to_j():
@@ -370,6 +386,10 @@ def test_e_general_q0_examples():
     assert e_general_q0((0, 2), (1, 2), 2) == (
         MPoly.x(2, 2) ** 2
         + (MPoly.one(2) - t2) * MPoly.x(2, 1) * MPoly.x(2, 2))
+    for alpha, basement, n in (((1, 0), (1, 2), 3), ((1, 0, 0), (1, 2), 3)):
+        with pytest.raises(ValueError, match=(
+                "shape, basement and variable count must agree")):
+            e_general_q0(alpha, basement, n)
 
 
 def test_e_general_q0_decreasing_is_monomial():

@@ -116,6 +116,35 @@ def test_flip_that_moves_nothing_fails_operator_lemmas(monkeypatch):
     assert "FAIL inv step (1, 1) n=2 (((1, 2),) col 1)" in lines
 
 
+def test_flip_that_does_not_climb_fails_operator_lemmas(monkeypatch):
+    # Swapping the pivot row alone is still an involution, but above a
+    # repeat it turns the repeat into a descent.
+    def pivot_only(f, i):
+        a, b = list(f.cols[i - 1]), list(f.cols[i])
+        k = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+        a[k], b[k] = b[k], a[k]
+        return Filling(f.cols[:i - 1] + (tuple(a), tuple(b))
+                       + f.cols[i + 1:]), k + 1
+
+    monkeypatch.setattr(cli, "flip", pivot_only)
+    code, lines = validate("operator-lemmas", 4)
+    assert code == cli.IDENTITY_EXIT
+    assert "FAIL maj preserved (2, 2) n=2 (((1, 2), (1, 2)) col 1)" in lines
+
+
+def test_flip_that_is_not_an_involution_fails_operator_lemmas(monkeypatch):
+    # Putting the larger column first leaves a pair already in that order
+    # as it is, so flipping the output does not give the input back.
+    def larger_first(f, i):
+        pair = tuple(sorted(f.cols[i - 1:i + 1], reverse=True))
+        return Filling(f.cols[:i - 1] + pair + f.cols[i + 1:]), 1
+
+    monkeypatch.setattr(cli, "flip", larger_first)
+    code, lines = validate("operator-lemmas", 2)
+    assert code == cli.IDENTITY_EXIT
+    assert "FAIL involution (1, 1) n=2 (((1, 2),) col 1)" in lines
+
+
 def test_perm_t_times_t_fails_the_family_weights(monkeypatch):
     monkeypatch.setattr(cli, "perm_t",
                         lambda f, n=0: tableaux.perm_t(f, n) * MPoly.t(n))

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations, product
 
 import pytest
@@ -5,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from macpoly.shapes import (arm, beta_perm, canonical_w0_word, cells,
-                            compositions, conjugate, inc_sort, leg,
-                            multiplicities, partitions_of, perm_length,
-                            rearrangements)
+                            check_permutation, compositions, conjugate,
+                            inc_sort, leg, multiplicities, partitions_of,
+                            perm_length, rearrangements)
 
 
 def test_fig_arm_leg():
@@ -22,6 +23,11 @@ def test_arm_leg_basics():
     assert all(leg((1,) * 5, (i, 1)) == 0 for i in range(1, 6))
     with pytest.raises(ValueError):
         arm((2, 1), (3, 1))
+    with pytest.raises(ValueError,
+                       match=re.escape("cell (1, 3) outside diagram (2, 1)")):
+        leg((2, 1), (1, 3))
+    with pytest.raises(ValueError, match=re.escape("(2, -1) has negative parts")):
+        leg((2, -1), (1, 1))
 
 
 def test_rectangle_top_cell_arm():
@@ -56,6 +62,14 @@ def test_beta_strictly_increasing_is_identity():
 
 def test_beta_constant_is_longest():
     assert beta_perm((2, 2, 2, 2)) == (4, 3, 2, 1)
+
+
+def test_check_permutation_rejects_a_non_permutation():
+    assert check_permutation([2, 1]) == (2, 1)
+    for w in ((1, 1), (2, 3), (0, 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{w} is not a permutation of 1..2")):
+            check_permutation(w)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -96,12 +110,16 @@ def test_w0_word():
     assert canonical_w0_word(3) == (1, 2, 1)
     for n in range(1, 8):
         assert len(canonical_w0_word(n)) == n * (n - 1) // 2
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        canonical_w0_word(0)
 
 
 def test_partitions_of():
     assert partitions_of(4) == [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
     counts = [len(partitions_of(m)) for m in range(1, 9)]
     assert counts == [1, 2, 3, 5, 7, 11, 15, 22]
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        partitions_of(-1)
 
 
 def test_multiplicities():

@@ -1,6 +1,8 @@
 import hashlib
 import random
-from itertools import permutations, product
+import re
+from collections import Counter
+from itertools import combinations, permutations, product, starmap
 from math import inf
 
 import pytest
@@ -77,6 +79,14 @@ def test_x_weight():
     assert x_weight(Filling(((2,),)), 2) == MPoly.x(2, 2)
     f = Filling(((1, 1), (1,)))
     assert x_weight(f, 1) == MPoly.x(1, 1) ** 3
+    with pytest.raises(ValueError, match="entry 3 exceeds the variable count 2"):
+        x_content(((1, 3),), 2)
+
+
+def test_filling_rejects_rising_columns():
+    with pytest.raises(ValueError, match=re.escape(
+            "column heights (1, 2) do not weakly decrease")):
+        Filling(((1,), (1, 2)))
 
 
 def test_enumerate_fillings_counts():
@@ -184,6 +194,36 @@ def _htilde_per_filling(shape, n):
         key = x_content(f.cols, n) + (maj(f), inv(f))
         terms[key] = terms.get(key, 0) + 1
     return MPoly(n, terms)
+
+
+def _tally_directly(shape, n, pair, extra):
+    """(content, maj, pair sum, extra) -> count, one filling at a time."""
+    out = Counter()
+    for cols in product(*[product(range(1, n + 1), repeat=h) for h in shape]):
+        pairs = list(starmap(pair, combinations(cols, 2)))
+        if None not in pairs:
+            out[x_content(cols, n), maj(Filling(cols)), sum(pairs),
+                sum(starmap(extra, enumerate(cols)))] += 1
+    return out
+
+
+def _coinversions_apart(cu, cv):
+    """A pair that forbids two columns with equal bottom entries."""
+    return None if cu[0] == cv[0] else len(cv) - tableaux._inversions(cu, cv)
+
+
+def test_column_tally_counts_every_filling_by_its_statistics():
+    cases = [(tableaux._inversions, None, lambda u, c: 0),
+             (_coinversions_apart, lambda u, c: (u + 1) * c[-1],
+              lambda u, c: (u + 1) * c[-1])]
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(4):
+                for pair, extra, direct in cases:
+                    got = [((x, q, p, e), c) for x, q, p, e, c
+                           in tableaux._column_tally(lam, n, pair, extra)]
+                    assert dict(got) == _tally_directly(lam, n, pair, direct)
+                    assert len(dict(got)) == len(got), (lam, n)
 
 
 def test_htilde_brute_equals_the_per_filling_sum():
