@@ -74,22 +74,20 @@ class MPoly:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms=None):
-        terms = terms or {}
-        keys, coeffs = [*map(tuple, terms)], [*terms.values()]
-        if {*map(type, chain(coeffs, chain.from_iterable(keys)))} - {int}:
-            # anything else must stand for an int, as operator.index reads it
-            keys = [tuple(map(index, k)) for k in keys]
-            coeffs = [*map(index, coeffs)]
         width = nvars + 2
-        if {*map(len, keys)} - {width}:
-            key = next(k for k in keys if len(k) != width)
-            raise VariableMismatchError(
-                f"exponent key {key} has width {len(key)}, expected {width}")
-        if min(map(min, keys), default=0) < 0:
-            raise ValueError(
-                f"negative exponent in {next(k for k in keys if min(k) < 0)}")
+        clean: dict[tuple[int, ...], int] = {}
+        for key, coeff in (terms or {}).items():
+            # operator.index takes ints and what stands for one, no float
+            key = tuple(map(index, key))
+            if len(key) != width:
+                raise VariableMismatchError(
+                    f"exponent key {key} has width {len(key)}, expected {width}")
+            if min(key) < 0:
+                raise ValueError(f"negative exponent in {key}")
+            if coeff := index(coeff):
+                clean[key] = coeff
         self.nvars = nvars
-        self._terms = dict(compress(zip(keys, coeffs), coeffs))
+        self._terms = clean
 
     # -- constructors ------------------------------------------------------
 

@@ -239,9 +239,9 @@ def _column_tally(shape, n: int, pair, extra=None):
     pair-table rows, and tallied; each distinct code is read back once."""
     base = sum(shape) + 1
     p_radix = sum(i * h for i, h in enumerate(shape)) + 1
-    unit = (sum(h * (h - 1) // 2 for h in shape) + 1) * p_radix  # content 1
+    unit = (sum(h * (h - 1) // 2 for h in shape) + 1) * p_radix  # a content
     span = base ** n  # above every content
-    top = span * unit  # extra 1
+    top = span * unit  # an extra
     cols = {h: list(product(range(1, n + 1), repeat=h)) for h in shape}
     own = {h: [sum(base ** (e - 1) for e in c) * unit + _maj((c,)) * p_radix
                for c in cs] for h, cs in cols.items()}
@@ -266,11 +266,11 @@ def _column_tally(shape, n: int, pair, extra=None):
             out = map(add, acc[0], repeat(s))
             tally.update(filter(bound.__gt__, out) if drop else out)
             return
-        tables = [pairs[shape[u], h] for h in shape[u + 1:]]
-        for j, c in enumerate(acc[0]):
-            if s + c < bound:
-                walk(u + 1, s + c, [list(map(add, a, t[j]))
-                                    for a, t in zip(acc[1:], tables)])
+        later = [(a, pairs[shape[u], h])
+                 for a, h in zip(acc[1:], shape[u + 1:])]
+        for j, c in enumerate(map(add, acc[0], repeat(s))):
+            if c < bound:
+                walk(u + 1, c, [list(map(add, a, t[j])) for a, t in later])
 
     if shape:
         walk(0, 0, codes)

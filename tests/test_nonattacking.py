@@ -15,9 +15,10 @@ from macpoly.mpoly import (MPoly, exact_div_xfree, specialize,
                            swap_vars, t_pochhammer)
 from macpoly.nonattacking import (AugmentedFilling, attacks, coinv,
                                   coinversion_triples, e_general_q0,
-                                  e_integral, e_integral_sum, enumerate_na, is_nonattacking,
-                                  is_ordered, j_compact, j_hhl, maj_na,
-                                  p_poly, pr1, pr2, schur_oracle)
+                                  e_integral, e_integral_sum, enumerate_na,
+                                  is_nonattacking, is_ordered, j_compact,
+                                  j_hhl, maj_na, p_poly, pr1, pr2,
+                                  schur_oracle)
 from macpoly.shapes import (arm, conjugate, identity_perm, leg,
                             multiplicities, partitions_of)
 from macpoly.tableaux import x_content

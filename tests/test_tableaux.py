@@ -212,18 +212,24 @@ def _coinversions_apart(cu, cv):
     return None if cu[0] == cv[0] else len(cv) - tableaux._inversions(cu, cv)
 
 
+def _top_by_position(u, c):
+    return (u + 1) * c[-1]
+
+
 def test_column_tally_counts_every_filling_by_its_statistics():
+    # the inversions with no extra, as htilde_brute takes them, and a pair
+    # that drops fillings with an extra that is nonzero at every position
     cases = [(tableaux._inversions, None, lambda u, c: 0),
-             (_coinversions_apart, lambda u, c: (u + 1) * c[-1],
-              lambda u, c: (u + 1) * c[-1])]
+             (_coinversions_apart, _top_by_position, _top_by_position)]
     for m in range(5):
         for lam in partitions_of(m):
             for n in range(4):
                 for pair, extra, direct in cases:
                     got = [((x, q, p, e), c) for x, q, p, e, c
                            in tableaux._column_tally(lam, n, pair, extra)]
-                    assert dict(got) == _tally_directly(lam, n, pair, direct)
                     assert len(dict(got)) == len(got), (lam, n)
+                    assert dict(got) == _tally_directly(
+                        lam, n, pair, direct), (lam, n)
 
 
 def test_htilde_brute_equals_the_per_filling_sum():
