@@ -44,7 +44,7 @@ from functools import lru_cache, partial
 from itertools import (chain, combinations, count, islice, product, repeat,
                        starmap)
 from math import inf
-from operator import add, itemgetter
+from operator import add, floordiv, itemgetter, mod
 
 from .mpoly import (MPoly, sum_by_content, t_multinomial_product, walk_sum,
                     weight_poly)
@@ -227,7 +227,7 @@ def _column_tally(shape, n: int, pair, extra=None):
     c left of c', an int in 0..len(c') or None where the two may not stand
     together, which drops the filling; and the sum of extra(u, c), a
     nonnegative int, over the column c at each position u (0 without
-    ``extra``).  Yields each distinct one and its count, a 5-tuple.
+    ``extra``).  Returns an iterator of each distinct one and its count.
 
     The statistics are tabled per column and per two columns of each pair
     of heights as one integer code, lowest digit first: the pair sum, below
@@ -236,7 +236,8 @@ def _column_tally(shape, n: int, pair, extra=None):
     columns' and its pairs' codes; a None pair reads as one past the
     largest code, which drops every prefix reaching it.  The last column is
     summed in one C-level pass per prefix, its codes plus the prefix's
-    pair-table rows, and tallied; each distinct code is read back once."""
+    pair-table rows, and tallied; each distinct code is read back once,
+    in C-level passes, with one x-exponent tuple per distinct content."""
     base = sum(shape) + 1
     p_radix = sum(i * h for i, h in enumerate(shape)) + 1
     unit = (sum(h * (h - 1) // 2 for h in shape) + 1) * p_radix  # a content
@@ -274,16 +275,15 @@ def _column_tally(shape, n: int, pair, extra=None):
 
     if shape:
         walk(0, 0, codes)
-    xs: dict[int, tuple] = {}  # content -> x-exponents
-    for code, count in tally.items():
-        head, rest = divmod(code, unit)
-        e, content = divmod(head, span)
-        x = xs.get(content)
-        if x is None:
-            x = xs[content] = tuple(content // base ** k % base
-                                    for k in range(n))
-        q, t = divmod(rest, p_radix)
-        yield x, q, t, e, count
+    # each distinct code as (x-exponents, maj, pair sum, extra, count)
+    heads = [*map(floordiv, tally, repeat(unit))]
+    rests = [*map(mod, tally, repeat(unit))]
+    contents = [*map(mod, heads, repeat(span))]
+    xs = {c: tuple(c // base ** k % base for k in range(n)) for c in {*contents}}
+    return zip(map(xs.__getitem__, contents),
+               map(floordiv, rests, repeat(p_radix)),
+               map(mod, rests, repeat(p_radix)),
+               map(floordiv, heads, repeat(span)), tally.values())
 
 
 # -- the column order and sorted tableaux ----------------------------------
