@@ -322,8 +322,8 @@ def j_hhl(mu, n: int) -> MPoly:
     of two columns as the pair statistic, None where they may not stand
     side by side (a column to the left is never shorter, so every triple
     lies in one row), and each column's repeat mask as its extra.  The
-    cell factors, 1 - t for each row-1 cell, are multiplied out once per
-    mask and added to the counts, grouped by content."""
+    cell factors, 1 - t for each row-1 cell, are added to the counts,
+    shifted once per (maj, coinversions, mask), grouped by content."""
     mu = check_partition(mu)
     upper = [(leg(mu, c) + 1, arm(mu, c) + 1) for c in sorted(cells(mu))
              if c[1] >= 2]  # mask bit k stands for the k-th of these cells
@@ -332,18 +332,21 @@ def j_hhl(mu, n: int) -> MPoly:
     def pair(cu, cv):  # each row of cv holds one triple, inverted or not
         return len(cv) - _inversions(cu, cv) if _side_by_side(cu, cv) else None
 
-    weights: dict[int, tuple] = {}  # mask -> its cell product
+    def weight(mask):  # 1 - t for each cell not repeating the one below
+        return cell_product(tuple(sorted(
+            [ab if mask >> k & 1 else (0, 1) for k, ab in enumerate(upper)]
+            + [(0, 1)] * len(mu))))
+
+    shifted: dict[tuple, list] = {}  # (e_q, e_t, mask) -> the shifted weight
     terms: dict[tuple, dict] = {}  # x-exponents -> {(e_q, e_t): coefficient}
     for x, q, t, mask, count in _column_tally(
             mu, n, pair, lambda u, c: _repeats(c) << bits[u]):
-        w = weights.get(mask)
+        w = shifted.get((q, t, mask))
         if w is None:
-            w = weights[mask] = cell_product(tuple(sorted(
-                [ab if mask >> k & 1 else (0, 1) for k, ab in enumerate(upper)]
-                + [(0, 1)] * len(mu))))
+            w = shifted[q, t, mask] = [((q + a, t + b), c)
+                                       for (a, b), c in weight(mask)]
         qt = terms.setdefault(x, {})
-        for (a, b), c in w:
-            k = q + a, t + b
+        for k, c in w:
             qt[k] = qt.get(k, 0) + c * count
     return MPoly(n, {(*x, *k): c for x, qt in terms.items()
                      for k, c in qt.items()})

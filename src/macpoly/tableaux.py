@@ -236,8 +236,7 @@ def _column_tally(shape, n: int, pair, extra=None):
     columns' and its pairs' codes; a None pair reads as one past the
     largest code, which drops every prefix reaching it.  The last column is
     summed in one C-level pass per prefix, its codes plus the prefix's
-    pair-table rows, and tallied; each distinct code is read back once,
-    in C-level passes, with one x-exponent tuple per distinct content."""
+    pair-table rows, and tallied; each distinct code is read back once."""
     base = sum(shape) + 1
     p_radix = sum(i * h for i, h in enumerate(shape)) + 1
     unit = (sum(h * (h - 1) // 2 for h in shape) + 1) * p_radix  # a content
@@ -275,7 +274,6 @@ def _column_tally(shape, n: int, pair, extra=None):
 
     if shape:
         walk(0, 0, codes)
-    # each distinct code as (x-exponents, maj, pair sum, extra, count)
     heads = [*map(floordiv, tally, repeat(unit))]
     rests = [*map(mod, tally, repeat(unit))]
     contents = [*map(mod, heads, repeat(span))]
