@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain, islice
 from math import prod
@@ -48,6 +49,15 @@ def _parse_rows(text: str) -> Filling:
         return Filling.from_rows(rows)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+@contextmanager
+def _nvars_fits(nvars):
+    """A MemoryError of work that allocates per variable, as a usage error."""
+    try:
+        yield
+    except MemoryError:
+        raise click.UsageError(f"--nvars {nvars} is too large: out of memory")
 
 
 # The most characters handed to a text stream at once: the stream encodes
@@ -161,18 +171,16 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
             return lambda: qs_gamma(parts, nvars), None
         return lambda: demazure_t_atom(parts, nvars), None
 
-    try:
-        compact_route, brute_route = routes()
-        value = compact_route() if method != "brute" else None
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-    if method != "compact":
-        brute_value = brute_route()
+    with _nvars_fits(nvars):
+        try:
+            compact_route, brute_route = routes()
+            value = compact_route() if method != "brute" else None
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         if method == "brute":
-            value = brute_value
-        else:
-            a, b = value, brute_value
+            value = brute_route()
+        elif method == "both":
+            a, b = value, brute_route()
             if selector == "P":  # two forms: the cross-multiplied numerators
                 a, b = a.numerator * b.denominator, b.numerator * a.denominator
             ok, detail = _agree(a, b)
@@ -181,7 +189,7 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
                            f"disagree for {selector} {shape} ({detail})",
                            err=True)
                 sys.exit(IDENTITY_EXIT)
-    _emit([_render_poly(value, fmt)], output)
+        _emit([_render_poly(value, fmt)], output)
 
 
 @main.command("enumerate")
@@ -229,7 +237,8 @@ def cmd_enumerate(kind, shape, nvars, basement, ordered, packed, fmt, output):
     # anything is written.
     stream = records()
     try:
-        first = list(islice(stream, 1))
+        with _nvars_fits(nvars):
+            first = list(islice(stream, 1))
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -267,7 +276,8 @@ def cmd_family(shape, nvars, root, fmt, output):
         roots = [f]
     else:
         try:
-            roots = list(enumerate_sorted(_parse_parts(shape), nvars))
+            with _nvars_fits(nvars):
+                roots = list(enumerate_sorted(_parse_parts(shape), nvars))
         except ValueError as exc:
             raise click.UsageError(str(exc))
 

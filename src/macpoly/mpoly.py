@@ -14,16 +14,14 @@ takes the package's own term dicts, right by construction.
 it never reduces to lowest terms, and equality is by cross-multiplication.
 
 The compact formulas sum x^content(f) * q^maj(f) * t^stat(f) * w(q, t)
-over fillings f, all through one kernel, :func:`walk_sum`: it reads the
-raw tuples of :func:`macpoly.shapes._walk`, takes each mask's weight once
-per sum, and adds each term in place into one dict, dropping coefficients
-that cancel; a walk of one content is first tallied by (maj, coinv, mask),
-so each distinct triple adds its weight once, times its count.  A weight,
-``((e_q, e_t), c)`` pairs, is built from the routes' per-shape tables and
-two bounded caches of plain integer arithmetic:
-:func:`t_multinomial_product` and the products of cell factors
-``1 - q^a t^b`` of :func:`cell_product`; no memo but the sum's own is keyed
-by the mask.  The symmetric sums (``htilde``, ``J``) take the x-free
+over fillings f, all through one kernel, :func:`walk_sum`: it tallies the
+raw tuples of :func:`macpoly.shapes._walk` by (content, maj, coinv, mask)
+and adds each key's weight, taken once per mask, times its count into one
+dict, dropping coefficients that cancel.  A weight, ``((e_q, e_t), c)``
+pairs, is built from the routes' per-shape tables and two bounded caches
+of plain integer arithmetic: :func:`t_multinomial_product` and the
+products of cell factors ``1 - q^a t^b`` of :func:`cell_product`; no memo
+but the sum's own is keyed by the mask.  The symmetric sums (``htilde``, ``J``) take the x-free
 weights of each partition content nu through :func:`sum_by_content`, and
 :func:`expand_symmetric` returns a :class:`SymmetricMPoly` that keeps those
 m_nu coefficients: it is written from them, and expanded to x-monomials
@@ -661,45 +659,39 @@ def cell_product(factors):
     return tuple(sorted(out.items()))
 
 
-def walk_sum(walk, weight, nvars: int | None = None, size: int = 0,
-             inv_total: int | None = None, terms: dict | None = None) -> dict:
-    """Add x^content q^maj t^stat weight(mask) per raw ``(entries, maj,
-    coinv, mask)`` tuple of a walk into ``terms`` (new when None) in place,
-    touching only the weight's keys and deleting coefficients that cancel,
-    and return it: weight once per mask met, the content counting 1..nvars
-    among the first ``size`` entries (none for nvars None, a one-content
-    walk), and stat coinv, or inv = inv_total - coinv."""
-    if terms is None:
-        terms = {}
-    weights: dict[int, tuple] = {}  # mask -> weight(mask), for this sum
-    content, count = (), 1
-    if nvars is None:
-        # One content: the fillings that agree in (maj, coinv, mask) add the
-        # same terms, so each such triple is added once, times its count.
-        # (A Counter would count in C, but its first use in a process runs
-        # the Mapping check of collections.abc, which costs a forked
-        # request more than the loop saves on a small walk.)
-        tally: dict[tuple, int] = {}
+def walk_sum(walk, weight, nvars: int = 0, size: int = 0,
+             inv_total: int | None = None) -> dict:
+    """The zero-free term dict of the sum of x^content q^maj t^stat
+    weight(mask) over a walk's raw ``(entries, maj, coinv, mask)`` tuples:
+    content counts 1..nvars in the first ``size`` entries (empty for nvars
+    0, a one-content walk), stat is coinv or inv = inv_total - coinv."""
+    # The fillings that agree in content, maj, coinv and mask add the same
+    # terms, so each such key adds its weight, taken once per mask met, times
+    # its count.  (A Counter would count in C, but its first use in a process
+    # runs the Mapping check of collections.abc, which costs a forked request
+    # more than the loop saves on a small walk.)
+    tally: dict[tuple, int] = {}
+    if nvars:
+        for entries, m, s, mask in walk:
+            exps = [m, s, mask] + [0] * nvars
+            for e in entries[:size]:
+                exps[e + 2] += 1
+            key = tuple(exps)
+            tally[key] = tally.get(key, 0) + 1
+    else:
         for key in map(itemgetter(1, 2, 3), walk):
             tally[key] = tally.get(key, 0) + 1
-        walk = ((times, m, s, mask) for (m, s, mask), times in tally.items())
-    for entries, m, s, mask in walk:  # for nvars None, entries is the count
+    terms, weights = {}, {}  # weights: mask -> weight(mask), for this sum
+    for stats, count in tally.items():
+        m, s, mask, content = stats[0], stats[1], stats[2], stats[3:]
         w = weights.get(mask)
         if w is None:
             w = weights[mask] = weight(mask)
-        if nvars is None:
-            count = entries
-        else:
-            exps = [0] * nvars
-            for e in entries[:size]:
-                exps[e - 1] += 1
-            content = tuple(exps)
         if inv_total is not None:
             s = inv_total - s
         for (a, b), c in w:
             key = content + (a + m, b + s)
-            c = c * count + terms.get(key, 0)
-            if c:
+            if c := c * count + terms.get(key, 0):
                 terms[key] = c
             else:
                 del terms[key]

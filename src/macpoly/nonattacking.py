@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf
 from operator import ne
 
@@ -248,34 +248,32 @@ def e_integral(alpha, n: int | None = None) -> MPoly:
 
 def e_integral_sum(alphas, n: int) -> MPoly:
     """The sum of :func:`e_integral` over compositions sharing one
-    increasing sort, as one accumulation."""
+    increasing sort, as one accumulation over their walks joined."""
     alphas = [check_composition(a) for a in alphas]
     shape = inc_sort(alphas[0]) if alphas else ()
-    terms: dict[tuple[int, ...], int] = {}
     for alpha in alphas:
         if n != len(alpha):
             raise ValueError("the variable count must equal the number of parts")
         if inc_sort(alpha) != shape:
             raise ValueError(f"{alpha} does not sort to {shape}")
-        basement = beta_perm(alpha)
-        # row 1 leads the cells order and must copy the basement under the
-        # nonempty columns, which makes each filling ordered (the basement of
-        # an integral form decreases along each run of equal heights)
-        bottom = [b for h, b in zip(shape, basement) if h]
-        walk_sum(map(partial(_on_basement, shape, basement, bottom),
-                     _walk(shape, basement, n)),
-                 partial(_integral_weight, shape), n, sum(shape), terms=terms)
-    return read_out(n, terms)
+    return read_out(n, walk_sum(chain.from_iterable(
+        map(_on_basement(shape, b), _walk(shape, b, n))
+        for b in map(beta_perm, alphas)),
+        partial(_integral_weight, shape), n, sum(shape)))
 
 
-def _on_basement(shape, basement, bottom: list, raw):
-    """The raw filling when its row 1 is ``bottom``; raises otherwise."""
-    if raw[0][:len(bottom)] != bottom:
-        f = AugmentedFilling(shape, _columns(cells(shape), len(shape), raw[0]),
-                             basement)
-        raise AssertionError(
-            f"filling {f.rows()} is not ordered on the basement {basement}")
-    return raw
+def _on_basement(shape, basement):
+    """The check that returns a raw filling whose row 1 (first in the cells
+    order) copies the basement under the nonempty columns, else raises."""
+    bottom = [b for h, b in zip(shape, basement) if h]
+    def check(raw):
+        if raw[0][:len(bottom)] != bottom:
+            f = AugmentedFilling(
+                shape, _columns(cells(shape), len(shape), raw[0]), basement)
+            raise AssertionError(
+                f"filling {f.rows()} is not ordered on the basement {basement}")
+        return raw
+    return check
 
 
 def e_general_q0(alpha, basement, n: int) -> MPoly:

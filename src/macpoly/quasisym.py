@@ -12,7 +12,7 @@ the walk without descents through :func:`macpoly.mpoly.walk_sum` at weight
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .mpoly import (ONE, MPoly, RationalForm, VariableMismatchError,
                     read_out, walk_sum, weight_poly)
@@ -164,11 +164,9 @@ def demazure_t_atom(alpha, n: int) -> MPoly:
 
 
 def qs_gamma(gamma, n: int) -> MPoly:
-    """Quasisymmetric Schur polynomial: t-atoms summed over placements, at
-    t=0, where a t-atom term x^f t^coinv (1-t)^ndiff leaves x^f if coinv = 0."""
-    terms: dict[tuple[int, ...], int] = {}
-    for alpha in placements(gamma, n):
-        walk_sum(_walk(alpha, identity_perm(n), n, no_descents=True,
-                       coinv_cap=0), lambda eq: ONE, n, sum(alpha),
-                 terms=terms)
-    return read_out(n, terms)
+    """Quasisymmetric Schur polynomial: t-atoms at t=0 over the placements'
+    joined walks, where x^f t^coinv (1-t)^ndiff leaves x^f if coinv = 0."""
+    gamma = _strong(gamma)
+    return read_out(n, walk_sum(chain.from_iterable(
+        _walk(alpha, identity_perm(n), n, no_descents=True, coinv_cap=0)
+        for alpha in placements(gamma, n)), lambda eq: ONE, n, sum(gamma)))

@@ -280,8 +280,9 @@ def _walk_plan(shape, has_basement: bool, ordered_only: bool,
                 partner = at[(i - 1, r)]
                 cyclic = 0 if r == 1 else 1 << below
         else:
-            attackers = tuple(j for c, j in at.items()
-                              if (j < k or c[1] == 0) and attacks((i, r), c))
+            # left of (i, r) in its row and the row below (or the basement)
+            attackers = tuple(at[u, row] for row in (r - 1, r)
+                              for u in range(1, i) if (u, row) in at)
             if no_descents:
                 bounds.append((below, 0))
             if ordered_only and r == 1:

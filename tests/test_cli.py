@@ -1,7 +1,9 @@
 import errno
+import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -590,3 +592,43 @@ def test_render_poly_returns_the_whole_stdout_as_one_str(selector, shape, n,
               "--format", fmt)
     assert res.exit_code == 0, res.output
     assert res.output == written
+
+
+# The sha256 of `validate --suite all --max 5`'s stdout: every identity
+# suite's PASS lines, which no change to a route may alter.
+_ALL_SUITES_MAX_5 = ("b15aec8c922706d342fc0cc30fed6eefa87a9befb8de33be"
+                     "026cf6125951ff10")
+
+
+def test_validate_all_suites_keeps_its_bytes():
+    res = run("validate", "--suite", "all", "--max", "5")
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _ALL_SUITES_MAX_5
+
+
+def _limit_address_space():
+    """Cap the child's own address space at about 1.5 GB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+
+
+@pytest.mark.parametrize("request_args", [
+    ("compute", "htilde", "--shape", "3"),
+    ("compute", "J", "--shape", "2,1"),
+    ("compute", "G", "--shape", "1"),
+    ("compute", "atom", "--shape", "1"),
+    ("enumerate", "sorted", "--shape", "2"),
+    ("family", "--shape", "2"),
+], ids=lambda args: "-".join(args[:-2]))
+def test_a_huge_nvars_is_a_usage_error(request_args):
+    """Work that allocates per variable runs out of memory under the limit;
+    the request ends as a usage error naming --nvars, not a traceback."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(macpoly.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "macpoly.cli", *request_args,
+         "--nvars", "99999999999"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "Error: --nvars 99999999999 is too large" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -296,10 +296,20 @@ def _is_call_of(node, name: str) -> bool:
             and node.func.id == name)
 
 
+def _is_joined(node) -> bool:
+    """Whether node is a ``chain.from_iterable(...)`` call."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "chain"
+            and node.func.attr == "from_iterable")
+
+
 def walk_readers(source: str) -> list[str]:
     """The module-level functions that read ``_walk`` in any way but by
     handing a ``_walk(...)`` call to ``walk_sum`` as its walk, directly or
-    through a ``map`` that checks each tuple."""
+    through a ``map`` that checks each tuple, alone or as the element of a
+    generator expression joined by ``chain.from_iterable``."""
     tree = ast.parse(source)
     parent, function = _enclosing(tree)
     out = []
@@ -313,6 +323,11 @@ def walk_readers(source: str) -> list[str]:
         if (_is_call_of(parent.get(call), "map")
                 and call in parent[call].args[1:]):
             walk = parent[call]
+        each = parent.get(walk)
+        if (isinstance(each, ast.GeneratorExp) and each.elt is walk
+                and _is_joined(parent.get(each))
+                and parent[each].args == [each]):
+            walk = parent[each]
         up = parent.get(walk)
         if not (_is_call_of(up, "walk_sum") and up.args[:1] == [walk]):
             out.append(function[node])
@@ -322,14 +337,18 @@ def walk_readers(source: str) -> list[str]:
 def test_checker_finds_every_reader_of_the_walk():
     source = ("def route(n):\n    return walk_sum(_walk(n), w)\n"
               "def checked(n):\n    return walk_sum(map(f, _walk(n)), w)\n"
+              "def joined(ns):\n    return walk_sum(chain.from_iterable(\n"
+              "        map(f, _walk(n)) for n in ns), w)\n"
               "def enumerate_na(n):\n    for raw in _walk(n):\n"
               "        yield raw\n"
               "def comp(n):\n    return [r for r in _walk(n)]\n"
               "def alias(n):\n    w = _walk\n    return walk_sum(w(n), f)\n"
               "def wrapped(n):\n    return walk_sum(list(_walk(n)), f)\n"
-              "def weight(n):\n    return walk_sum(f, _walk(n))\n")
+              "def weight(n):\n    return walk_sum(f, _walk(n))\n"
+              "def unjoined(ns):\n    for raw in chain.from_iterable(\n"
+              "            _walk(n) for n in ns):\n        yield raw\n")
     assert walk_readers(source) == ["alias", "comp", "enumerate_na",
-                                    "weight", "wrapped"]
+                                    "unjoined", "weight", "wrapped"]
 
 
 def test_only_the_kernel_and_the_enumerators_iterate_the_walk():

@@ -180,31 +180,30 @@ def test_walk_sum_drops_cancelled_terms_and_equals_the_add_chain():
     # shifts as maj and coinv, and a mask of its own per tuple, whose
     # weight is the one drawn for it.
     rng = random.Random(2)
-    terms, chain = {}, MPoly.zero(2)
-    fed = []
-    cancelled = 0
+    raw, weights, chain = [], {}, MPoly.zero(2)
     for k in range(400):
         entries = [rng.randint(1, 2), rng.randint(1, 2)]
         content = (entries.count(1), entries.count(2))
-        weight = tuple(sorted({(rng.randint(0, 1), rng.randint(0, 1)):
-                               rng.choice((-2, -1, 1, 2)) for _ in range(2)}.items()))
+        weights[k] = tuple(sorted({(rng.randint(0, 1), rng.randint(0, 1)):
+                                   rng.choice((-2, -1, 1, 2))
+                                   for _ in range(2)}.items()))
         qexp, texp = rng.randint(0, 1), rng.randint(0, 1)
-        before = len(terms)
-        walk_sum([(entries, qexp, texp, k)], lambda mask: weight, 2, 2,
-                 terms=terms)
-        cancelled += len(terms) < before
-        fed.append((entries, weight, qexp, texp))
+        raw.append((entries, qexp, texp, k))
         chain = chain + MPoly(2, {content + (a + qexp, b + texp): c
-                                  for (a, b), c in weight})
-        assert 0 not in terms.values()
-    assert cancelled > 0
+                                  for (a, b), c in weights[k]})
+    terms = walk_sum(raw, weights.__getitem__, 2, 2)
+    assert 0 not in terms.values()
     assert MPoly(2, terms) == chain
-    negated = {k: tuple((key, -c) for key, c in weight)
-               for k, (_, weight, _, _) in enumerate(fed)}
-    walk_sum([(entries, qexp, texp, k)
-              for k, (entries, _, qexp, texp) in enumerate(fed)],
-             negated.__getitem__, 2, 2, terms=terms)
-    assert terms == {}
+    # Each tuple again under a mask weighing its negation cancels it: the
+    # copies of the content (1, 1) leave the other contents' terms alone,
+    # and the copies of all of them leave nothing.
+    both = {**weights, **{k + 400: tuple((key, -c) for key, c in w)
+                          for k, w in weights.items()}}.__getitem__
+    again = [(entries, qexp, texp, k + 400) for entries, qexp, texp, k in raw]
+    kept = walk_sum(raw + [r for r in again if r[0].count(1) == 1], both, 2, 2)
+    assert 0 not in kept.values()
+    assert kept == {key: c for key, c in terms.items() if key[:2] != (1, 1)}
+    assert walk_sum(raw + again, both, 2, 2) == {}
 
 
 # Raw walk tuples: four entries of which the first three are cells, the
@@ -224,9 +223,7 @@ def test_walk_sum_counts_the_content_of_the_cells_only():
     one, q = MPoly.one(3), MPoly.q(3)
     expected = sum((MPoly.monomial(3, x_content((entries[:3],), 3), m, c)
                     * (one - q) for entries, m, c, _ in _RAW), MPoly.zero(3))
-    terms = {}
-    assert walk_sum(iter(_RAW), weight, 3, 3, terms=terms) is terms
-    assert read_out(3, terms) == expected
+    assert read_out(3, walk_sum(iter(_RAW), weight, 3, 3)) == expected
     assert calls == [5, 3]  # once per mask, in the order first met
 
 
@@ -246,14 +243,16 @@ def test_walk_sum_tallies_a_one_content_walk_by_maj_coinv_and_mask():
     # and each (maj, coinv, mask) triple adds its weight once, times the
     # number of tuples that carry it.  Mask 1 weighs the negation of mask
     # 0, so the triples (5, 2, 0) and (5, 2, 1), three times each, cancel,
-    # and so do the terms given in advance and (5, 1, 2), twice; the other
-    # tuples have maj at most 2, so their keys stay apart.
+    # and mask 4 that of mask 2, so (5, 1, 2) and (5, 1, 4), twice each, do
+    # too; the other tuples have maj at most 2, so their keys stay apart.
     rng = random.Random(5)
     weights = {0: (((0, 0), 1), ((1, 1), -2)), 1: (((0, 0), -1), ((1, 1), 2)),
-               2: (((0, 1), 3),), 3: (((2, 0), -1), ((0, 2), 1))}
+               2: (((0, 1), 3),), 3: (((2, 0), -1), ((0, 2), 1)),
+               4: (((0, 1), -3),)}
     raw = [([rng.randint(1, 3)], rng.randint(0, 2), rng.randint(0, 2),
             rng.choice((2, 3))) for _ in range(300)]
-    raw += [([1], 5, 2, 0)] * 3 + [([2], 5, 2, 1)] * 3 + [([3], 5, 1, 2)] * 2
+    raw += ([([1], 5, 2, 0)] * 3 + [([2], 5, 2, 1)] * 3 + [([3], 5, 1, 2)] * 2
+            + [([1], 5, 1, 4)] * 2)
     rng.shuffle(raw)
     calls = []
 
@@ -263,15 +262,12 @@ def test_walk_sum_tallies_a_one_content_walk_by_maj_coinv_and_mask():
 
     for inv_total in (None, 5):
         stat = (lambda s: s) if inv_total is None else (lambda s: 5 - s)
-        given = {(5, stat(1) + 1): -6}  # twice (5, 1, 2)'s 3 q^5 t^(stat+1)
         expected = MPoly.zero(0)
         for _, m, s, mask in raw:
             expected += MPoly(0, {(a + m, b + stat(s)): c
                                   for (a, b), c in weights[mask]})
-        expected += MPoly(0, given)
         calls.clear()
-        terms = walk_sum(iter(raw), weight, inv_total=inv_total,
-                         terms=dict(given))
+        terms = walk_sum(iter(raw), weight, inv_total=inv_total)
         assert 0 not in terms.values()
         assert read_out(0, terms) == expected
         assert not any(a >= 5 for a, _ in terms)  # all of them cancelled

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from macpoly.shapes import (arm, beta_perm, canonical_w0_word, cells,
-                            check_permutation, compositions, conjugate,
-                            inc_sort, leg, multiplicities, partitions_of,
-                            perm_length, rearrangements)
+from macpoly.shapes import (_walk_plan, arm, attacks, beta_perm,
+                            canonical_w0_word, cells, check_permutation,
+                            compositions, conjugate, inc_sort, leg,
+                            multiplicities, partitions_of, perm_length,
+                            rearrangements)
 
 
 def test_fig_arm_leg():
@@ -148,3 +149,31 @@ def test_compositions_match_the_direct_generators():
         for m in range(7):
             assert list(compositions(m, length)) == [
                 a for a in product(range(m + 1), repeat=length) if sum(a) == m]
+
+
+def test_walk_plan_attackers_are_those_of_the_attack_rule():
+    """Each cell's attackers in a walk plan are the earlier cells and the
+    basement cells that attacks() finds, for every composition of at most 6
+    cells in at most 6 columns, with and without a basement, in each mode."""
+    plans = 0
+    for width in range(1, 7):
+        for shape in product(range(7), repeat=width):
+            if sum(shape) > 6:
+                continue
+            order = cells(shape)
+            for has_basement, ordered, no_descents in product((False, True),
+                                                              repeat=3):
+                slot = {c: k for k, c in enumerate(order)}
+                if has_basement:
+                    slot.update(((j, 0), len(order) + j - 1)
+                                for j in range(1, width + 1))
+                plan = _walk_plan.__wrapped__(shape, has_basement, ordered,
+                                              no_descents, False)
+                for k, (cell, step) in enumerate(zip(order, plan,
+                                                     strict=True)):
+                    assert set(step[0]) == {
+                        j for c, j in slot.items()
+                        if (j < k or c[1] == 0) and attacks(cell, c)}, \
+                        (shape, has_basement, cell)
+                plans += 1
+    assert plans == 13720
