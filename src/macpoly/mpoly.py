@@ -13,19 +13,19 @@ takes the package's own term dicts, right by construction.
 :class:`RationalForm` pairs an MPoly numerator with an x-free denominator;
 it never reduces to lowest terms, and equality is by cross-multiplication.
 
-The compact formulas sum x^content(f) * q^maj(f) * t^stat(f) * w(q, t)
-over fillings f, all through one kernel, :func:`walk_sum`: it tallies the
-raw tuples of :func:`macpoly.shapes._walk` by (content, maj, coinv, mask)
-and adds each key's weight, taken once per mask, times its count into one
-dict, dropping coefficients that cancel.  A weight, ``((e_q, e_t), c)``
-pairs, is built from the routes' per-shape tables and two bounded caches
-of plain integer arithmetic: :func:`t_multinomial_product` and the
-products of cell factors ``1 - q^a t^b`` of :func:`cell_product`; no memo
-but the sum's own is keyed by the mask.  The symmetric sums (``htilde``, ``J``) take the x-free
-weights of each partition content nu through :func:`sum_by_content`, and
-:func:`expand_symmetric` returns a :class:`SymmetricMPoly` that keeps those
-m_nu coefficients: it is written from them, and expanded to x-monomials
-only when something else reads its terms.
+The compact formulas sum x^content(f) * q^maj(f) * t^stat(f) * w(q, t) over
+fillings f, all through one kernel, :func:`walk_sum`: it tallies the raw
+tuples of :func:`macpoly.shapes._walk` by (content, maj, coinv, mask) and
+adds each key's weight, taken once per mask, times its count into one dict,
+dropping coefficients that cancel.  A weight, ``((e_q, e_t), c)`` pairs, is
+built from the routes' per-shape tables and two bounded caches of plain
+integer arithmetic: :func:`t_multinomial_product` and the products of cell
+factors ``1 - q^a t^b`` of :func:`cell_product`; no memo but the sum's own
+is keyed by the mask.  The symmetric sums (``htilde``, ``J``) take the
+x-free weights of each partition content nu through :func:`sum_by_content`,
+and :func:`expand_symmetric` returns a :class:`SymmetricMPoly` that keeps
+those m_nu coefficients: it is written from them, and expanded to
+x-monomials only when something else reads its terms.
 
 :meth:`MPoly.to_json` writes the bytes of ``json.dumps(to_json_dict())``
 directly, and :meth:`MPoly.text`/:meth:`MPoly.latex` likewise, each a

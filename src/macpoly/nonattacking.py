@@ -270,8 +270,8 @@ def _on_basement(shape, basement):
         if raw[0][:len(bottom)] != bottom:
             f = AugmentedFilling(
                 shape, _columns(cells(shape), len(shape), raw[0]), basement)
-            raise AssertionError(
-                f"filling {f.rows()} is not ordered on the basement {basement}")
+            raise AssertionError(f"filling {f.rows()} is not ordered on the "
+                                 f"basement {basement}")
         return raw
     return check
 

@@ -5,8 +5,8 @@ G over a strong composition gamma sums the integral-form permuted-basement
 polynomials over all weak compositions whose positive parts are gamma in
 order; every such composition shares the same increasing sort, so the sum
 is a polynomial multiple of a single x-free scalar.  :func:`qs_gamma` sums
-the walk without descents through :func:`macpoly.mpoly.walk_sum` at weight
-1, the walk dropping each filling at its first coinversion.
+the joined walks without descents of the placements in one ``walk_sum`` at
+weight 1, each walk dropping a filling at its first coinversion.
 """
 
 from __future__ import annotations
