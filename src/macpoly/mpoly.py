@@ -15,7 +15,7 @@ it never reduces to lowest terms, and equality is by cross-multiplication.
 
 The compact formulas sum x^content(f) * q^maj(f) * t^stat(f) * w(q, t) over
 fillings f, all through one kernel, :func:`walk_sum`: it tallies the raw
-tuples of :func:`macpoly.shapes._walk` by (content, maj, coinv, mask) and
+tuples of :func:`macpoly.shapes._walk` by (content, maj, stat, mask) and
 adds each key's weight, taken once per mask, times its count into one dict,
 dropping coefficients that cancel.  A weight, ``((e_q, e_t), c)`` pairs, is
 built from the routes' per-shape tables and two bounded caches of plain
@@ -659,13 +659,12 @@ def cell_product(factors):
     return tuple(sorted(out.items()))
 
 
-def walk_sum(walk, weight, nvars: int = 0, size: int = 0,
-             inv_total: int | None = None) -> dict:
+def walk_sum(walk, weight, nvars: int = 0, size: int = 0) -> dict:
     """The zero-free term dict of the sum of x^content q^maj t^stat
-    weight(mask) over a walk's raw ``(entries, maj, coinv, mask)`` tuples:
+    weight(mask) over a walk's raw ``(entries, maj, stat, mask)`` tuples:
     content counts 1..nvars in the first ``size`` entries (empty for nvars
-    0, a one-content walk), stat is coinv or inv = inv_total - coinv."""
-    # The fillings that agree in content, maj, coinv and mask add the same
+    0, a one-content walk), and stat is what the walk carries."""
+    # The fillings that agree in content, maj, stat and mask add the same
     # terms, so each such key adds its weight, taken once per mask met, times
     # its count.  (A Counter would count in C, but its first use in a process
     # runs the Mapping check of collections.abc, which costs a forked request
@@ -687,8 +686,6 @@ def walk_sum(walk, weight, nvars: int = 0, size: int = 0,
         w = weights.get(mask)
         if w is None:
             w = weights[mask] = weight(mask)
-        if inv_total is not None:
-            s = inv_total - s
         for (a, b), c in w:
             key = content + (a + m, b + s)
             if c := c * count + terms.get(key, 0):

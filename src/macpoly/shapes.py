@@ -9,11 +9,9 @@ for an optional basement.  A cell is a pair ``(i, r)``.
 Permutations are 1-based one-line tuples: ``w[i-1]`` is the image of i.
 
 The walk, :func:`_walk`, has two modes.  It places the cells of a
-nonattacking filling bottom row first, or those of a sorted tableau column
-by column, and carries maj and the coinversion count down its search.  On a
-partition without basement every triple is inverted or a coinversion, so
-the sorted mode gives inv as T - coinv, with T the sum of (v-1)·h_v over
-the column heights h_v.
+nonattacking filling bottom row first, carrying maj and coinv down its
+search, or those of a sorted tableau column by column, carrying maj and
+inv.
 """
 
 from __future__ import annotations
@@ -93,17 +91,6 @@ def cells(shape) -> list[Cell]:
     maxh = max(shape, default=0)
     return [(i, r) for r in range(1, maxh + 1)
             for i in range(1, len(shape) + 1) if shape[i - 1] >= r]
-
-
-def content_budget(size: int, n: int, content) -> list[int]:
-    """How many more times each value 1..n may be placed while filling
-    `size` cells to the given content; without one, a budget that never
-    binds."""
-    if content is None:
-        return [size] * n
-    if sum(content) != size:
-        raise ValueError(f"content {tuple(content)} does not fill {size} cells")
-    return list(content[:n])
 
 
 def in_diagram(shape, cell: Cell) -> bool:
@@ -312,19 +299,22 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
     """The fillings of :func:`macpoly.nonattacking.enumerate_na`, or with
     ``sorted_tableaux`` the tableaux of
     :func:`macpoly.tableaux.enumerate_sorted`, in their order, as raw
-    ``(entries, maj, coinv, mask)`` tuples with the statistics carried down
-    the search as cells are placed.
+    ``(entries, maj, stat, mask)`` tuples with the statistics carried down
+    the search as cells are placed: stat is coinv for a nonattacking
+    filling and inv for a sorted tableau.
 
     ``entries`` is one flat list reused between fillings, the cells first in
     the plan's order.  Bit k of ``mask`` is set when the k-th cell repeats
     its partner, in a sorted tableau with the columns agreeing below it.
-    coinv never falls along the search, so a partial filling is dropped as
-    soon as its coinv exceeds ``coinv_cap``.  With ``content``, only the
-    fillings holding the value v exactly ``content[v-1]`` times are built,
-    in the same order: entries range over 1..len(content), and a value's
-    remaining budget is checked before the other conditions.  The per-cell
-    plan is cached by shape, mode and whether there is a basement; the
-    basement's entries only fill their slots of ``entries``.
+    A nonattacking filling's coinv never falls along the search, so a
+    partial one is dropped as soon as its coinv exceeds ``coinv_cap``.
+    Each value 1..n may be placed in every cell, unless ``content`` is
+    given: it must fill the cells, and only the fillings holding the value
+    v exactly ``content[v-1]`` times are built, in the same order, with
+    entries over 1..len(content) and a value's remaining budget checked
+    before the other conditions.  The per-cell plan is cached by shape,
+    mode and whether there is a basement; the basement's entries only fill
+    their slots of ``entries``.
     """
     shape = (check_partition if sorted_tableaux else check_composition)(shape)
     if basement is not None:
@@ -335,10 +325,17 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
             raise ValueError("basement entries must be the letters 1..n")
     if ordered_only and any(a > b for a, b in zip(shape, shape[1:])):
         raise ValueError("ordered enumeration needs a weakly increasing shape")
-    left = [0] + content_budget(sum(shape), n, content)  # indexed by value
+    size = sum(shape)
+    # left[v]: how many more times the value v may be placed (0 unused)
+    if content is None:
+        left = [0] + [size] * n  # a budget that never binds
+    elif sum(content) != size:
+        raise ValueError(f"content {tuple(content)} does not fill {size} cells")
+    else:
+        left = [0, *content[:n]]
     plan = _walk_plan(shape, basement is not None, ordered_only, no_descents,
                       sorted_tableaux)
-    size, nvals = len(plan), len(left) - 1
+    nvals = len(left) - 1
     entries = [0] * size + list(basement or ()) + [inf]
     if not size:
         yield entries, 0, 0, 0
@@ -348,8 +345,14 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
     # entries[k] is 0 (the budget's unused slot) until level k places a
     # value, so taking back its last value never needs a test.
     its, zs, sames = [None] * size, [0] * size, [0] * size
-    majs, coinvs, masks = [0] * size, [0] * size, [0] * size
+    majs, stats, masks = [0] * size, [0] * size, [0] * size
     legs, triples = [p[3] for p in plan], [p[4] for p in plan]
+    # On a partition every triple is inverted or a coinversion, so a sorted
+    # tableau's inv counts down from T, its number of triples, one step at
+    # each coinversion; a nonattacking filling's coinv counts up from 0.
+    step = -1 if sorted_tableaux else 1
+    if sorted_tableaux:
+        stats[0] = sum(map(len, triples))
     values = range(1, nvals + 1)
 
     def enter(k):
@@ -381,7 +384,7 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
             k -= 1
             continue
         left[v] -= 1
-        m, c, mask = majs[k], coinvs[k], masks[k]
+        m, c, mask = majs[k], stats[k], masks[k]
         if v > zs[k]:
             m += legs[k]
         if v == sames[k]:
@@ -391,15 +394,15 @@ def _walk(shape, basement, n: int, ordered_only: bool = False,
             a, b, z = entries[a], entries[b], entries[z]
             if a <= b:
                 if a > z or b <= z:
-                    c += 1
+                    c += step
             elif a > z >= b:
-                c += 1
+                c += step
         if c > coinv_cap:
             continue
         if k + 1 == size:
             yield entries, m, c, mask
             continue
         k += 1
-        majs[k], coinvs[k], masks[k] = m, c, mask
+        majs[k], stats[k], masks[k] = m, c, mask
         enter(k)
 

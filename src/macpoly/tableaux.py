@@ -20,12 +20,11 @@ geometrically.
 :func:`htilde_compact`, through the kernel :func:`macpoly.mpoly.walk_sum`,
 and :func:`enumerate_sorted` read the sorted mode of the one walk,
 :func:`macpoly.shapes._walk`, which fills the columns left to right and
-carries maj and coinv; on a partition every triple is inverted or a
-coinversion, so inv is the count of all triples less coinv.  The public
-:func:`inv`, :func:`maj`, :func:`is_sorted` and :func:`flip` read bounded
-memos keyed by column tuples, each wrapping its rule: inv sums a per-pair
-table of inverted triples, maj a per-column table, and the column order
-and the flip each come from a per-pair table.  :func:`perm_t` and
+carries maj and inv.  The public :func:`inv`, :func:`maj`,
+:func:`is_sorted` and :func:`flip` read bounded memos keyed by column
+tuples, each wrapping its rule: inv sums a per-pair table of inverted
+triples, maj a per-column table, and the column order and the flip each
+come from a per-pair table.  :func:`perm_t` and
 :func:`family` check sortedness through the column-order table, and
 :func:`sort_filling` checks each rectangular component once, in its memo.
 The oracles :func:`htilde_brute` and :func:`macpoly.nonattacking.j_hhl`
@@ -375,12 +374,12 @@ def perm_t(f: Filling, nvars: int = 0) -> MPoly:
 
 def htilde_compact(shape, n: int) -> MPoly:
     """Modified Macdonald polynomial as the sum over sorted tableaux, by
-    content; inv is the count of all triples less coinv."""
+    content, each weighed by q^maj t^inv, as the walk carries them, times
+    perm_t."""
     shape = check_partition(shape)
-    triples = sum(i * h for i, h in enumerate(shape))
     return sum_by_content(n, sum(shape), lambda nu: walk_sum(
         _walk(shape, None, n, content=nu, sorted_tableaux=True),
-        partial(_perm_t_weight, shape), inv_total=triples))
+        partial(_perm_t_weight, shape)))
 
 
 def _perm_t_weight(shape, mask):

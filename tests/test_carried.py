@@ -37,9 +37,8 @@ def _mask_signature(mask, shape, runs):
 @pytest.mark.parametrize("m", range(1, 6))
 def test_sorted_walk_carries_maj_inv_and_run_multiplicities(m):
     """The sorted mode yields exactly the sorted fillings, in lexicographic
-    order of their columns, with maj, inv = T - coinv, and a mask whose bit
-    says a cell's column agrees up to it with its same-height left
-    neighbour."""
+    order of their columns, with maj, inv and a mask whose bit says a
+    cell's column agrees up to it with its same-height left neighbour."""
     for lam in partitions_of(m):
         runs = components(lam)
         order = sorted(cells(lam))  # column by column
@@ -55,7 +54,7 @@ def test_sorted_walk_carries_maj_inv_and_run_multiplicities(m):
                     _walk(lam, None, n, content=nu, sorted_tableaux=True),
                     expect, strict=True):
                 assert entries[:len(order)] == [f.entry(*cell) for cell in order]
-                assert (mj, _triples(lam) - c) == (maj(f), inv(f)), (lam, f.cols)
+                assert (mj, c) == (maj(f), inv(f)), (lam, f.cols)
                 assert mask == sum(
                     1 << k for k, (i, r) in enumerate(order)
                     if i > 1 and lam[i - 2] == lam[i - 1]
@@ -67,7 +66,7 @@ def test_sorted_walk_carries_maj_inv_and_run_multiplicities(m):
 @pytest.mark.parametrize("m", range(6))
 def test_inv_plus_coinv_counts_every_triple(m):
     """On a partition without basement every triple is inverted or a
-    coinversion, which is what lets the sorted mode read inv off coinv."""
+    coinversion, which is why the sorted walk can count inv down from T."""
     seen = 0
     for lam in partitions_of(m):
         for n in range(1, 4):

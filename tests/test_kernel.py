@@ -227,20 +227,14 @@ def test_walk_sum_counts_the_content_of_the_cells_only():
     assert calls == [5, 3]  # once per mask, in the order first met
 
 
-def test_walk_sum_reads_inv_as_the_total_less_coinv():
-    one, q = MPoly.one(0), MPoly.q(0)
-    expected = sum((MPoly.monomial(0, (), m, 4 - c) * (one - q)
-                    for _, m, c, _ in _RAW), MPoly.zero(0))
-    assert read_out(0, walk_sum(iter(_RAW), lambda mask: _ONE_MINUS_Q,
-                                inv_total=4)) == expected
-    # without inv_total the t-exponent is coinv itself
+def test_walk_sum_takes_the_t_exponent_as_the_carried_stat():
     assert read_out(0, walk_sum(iter(_RAW), lambda mask: ONE)) == sum(
-        (MPoly.monomial(0, (), m, c) for _, m, c, _ in _RAW), MPoly.zero(0))
+        (MPoly.monomial(0, (), m, s) for _, m, s, _ in _RAW), MPoly.zero(0))
 
 
 def test_walk_sum_tallies_a_one_content_walk_by_maj_coinv_and_mask():
     # Without nvars the walk has one content, so the entries are never read
-    # and each (maj, coinv, mask) triple adds its weight once, times the
+    # and each (maj, stat, mask) triple adds its weight once, times the
     # number of tuples that carry it.  Mask 1 weighs the negation of mask
     # 0, so the triples (5, 2, 0) and (5, 2, 1), three times each, cancel,
     # and mask 4 that of mask 2, so (5, 1, 2) and (5, 1, 4), twice each, do
@@ -260,18 +254,14 @@ def test_walk_sum_tallies_a_one_content_walk_by_maj_coinv_and_mask():
         calls.append(mask)
         return weights[mask]
 
-    for inv_total in (None, 5):
-        stat = (lambda s: s) if inv_total is None else (lambda s: 5 - s)
-        expected = MPoly.zero(0)
-        for _, m, s, mask in raw:
-            expected += MPoly(0, {(a + m, b + stat(s)): c
-                                  for (a, b), c in weights[mask]})
-        calls.clear()
-        terms = walk_sum(iter(raw), weight, inv_total=inv_total)
-        assert 0 not in terms.values()
-        assert read_out(0, terms) == expected
-        assert not any(a >= 5 for a, _ in terms)  # all of them cancelled
-        assert calls == list(dict.fromkeys(mask for *_, mask in raw))
+    expected = MPoly.zero(0)
+    for _, m, s, mask in raw:
+        expected += MPoly(0, {(a + m, b + s): c for (a, b), c in weights[mask]})
+    terms = walk_sum(iter(raw), weight)
+    assert 0 not in terms.values()
+    assert read_out(0, terms) == expected
+    assert not any(a >= 5 for a, _ in terms)  # all of them cancelled
+    assert calls == list(dict.fromkeys(mask for *_, mask in raw))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -327,6 +317,9 @@ def test_content_must_fill_the_diagram():
         next(_walk((2, 1), None, 3, content=(2,), sorted_tableaux=True))
     with pytest.raises(ValueError):
         next(_walk((1, 2), None, 3, content=(2, 2)))
+    with pytest.raises(ValueError,
+                       match=r"^content \(1, 1\) does not fill 3 cells$"):
+        next(_walk((2, 1), None, 2, content=(1, 1)))
 
 
 def test_expand_symmetric_writes_every_rearrangement():

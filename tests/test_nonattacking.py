@@ -353,6 +353,84 @@ def test_j_symmetric():
             assert swap_vars(j, i, i + 1) == j
 
 
+# Macdonald's operator D_1 = sum_i prod_{j != i} (t x_i - x_j)/(x_i - x_j)
+# T_{q,x_i} has J_lambda as an eigenfunction, with eigenvalue
+# e_lambda = sum_i q^lambda_i t^(n-i) (Macdonald, Symmetric Functions and
+# Hall Polynomials, ch. VI).  Times
+# the Vandermonde Delta = prod_{i<j} (x_i - x_j) it is a polynomial
+# identity: Delta / prod_{j != i} (x_i - x_j) = (-1)^(i-1) Delta without x_i.
+_D1_CASES = [(lam, n) for n in (2, 3) for m in range(1, 5)
+             for lam in partitions_of(m) if len(lam) <= n]
+
+
+def _vandermonde(n, skip=0):
+    """prod_{i<j} (x_i - x_j) over the variables other than x_skip."""
+    xs = [MPoly.x(n, i) for i in range(1, n + 1) if i != skip]
+    out = MPoly.one(n)
+    for i, xi in enumerate(xs):
+        for xj in xs[i + 1:]:
+            out = out * (xi - xj)
+    return out
+
+
+def _t_q_shift(p, i):
+    """T_{q,x_i} p: p with q x_i for x_i, each term's x_i exponent added to
+    its q exponent."""
+    n = p.nvars
+    return MPoly(n, {(*key[:n], key[n] + key[i - 1], key[n + 1]): c
+                     for key, c in p.terms().items()})
+
+
+def _d1_failures(j_of):
+    """The (lambda, n) of _D1_CASES at which J = j_of(lambda, n) breaks
+    Delta D_1 J = e_lambda Delta J."""
+    failed = []
+    for lam, n in _D1_CASES:
+        j = j_of(lam, n)
+        x = [MPoly.x(n, i) for i in range(1, n + 1)]
+        q, t = MPoly.q(n), MPoly.t(n)
+        lhs = MPoly.zero(n)
+        for i in range(1, n + 1):
+            term = _vandermonde(n, skip=i) * _t_q_shift(j, i)
+            for k in range(1, n + 1):
+                if k != i:
+                    term = term * (t * x[i - 1] - x[k - 1])
+            lhs = lhs + (term if i % 2 else -term)
+        parts = lam + (0,) * (n - len(lam))
+        e = sum((q ** p * t ** (n - i) for i, p in enumerate(parts, start=1)),
+                MPoly.zero(n))
+        if lhs != e * _vandermonde(n) * j:
+            failed.append((lam, n))
+    return failed
+
+
+def test_j_is_an_eigenfunction_of_macdonalds_d1():
+    assert len(_D1_CASES) == 18
+    assert _d1_failures(j_compact) == []
+
+
+def test_j_of_the_conjugate_shape_fails_d1():
+    # compact against brute force shares the shape convention; D_1 does not
+    cases = [(lam, n) for lam, n in _D1_CASES
+             if conjugate(lam) != lam and len(conjugate(lam)) <= n]
+    assert len(cases) == 8
+    failed = _d1_failures(
+        lambda lam, n: j_compact(conjugate(lam), n)
+        if (lam, n) in cases else j_compact(lam, n))
+    assert failed == cases
+
+
+def test_integral_weights_with_arm_for_arm_plus_one_fail_d1(monkeypatch):
+    real = nonattacking._shape_factors
+
+    def short_arm(shape):
+        poch, upper = real(shape)
+        return poch, [(k, (a, b - 1)) for k, (a, b) in upper]
+
+    monkeypatch.setattr(nonattacking, "_shape_factors", short_arm)
+    assert len(_d1_failures(j_compact)) == 10
+
+
 def test_p_poly():
     # single cell: P = x1 + ... + xn
     p = p_poly((1,), 3)
