@@ -356,9 +356,9 @@ def test_j_symmetric():
 # Macdonald's operator D_1 = sum_i prod_{j != i} (t x_i - x_j)/(x_i - x_j)
 # T_{q,x_i} has J_lambda as an eigenfunction, with eigenvalue
 # e_lambda = sum_i q^lambda_i t^(n-i) (Macdonald, Symmetric Functions and
-# Hall Polynomials, ch. VI).  Times
-# the Vandermonde Delta = prod_{i<j} (x_i - x_j) it is a polynomial
-# identity: Delta / prod_{j != i} (x_i - x_j) = (-1)^(i-1) Delta without x_i.
+# Hall Polynomials, ch. VI).  Times the Vandermonde Delta = prod_{i<j}
+# (x_i - x_j) it is a polynomial identity, as
+# Delta / prod_{j != i} (x_i - x_j) = (-1)^(i-1) Delta without x_i.
 _D1_CASES = [(lam, n) for n in (2, 3) for m in range(1, 5)
              for lam in partitions_of(m) if len(lam) <= n]
 
