@@ -584,10 +584,8 @@ def t_pochhammer(k: int, nvars: int = 0) -> MPoly:
 
 
 def t_multinomial(n: int, parts, nvars: int = 0) -> MPoly:
-    """The t-analogue of the multinomial coefficient (n; parts).
-
-    Built from Gaussian binomials by the t-Pascal recurrence.
-    """
+    """The t-analogue of the multinomial coefficient (n; parts), by its
+    definition (t;t)_n / prod (t;t)_m over the parts m."""
     parts = list(parts)
     if any(m < 0 for m in parts) or sum(parts) != n:
         raise ValueError(f"parts {parts} do not sum to {n}")
@@ -606,39 +604,32 @@ def weight_poly(w, nvars: int = 0) -> MPoly:
     return read_out(nvars, {(0,) * nvars + k: c for k, c in w})
 
 
-def _add_shifted(a: list, b: list, s: int) -> list:
-    """a + t^s * b on coefficient lists, lowest degree first."""
-    out = a + [0] * (len(b) + s - len(a))
-    for e, c in enumerate(b, s):
-        out[e] += c
-    return out
-
-
-def _t_binomial(k: int, m: int) -> list:
-    """The Gaussian binomial [k choose m]_t as a coefficient list, from the
-    t-Pascal recurrence [j, i] = [j-1, i-1] + t^i [j-1, i]."""
-    rows = [[1]] + [[] for _ in range(m)]  # rows[i] = [j choose i], j = 0
-    for j in range(1, k + 1):
-        for i in range(min(j, m), 0, -1):
-            rows[i] = _add_shifted(rows[i - 1], rows[i], i)
-    return rows[m]
-
-
 # The caches are keyed by shapes of fillings, not by fillings, so a bound of
 # a few thousand entries never evicts within one sum of this package's sizes.
 @lru_cache(maxsize=4096)
 def t_multinomial_product(signature):
-    """The product of t-multinomials over ``((k, sorted parts), ...)``."""
+    """The product of t-multinomials over ``((k, sorted parts), ...)``.
+
+    Each is (t;t)_k / prod (t;t)_m over its parts m, on one coefficient
+    list: for each part but the last (the largest, whose factor is 1) and
+    each j = 1..m, times 1 - t^(k-m+j) and exactly divided by 1 - t^j, so
+    that every intermediate is a product of Gaussian binomials; a nonzero
+    remainder raises ExactDivisionError.
+    """
     out = [1]
     for k, parts in signature:
-        for m in parts:  # [k; parts] = prod of [m_1 + ... + m_i choose m_i]
-            binom = _t_binomial(k, m)
+        for m in parts[:-1]:
+            for j in range(1, m + 1):
+                s = k - m + j
+                out += [0] * s
+                for e in range(len(out) - 1, s - 1, -1):
+                    out[e] -= out[e - s]
+                for e in range(j, len(out)):
+                    out[e] += out[e - j]
+                if any(out[-j:]):
+                    raise ExactDivisionError("a t-multinomial left a remainder")
+                del out[-j:]
             k -= m
-            conv = [0] * (len(out) + len(binom) - 1)
-            for e, c in enumerate(out):
-                for f, d in enumerate(binom, e):
-                    conv[f] += c * d
-            out = conv
     return tuple(((0, e), c) for e, c in enumerate(out) if c)
 
 

@@ -43,8 +43,7 @@ from .shapes import (Cell, Composition, Partition, Permutation, _walk, arm,
                      attacks, beta_perm, cells, check_composition,
                      check_partition, check_permutation, inc_sort, leg,
                      multiplicities)
-from .tableaux import (_column_tally, _inversions, _maj, inverted,
-                       x_content)
+from .tableaux import _column_tally, _inversions, inverted, maj, x_weight
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class AugmentedFilling:
         return sorted(cells(self.shape))
 
     def x_weight(self, nvars: int) -> MPoly:
-        return MPoly.monomial(nvars, x_content(self.cols, nvars))
+        return x_weight(self, nvars)
 
     def rows(self) -> list[list[int | None]]:
         """Row-major entries, top row first, None outside the diagram."""
@@ -172,7 +171,7 @@ def coinv(f: AugmentedFilling) -> int:
 
 def maj_na(f: AugmentedFilling) -> int:
     """Sum of leg+1 over descents; row 1 is never compared to the basement."""
-    return _maj(f.cols)
+    return maj(f)
 
 
 def enumerate_na(shape, basement, n: int, ordered_only: bool = False,

@@ -5,19 +5,20 @@ restricted to one content, and the symmetric expansion."""
 
 import hashlib
 import random
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
 
 from macpoly.mpoly import (ONE, MPoly, VariableMismatchError, cell_product,
                            divided_difference, exact_div_xfree,
                            expand_symmetric, read_out, specialize,
-                           t_multinomial, t_pochhammer, walk_sum, weight_poly)
+                           t_multinomial, t_multinomial_product, t_pochhammer,
+                           walk_sum, weight_poly)
 from macpoly.nonattacking import (e_general_q0, e_integral, e_integral_sum,
                                   j_compact, j_hhl, pr1, pr2)
 from macpoly.quasisym import (demazure_t_atom, g_integral, placements,
                               qs_gamma, qsym_expand)
-from macpoly.shapes import _walk, partitions_of
+from macpoly.shapes import _walk, partitions_of, rearrangements
 from macpoly.tableaux import (_perm_t_weight, enumerate_sorted, htilde_compact,
                               perm_t, x_content)
 
@@ -154,16 +155,31 @@ def _t_factorial(k):
     return out
 
 
-@pytest.mark.parametrize("k", range(8))
+def _factorial_ratio(k, parts):
+    out = _t_factorial(k)
+    for m in parts:
+        out = exact_div_xfree(out, _t_factorial(m))
+    return out
+
+
+@pytest.mark.parametrize("k", range(11))
 def test_cached_t_multinomial_equals_the_factorial_ratio(k):
     for parts in partitions_of(k):
-        expected = _t_factorial(k)
-        for m in parts:
-            expected = exact_div_xfree(expected, _t_factorial(m))
-        for order in set(permutations(parts)):
+        expected = _factorial_ratio(k, parts)
+        for order in chain(rearrangements(parts), rearrangements(parts + (0,))):
             assert t_multinomial(k, order) == expected
         widened = MPoly(2, {(0, 0) + key: c for key, c in expected.terms().items()})
         assert t_multinomial(k, parts, 2) == widened
+
+
+def test_t_multinomial_product_of_two_runs_is_the_product_of_their_ratios():
+    ratios = {(k, parts): _factorial_ratio(k, parts)
+              for k in range(1, 9) for parts in partitions_of(k)}
+    for (k1, p1), (k2, p2) in product(ratios, repeat=2):
+        if k1 + k2 <= 9:
+            sig = ((k1, tuple(sorted(p1))), (k2, tuple(sorted(p2))))
+            assert (weight_poly(t_multinomial_product(sig))
+                    == ratios[k1, p1] * ratios[k2, p2]), sig
 
 
 def test_cell_product_is_the_product_of_its_factors():
