@@ -22,11 +22,13 @@ tuples of the one walk, :func:`macpoly.shapes._walk`, through the kernel
 tuples in fillings.  The integral forms' weight of a walk mask (bit k: cell
 k repeats the entry below) is the cached product of the shape's factors,
 tabled once whatever the basement or content; ``walk_sum`` takes it once
-per mask and sum.  The public :func:`coinv`, :func:`coinversion_triples`
-and :func:`maj_na` recompute the statistics per object through
-``inverted``.  The oracle :func:`j_hhl` walks no search: it reads the
-counts of :func:`macpoly.tableaux._column_tally`, as ``htilde_brute``
-does, with coinversions for pairs and repeat masks for extras.
+per mask and sum.  The public :func:`coinv` and :func:`coinversion_triples`
+recompute the statistics per object through ``inverted``; :func:`maj_na`
+and :meth:`AugmentedFilling.x_weight` are the tableaux module's ``maj``
+and ``x_weight``, which read only the columns.  The oracle :func:`j_hhl`
+walks no search: it reads the counts of
+:func:`macpoly.tableaux._column_tally`, as ``htilde_brute`` does, with
+coinversions for pairs and repeat masks for extras.
 """
 
 from __future__ import annotations
