@@ -384,11 +384,15 @@ def _check_family(args):
 
 
 def _check_operators(args):
+    """The flip lemmas (an involution, maj kept, inv one step) at each two
+    unequal same-height neighbours of every filling; a shape without equal
+    neighbours has no flip and passes without enumerating."""
     lam, n = args
+    neighbours = [i for i in range(1, len(lam)) if lam[i - 1] == lam[i]]
+    if not neighbours:
+        return (f"operator lemmas {lam} n={n}", True, "")
     for f in enumerate_fillings(lam, n):
-        shape = f.shape
-        pairs = [i for i in range(1, len(shape))
-                 if shape[i - 1] == shape[i] and f.cols[i - 1] != f.cols[i]]
+        pairs = [i for i in neighbours if f.cols[i - 1] != f.cols[i]]
         if not pairs:
             continue
         inv_f, maj_f = inv(f), maj(f)

@@ -444,7 +444,10 @@ def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
     Works per x-monomial by long division in ZZ[q, t], taking each leading
     term off a heap of the remainder's keys; a nonzero remainder (or a
     coefficient the leading coefficient does not divide) raises
-    :class:`ExactDivisionError` rather than returning a wrong answer.
+    :class:`ExactDivisionError` rather than returning a wrong answer.  Each
+    distinct x-free coefficient is divided once (a symmetric p repeats one
+    at every rearrangement), and its quotient written at every x-monomial
+    carrying it; the error names the first x-group that fails.
     """
     if p.nvars != d.nvars:
         raise VariableMismatchError("nvars mismatch")
@@ -458,7 +461,13 @@ def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
     dlc = den[dlead]
 
     out: dict[tuple[int, ...], int] = {}
+    quotients: dict = {}  # a group's terms -> its quotient's terms
     for xk, num in p.by_x().items():
+        key = frozenset(num.items())
+        if key in quotients:
+            out.update((xk + k, c) for k, c in quotients[key])
+            continue
+        quot = quotients[key] = []
         # The keys met, grlex-largest on top; a key that cancelled after it
         # was pushed is skipped when it comes up.
         heap = [(-a - b, -a, (a, b)) for a, b in num]
@@ -473,6 +482,7 @@ def exact_div_xfree(p: MPoly, d: MPoly) -> MPoly:
                 raise ExactDivisionError(
                     f"nonzero remainder dividing x-group {xk}")
             qc = c // dlc
+            quot.append(((dq, dt), qc))
             out[xk + (dq, dt)] = qc
             for (a, b), dc in den.items():
                 kk = (a + dq, b + dt)

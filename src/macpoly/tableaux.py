@@ -32,7 +32,15 @@ walk no search and read none of these memos: each reads the counts of
 fillings by (content, maj, pair sum, extra) of one column tally,
 :func:`_column_tally`, which tables the statistics per column and per two
 columns afresh on every call.  The tableau checks read one table of
-same-height runs per shape.
+same-height runs per shape, :func:`_shape_table`.
+
+The width-one rule: a same-height run of one column (for a partition, a
+part that occurs once) is its own family, already sorted, of weight 1 and
+fixed by every flip.  So :func:`family` and :func:`sort_filling` send only
+the runs of two or more columns through the component memos and copy the
+width-one columns as they are, :func:`perm_t` reads only the wider runs and
+is 1 without one, and :func:`enumerate_sorted` streams every filling of a
+shape with no two equal parts, which are all sorted, without walking.
 """
 
 from __future__ import annotations
@@ -40,10 +48,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import (chain, combinations, count, islice, product, repeat,
-                       starmap)
+from itertools import (accumulate, chain, combinations, count, islice, product,
+                       repeat, starmap)
 from math import inf
 from operator import add, floordiv, itemgetter, mod
+from typing import NamedTuple
 
 from .mpoly import (MPoly, sum_by_content, t_multinomial_product, walk_sum,
                     weight_poly)
@@ -311,7 +320,7 @@ def is_sorted(f: Filling) -> bool:
     each two neighbours judged by the memo :func:`_column_order`."""
     cols = f.cols
     return all(_column_order(cols[i - 1], cols[i]) != GREATER
-               for i in _shape_table(f.shape)[1])
+               for i in _shape_table(f.shape).pairs)
 
 
 def is_packed(f: Filling) -> bool:
@@ -322,14 +331,31 @@ def is_packed(f: Filling) -> bool:
 
 def components(shape) -> list[tuple[int, int]]:
     """Maximal runs of equal-height columns, as 1-based (lo, hi) ranges."""
-    return list(_shape_table(tuple(shape))[0])
+    return list(_shape_table(tuple(shape)).runs)
+
+
+class _ShapeTable(NamedTuple):
+    runs: tuple  # the maximal same-height runs, 1-based (lo, hi) ranges
+    pairs: tuple  # the columns i whose right neighbour has the same height
+    wide: tuple  # the runs of two or more columns
+    slices: tuple  # per column, its slice of the flat column-major entries
+    row_major: object  # the flat entries in the row-major order of rows()
 
 
 @lru_cache(maxsize=1024)
-def _shape_table(shape) -> tuple:
-    """The maximal runs of equal-height columns of a shape, as 1-based (lo,
-    hi) ranges, and the columns i whose right neighbour has the same
-    height, memoised by the shape's tuple, the last 1,024 kept."""
+def _shape_table(shape) -> _ShapeTable:
+    """The per-shape facts the tableau checks read, memoised by the shape's
+    tuple, the last 1,024 kept.
+
+    A width-one run, a column with no same-height neighbour (for a
+    partition, a part that occurs once), is its own family: already sorted,
+    of weight 1, and fixed by every flip.  So only the ``wide`` runs go
+    through the family walk, the sorting walk and perm_t's signature.
+    ``row_major`` takes the flat entries to the order of :meth:`rows`,
+    read off a filling whose entries are their own flat positions; below
+    two cells, where an itemgetter would fail or return a bare entry,
+    ``tuple`` is that order.
+    """
     runs, lo = [], 1
     for i in range(2, len(shape) + 1):
         if shape[i - 1] != shape[lo - 1]:
@@ -337,7 +363,15 @@ def _shape_table(shape) -> tuple:
             lo = i
     if shape:
         runs.append((lo, len(shape)))
-    return tuple(runs), tuple(i for lo, hi in runs for i in range(lo, hi))
+    at = count()
+    index = Filling._trusted(tuple(tuple(islice(at, h)) for h in shape))
+    order = tuple(chain.from_iterable(index.rows()))
+    ends = [0, *accumulate(shape)]
+    return _ShapeTable(
+        tuple(runs), tuple(i for lo, hi in runs for i in range(lo, hi)),
+        tuple((lo, hi) for lo, hi in runs if hi > lo),
+        tuple(map(slice, ends, ends[1:])),
+        itemgetter(*order) if len(order) > 1 else tuple)
 
 
 def enumerate_sorted(shape, n: int):
@@ -345,19 +379,27 @@ def enumerate_sorted(shape, n: int):
 
     Columns are filled left to right, each bottom to top and each
     same-height run as a weakly increasing chain under the column order.
+    A shape with no two equal parts has only width-one runs, so every
+    filling is sorted: they are streamed in the walk's order from one
+    product over the flat entries, without walking.
     """
     shape = check_partition(shape)
-    cols = [slice(sum(shape[:i]), sum(shape[:i + 1]))
-            for i in range(len(shape))]
+    table = _shape_table(shape)
+    if not table.wide:
+        for entries in product(range(1, n + 1), repeat=sum(shape)):
+            yield Filling._trusted(tuple(map(entries.__getitem__,
+                                             table.slices)))
+        return
     for entries, *_ in _walk(shape, None, n, sorted_tableaux=True):
-        yield Filling._trusted(tuple([tuple(entries[col]) for col in cols]))
+        yield Filling._trusted(tuple([tuple(entries[col])
+                                      for col in table.slices]))
 
 
-def _require_sorted(f: Filling) -> tuple:
-    """The same-height runs of a sorted tableau; any other filling raises."""
+def _require_sorted(f: Filling) -> _ShapeTable:
+    """The shape table of a sorted tableau; any other filling raises."""
     if not is_sorted(f):
         raise ValueError("filling is not a sorted tableau")
-    return _shape_table(f.shape)[0]
+    return _shape_table(f.shape)
 
 
 def _signature(cols, runs):
@@ -367,8 +409,10 @@ def _signature(cols, runs):
 
 
 def perm_t(f: Filling, nvars: int = 0) -> MPoly:
-    """Product over same-height runs of t-multinomials of column multiplicities."""
-    sig = _signature(f.cols, _require_sorted(f))
+    """Product over same-height runs of t-multinomials of column
+    multiplicities; a width-one run's factor is 1, so only the wide runs
+    are read, and a shape without one gives 1."""
+    sig = _signature(f.cols, _require_sorted(f).wide)
     return weight_poly(t_multinomial_product(sig), nvars)
 
 
@@ -391,7 +435,7 @@ def _perm_t_weight(shape, mask):
     for i, h in enumerate(shape):
         top += h
         labels.append(labels[-1] if mask >> top & 1 else i)
-    return t_multinomial_product(_signature(labels, _shape_table(shape)[0]))
+    return t_multinomial_product(_signature(labels, _shape_table(shape).runs))
 
 
 # -- inversion-flip operators ----------------------------------------------
@@ -543,26 +587,25 @@ def family(f: Filling) -> list[Filling]:
     """All fillings generated from a sorted tableau by the flip operators,
     in canonical (row-major) order.
 
-    The root alone when each rectangular component's family is; otherwise
-    the memoised members of the components (:func:`_component_family`),
-    glued into a fresh list, sorted by the entries in row-major order
-    through an index worked out once from the root's shape, and checked
-    for duplicates on the column tuples.
+    The root alone when each wide run's family is (a width-one run is its
+    own family); otherwise the memoised members of the wide runs
+    (:func:`_component_family`), glued between the width-one columns, which
+    are copied as they are, into a fresh list, sorted by the entries in
+    row-major order through the shape table's index, and checked for
+    duplicates on the column tuples.
     """
-    parts = [_component_family(f.cols[lo - 1:hi])[0]
-             for lo, hi in _require_sorted(f)]
+    table = _require_sorted(f)
+    cols, parts, at = f.cols, [], 0
+    for lo, hi in table.wide:
+        parts += [(cols[at:lo - 1],), _component_family(cols[lo - 1:hi])[0]]
+        at = hi
     if all(len(members) == 1 for members in parts):
         return [f]
-    members = [sum(combo, ()) for combo in product(*parts)]
-    # the row-major order of rows(), read off a filling whose entries are
-    # their own positions in the flat column-major entries
-    at = count()
-    index = Filling._trusted(tuple(tuple(islice(at, h)) for h in f.shape))
-    entries = itemgetter(*chain.from_iterable(index.rows()))
-    members.sort(key=lambda cols: entries((*chain.from_iterable(cols),)))
+    members = [sum(combo, ()) + cols[at:] for combo in product(*parts)]
+    members.sort(key=lambda m: table.row_major((*chain.from_iterable(m),)))
     if len(set(members)) != len(members):
         raise AssertionError("family produced a duplicate member")
-    return [Filling._trusted(cols) for cols in members]
+    return [Filling._trusted(m) for m in members]
 
 
 def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
@@ -573,7 +616,7 @@ def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
     family exactly once.  Each memoised component edge is glued between the
     prefix members and the root's columns to the right.
     """
-    runs = _require_sorted(f)
+    runs = _require_sorted(f).runs
     walks = [_component_family(f.cols[lo - 1:hi]) for lo, hi in runs]
     out = []
     for k, ((lo, hi), (_, edges)) in enumerate(zip(runs, walks)):
@@ -589,13 +632,17 @@ def family_tree(f: Filling) -> list[tuple[Filling, Filling, int, int]]:
 def sort_filling(f: Filling) -> Filling:
     """The unique sorted tableau whose family contains f.
 
-    Sorts one rectangular component at a time through the memo
-    :func:`_sort_component`, which checks each component it reaches sorted;
-    a glued filling is sorted exactly when each of its same-height
-    components is, so the tableau reached is built without the checks.
+    Sorts one wide run at a time through the memo :func:`_sort_component`,
+    which checks each run it reaches sorted, and copies the width-one
+    columns as they are; a glued filling is sorted exactly when each of its
+    same-height runs is, so the tableau reached is built without the
+    checks.
     """
-    return Filling._trusted(sum((_sort_component(f.cols[lo - 1:hi])
-                                 for lo, hi in _shape_table(f.shape)[0]), ()))
+    cols, out, at = f.cols, (), 0
+    for lo, hi in _shape_table(f.shape).wide:
+        out += cols[at:lo - 1] + _sort_component(cols[lo - 1:hi])
+        at = hi
+    return Filling._trusted(out + cols[at:])
 
 
 @lru_cache(maxsize=1024)

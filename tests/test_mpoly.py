@@ -12,6 +12,8 @@ from macpoly.mpoly import (ExactDivisionError, MPoly, RationalForm,
                            divided_difference, exact_div_xfree,
                            expand_symmetric, specialize, swap_vars,
                            t_multinomial, t_pochhammer, weight_poly)
+from macpoly.nonattacking import j_compact
+from macpoly.shapes import partitions_of
 
 N = 2  # default variable count for random polys
 
@@ -123,6 +125,47 @@ def test_exact_div_examples():
     assert exact_div_xfree(x1 * (one - t ** 2), one - t) == x1 * (one + t)
     with pytest.raises(ExactDivisionError):
         exact_div_xfree(MPoly.q(1), one - t)
+
+
+def _divide_each_group(p, d):
+    """exact_div_xfree on each x-group of p alone, summed: nothing for a
+    repeated coefficient to share."""
+    n, total = p.nvars, MPoly.zero(p.nvars)
+    for xk, qt in p.by_x().items():
+        group = MPoly(n, {xk + k: c for k, c in qt.items()})
+        total = total + exact_div_xfree(group, d)
+    return total
+
+
+def test_exact_div_of_repeated_coefficients_is_the_per_group_division():
+    # A symmetric J repeats one x-free coefficient at each rearrangement.
+    for m in range(1, 5):
+        for lam in partitions_of(m):
+            d = MPoly.one(m)
+            for mult in (lam.count(h) for h in set(lam)):
+                d = d * t_pochhammer(mult, m)
+            jc = j_compact(lam, m)
+            assert exact_div_xfree(jc, d) == _divide_each_group(jc, d), lam
+    one, q, t = MPoly.one(2), MPoly.q(2), MPoly.t(2)
+    x1, x2 = MPoly.x(2, 1), MPoly.x(2, 2)
+    # three groups share one coefficient, and two share its monomials only
+    p = (x1 + x2 + x1 * x2 ** 2) * (one + q) * (one - t ** 2) \
+        + (3 * x1 ** 2 + 2 * x2 ** 2) * (one - t)
+    quotient = exact_div_xfree(p, one - t)
+    assert quotient == _divide_each_group(p, one - t)
+    assert quotient == (x1 + x2 + x1 * x2 ** 2) * (one + q) * (one + t) \
+        + 3 * x1 ** 2 + 2 * x2 ** 2
+
+
+def test_a_remainder_in_a_repeated_group_names_the_first_failing_group():
+    one, q, t = MPoly.one(2), MPoly.q(2), MPoly.t(2)
+    x1, x2 = MPoly.x(2, 1), MPoly.x(2, 2)
+    p = x1 * x2 * (one - t) + (x1 ** 2 + x2 ** 2) * (one + q)
+    groups = list(p.by_x())
+    assert groups[0] == (1, 1)  # divisible; the two after it share 1 + q
+    with pytest.raises(ExactDivisionError, match=re.escape(
+            f"nonzero remainder dividing x-group {groups[1]}")):
+        exact_div_xfree(p, one - t)
 
 
 def test_exact_div_rejects_x_divisor():

@@ -6,9 +6,11 @@ from itertools import combinations, permutations, product, starmap
 from math import inf
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+import macpoly.cli as cli
 from macpoly import tableaux
 from macpoly.mpoly import MPoly, specialize, t_multinomial
 from macpoly.nonattacking import AugmentedFilling
@@ -611,6 +613,92 @@ def test_family_and_family_tree_keep_their_recorded_digests():
     assert _walk_digest(lambda s: [(p.cols, c.cols, i, r)
                                    for p, c, i, r in family_tree(s)]) == \
         "da44ed8fdc81ea42ed0baaab59e182373c1a1f95aa48cbeb3b0e47f67b7a0907"
+
+
+def _has_equal_parts(lam):
+    return len(set(lam)) < len(lam)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_a_shape_without_equal_parts_is_all_width_one_runs(m):
+    # Every filling is sorted and its own family of weight 1, and the
+    # sorted tableaux stream in the walk's order, the flat entry order.
+    for lam in partitions_of(m):
+        if _has_equal_parts(lam):
+            continue
+        for n in (0, 1, 2, 3):
+            fs = list(enumerate_sorted(lam, n))
+            assert fs == list(enumerate_fillings(lam, n)), (lam, n)
+            for f in fs:
+                assert family(f) == [f]
+                assert sort_filling(f) == f
+                assert perm_t(f) == MPoly.one(0)
+
+
+def _mixed_shapes():
+    """The shapes of at most 7 cells with a width-one run beside a wider
+    one: some part occurs once and some more than once."""
+    return [lam for m in range(8) for lam in partitions_of(m)
+            if _has_equal_parts(lam)
+            and any(lam.count(h) == 1 for h in lam)]
+
+
+def _width_one_mismatches():
+    """The fillings of the mixed shapes at n <= 3 where family or
+    sort_filling differs from the component memos composed over every run,
+    the width-one runs included; the roots are found by is_sorted, so the
+    enumeration under test is not relied on."""
+    out = []
+    for lam in _mixed_shapes():
+        runs = tableaux.components(lam)
+        for n in (1, 2, 3):
+            for f in enumerate_fillings(lam, n):
+                pieces = [f.cols[lo - 1:hi] for lo, hi in runs]
+                if sort_filling(f).cols != sum(
+                        map(tableaux._sort_component, pieces), ()):
+                    out.append(("sort_filling", f))
+                if not is_sorted(f):
+                    continue
+                members = sorted(
+                    (Filling(sum(combo, ())) for combo in product(
+                        *(tableaux._component_family(p)[0] for p in pieces))),
+                    key=Filling.rows)
+                if family(f) != members:
+                    out.append(("family", f))
+    return out
+
+
+def test_width_one_runs_are_copied_beside_the_wider_runs():
+    assert {(3, 2, 2), (2, 2, 1), (3, 1, 1)} <= set(_mixed_shapes())
+    assert _width_one_mismatches() == []
+
+
+def test_enumerate_sorted_streams_a_shape_without_equal_parts():
+    assert next(enumerate_sorted((3,), 10 ** 6)) == Filling(((1, 1, 1),))
+
+
+def test_two_equal_columns_taken_as_width_one_fail(monkeypatch):
+    # A planted width-one rule that also takes a run of two equal columns
+    # as width-one: family and sort_filling then leave such runs alone, and
+    # enumerate_sorted streams the unsorted fillings of (1, 1) as roots,
+    # which the family-partition suite's family call refuses.
+    real = tableaux._shape_table
+
+    def planted(shape):
+        table = real(shape)
+        return table._replace(wide=tuple((lo, hi) for lo, hi in table.wide
+                                         if hi - lo > 1))
+
+    clear_tableaux_memos()
+    monkeypatch.setattr(tableaux, "_shape_table", planted)
+    try:
+        assert _width_one_mismatches()
+        res = CliRunner().invoke(cli.main, ["validate", "--suite",
+                                            "family-partition", "--max", "3"])
+        assert res.exit_code != 0
+        assert str(res.exception) == "filling is not a sorted tableau"
+    finally:
+        clear_tableaux_memos()
 
 
 def test_sort_filling_figure():
