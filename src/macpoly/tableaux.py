@@ -26,7 +26,8 @@ tuples, each wrapping its rule: inv sums a per-pair table of inverted
 triples, maj a per-column table, and the column order and the flip each
 come from a per-pair table.  :func:`perm_t` and
 :func:`family` check sortedness through the column-order table, and
-:func:`sort_filling` checks each rectangular component once, in its memo.
+:func:`sort_filling` checks each run of two or more columns once, in its
+memo.
 The oracles :func:`htilde_brute` and :func:`macpoly.nonattacking.j_hhl`
 walk no search and read none of these memos: each reads the counts of
 fillings by (content, maj, pair sum, extra) of one column tally,
