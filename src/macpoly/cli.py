@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from itertools import chain, islice
 from math import prod
@@ -45,17 +45,19 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 def _parse_rows(text: str) -> Filling:
     rows = [_parse_parts(chunk) for chunk in text.split(";")] \
         if text.strip() else []
-    try:
+    with _usage_errors():
         return Filling.from_rows(rows)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 @contextmanager
-def _nvars_fits(nvars):
-    """A MemoryError of work that allocates per variable, as a usage error."""
+def _usage_errors(nvars=None):
+    """The commands' one usage-error boundary: a ValueError as its message,
+    and a MemoryError of work that allocates per variable as --nvars being
+    too large."""
     try:
         yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     except MemoryError:
         raise click.UsageError(f"--nvars {nvars} is too large: out of memory")
 
@@ -171,15 +173,10 @@ def cmd_compute(selector, shape, nvars, method, fmt, cap, output):
             return lambda: qs_gamma(parts, nvars), None
         return lambda: demazure_t_atom(parts, nvars), None
 
-    with _nvars_fits(nvars):
-        try:
-            compact_route, brute_route = routes()
-            value = compact_route() if method != "brute" else None
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        if method == "brute":
-            value = brute_route()
-        elif method == "both":
+    with _usage_errors(nvars):
+        compact_route, brute_route = routes()
+        value = compact_route() if method != "brute" else brute_route()
+        if method == "both":
             a, b = value, brute_route()
             if selector == "P":  # two forms: the cross-multiplied numerators
                 a, b = a.numerator * b.denominator, b.numerator * a.denominator
@@ -236,11 +233,8 @@ def cmd_enumerate(kind, shape, nvars, basement, ordered, packed, fmt, output):
     # taking the first record turns a bad input into a usage error before
     # anything is written.
     stream = records()
-    try:
-        with _nvars_fits(nvars):
-            first = list(islice(stream, 1))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    with _usage_errors(nvars):
+        first = list(islice(stream, 1))
 
     def line(rec):
         if fmt == "json":
@@ -275,11 +269,8 @@ def cmd_family(shape, nvars, root, fmt, output):
             raise click.UsageError("--root is not a sorted tableau")
         roots = [f]
     else:
-        try:
-            with _nvars_fits(nvars):
-                roots = list(enumerate_sorted(_parse_parts(shape), nvars))
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        with _usage_errors(nvars):
+            roots = list(enumerate_sorted(_parse_parts(shape), nvars))
 
     if fmt == "json":
         records = []
@@ -439,7 +430,7 @@ def _check_hecke(args):
 def _suite_e_integral(alpha, n):
     """e_integral, memoised for one suite run, as a composition's swap is
     itself an item of the hecke suite; cmd_validate empties the memo
-    before and after every suite."""
+    before every suite and after the run."""
     return e_integral(alpha, n)
 
 
@@ -534,25 +525,22 @@ def cmd_validate(suite, max_size, jobs, output):
     jobs = max(1, min(jobs, os.cpu_count() or 1))
     lines = []
     failed = False
-    for name in names:
-        check, items = SUITES[name]
-        work = items(max_size)
-        _suite_e_integral.cache_clear()
-        if jobs > 1:
+    with ExitStack() as stack:
+        run = map
+        if jobs > 1:  # one pool, shared by every suite of the run
             # Imported here: it pulls in multiprocessing, which costs every
             # other command its import time.
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(check, work))
-        else:
-            results = [check(w) for w in work]
-        _suite_e_integral.cache_clear()
-        for label, ok, detail in results:
-            lines.append(f"{'PASS' if ok else 'FAIL'} {label}"
-                         + (f" ({detail})" if detail else ""))
-            failed = failed or not ok
-    text = "\n".join(lines) + "\n"
-    _emit([text], output)
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for name in names:
+            check, items = SUITES[name]
+            _suite_e_integral.cache_clear()
+            for label, ok, detail in run(check, items(max_size)):
+                lines.append(f"{'PASS' if ok else 'FAIL'} {label}"
+                             + (f" ({detail})" if detail else "") + "\n")
+                failed = failed or not ok
+    _suite_e_integral.cache_clear()
+    _emit(lines, output)
     if failed:
         sys.exit(IDENTITY_EXIT)
 

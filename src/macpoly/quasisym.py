@@ -7,6 +7,8 @@ order; every such composition shares the same increasing sort, so the sum
 is a polynomial multiple of a single x-free scalar.  :func:`qs_gamma` sums
 the joined walks without descents of the placements in one ``walk_sum`` at
 weight 1, each walk dropping a filling at its first coinversion.
+:func:`hecke_T` reads :func:`~macpoly.mpoly.divided_difference` and adds
+two shifted copies of it to t p.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .mpoly import (ONE, MPoly, RationalForm, VariableMismatchError,
-                    read_out, walk_sum, weight_poly)
+                    divided_difference, read_out, walk_sum, weight_poly)
 from .nonattacking import e_general_q0, e_integral_sum, pr2
 from .shapes import _walk, check_composition, identity_perm
 
@@ -57,8 +59,7 @@ def g_integral(gamma, n: int) -> MPoly:
 def g_poly(gamma, n: int) -> RationalForm:
     """G itself, as integral form over the shared x-free scalar."""
     gamma = _strong(gamma)
-    padded = (0,) * (n - len(gamma)) + tuple(sorted(gamma))
-    return RationalForm(g_integral(gamma, n), pr2(padded, n))
+    return RationalForm(g_integral(gamma, n), pr2(gamma, n))
 
 
 @dataclass(frozen=True)
@@ -121,36 +122,22 @@ def qsym_expand(p: MPoly) -> QSymExpansion:
 
 
 def hecke_T(p: MPoly, i: int) -> MPoly:
-    """Hecke operator: t p - (t x_i - x_{i+1}) d_i p, with d_i the divided
-    difference; polynomial for every polynomial input.
-
-    Computed in one pass over the terms: a monomial c x_i^a x_{i+1}^b (the
-    other variables carried along) gives c t x_i^a x_{i+1}^b and, for each
-    term s x_i^j x_{i+1}^(a+b-1-j) of its divided difference (j from b to
-    a - 1 with s = c when a > b, from a to b - 1 with s = -c when a < b),
-    -s t x_i^(j+1) x_{i+1}^(a+b-1-j) and s x_i^j x_{i+1}^(a+b-j).
-    """
+    """Hecke operator: t p - (t x_i - x_{i+1}) d_i p, with d_i the
+    :func:`divided_difference`; polynomial for every polynomial input.
+    Each term s of d_i p adds -s t x_i and s x_{i+1} to t p."""
     n = p.nvars
     for j in (i, i + 1):
         if not 1 <= j <= n:
             raise VariableMismatchError(f"x_{j} out of range for nvars={n}")
-    terms: dict[tuple[int, ...], int] = {}
-
-    def put(key, c):
-        c += terms.get(key, 0)
-        if c:
-            terms[key] = c
-        else:
-            del terms[key]
-
-    for key, c in p.terms().items():
+    terms = {key[:-1] + (key[-1] + 1,): c for key, c in p.terms().items()}
+    for key, s in divided_difference(p, i).terms().items():
         head, mid, e_t = key[:i - 1], key[i + 1:n + 1], key[n + 1]
         a, b = key[i - 1], key[i]
-        put(head + (a, b) + mid + (e_t + 1,), c)
-        lo, hi, s = (b, a, c) if a > b else (a, b, -c)
-        for j in range(lo, hi):
-            put(head + (j + 1, a + b - 1 - j) + mid + (e_t + 1,), -s)
-            put(head + (j, a + b - j) + mid + (e_t,), s)
+        for up, c in ((head + (a + 1, b) + mid + (e_t + 1,), -s),
+                      (head + (a, b + 1) + mid + (e_t,), s)):
+            terms[up] = c = terms.get(up, 0) + c
+            if not c:  # a key that cancels is dropped
+                del terms[up]
     return read_out(n, terms)
 
 

@@ -436,7 +436,7 @@ def _perm_t_weight(shape, mask):
     for i, h in enumerate(shape):
         top += h
         labels.append(labels[-1] if mask >> top & 1 else i)
-    return t_multinomial_product(_signature(labels, _shape_table(shape).runs))
+    return t_multinomial_product(_signature(labels, _shape_table(shape).wide))
 
 
 # -- inversion-flip operators ----------------------------------------------

@@ -370,17 +370,19 @@ class _RecordingPool:
     ("0", None, []), ("-5", None, []), ("1", None, [])])
 def test_validate_jobs_are_clamped_to_the_cpu_count(monkeypatch, jobs, env,
                                                     workers):
+    """One suite, or all eleven, start at most one pool per run."""
     import macpoly.cli as cli
     # cmd_validate imports the pool class from concurrent.futures on use.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    args = ["validate", "--suite", "pds", "--max", "2"]
-    if jobs is not None:
-        args += ["--jobs", jobs]
-    res = CliRunner().invoke(main, args, env={"MACPOLY_JOBS": env})
-    assert res.exit_code == 0
-    assert _RecordingPool.created == workers
+    for suite in ("pds", "all"):
+        monkeypatch.setattr(_RecordingPool, "created", [])
+        args = ["validate", "--suite", suite, "--max", "2"]
+        if jobs is not None:
+            args += ["--jobs", jobs]
+        res = CliRunner().invoke(main, args, env={"MACPOLY_JOBS": env})
+        assert res.exit_code == 0
+        assert _RecordingPool.created == workers, suite
 
 
 def test_enumerate_streams_records_as_they_are_produced(monkeypatch):
@@ -421,11 +423,22 @@ def test_validate_suite_passes():
 
 
 def test_validate_jobs_deterministic():
-    a = run("validate", "--suite", "compact-vs-brute", "--max", "3")
-    b = run("validate", "--suite", "compact-vs-brute", "--max", "3",
-            "--jobs", "2")
-    assert a.exit_code == b.exit_code == 0
-    assert a.output == b.output
+    for suite in ("compact-vs-brute", "all"):
+        a = run("validate", "--suite", suite, "--max", "3")
+        b = run("validate", "--suite", suite, "--max", "3", "--jobs", "2")
+        assert a.exit_code == b.exit_code == 0
+        assert a.output == b.output, suite
+
+
+def test_validate_of_an_empty_suite_writes_nothing(tmp_path):
+    res = run("validate", "--suite", "compact-vs-brute", "--max", "0")
+    assert res.exit_code == 0
+    assert res.stdout == ""
+    target = tmp_path / "out.txt"
+    res = run("validate", "--suite", "compact-vs-brute", "--max", "0",
+              "--output", str(target))
+    assert res.exit_code == 0
+    assert target.read_text() == ""
 
 
 def test_output_file(tmp_path):

@@ -3,8 +3,9 @@ every module-level private function is referenced by some package module,
 every module imports on its own, the unchecked constructors stay in
 the modules that define their classes, every module-level memo is
 bounded, the brute-force oracles name none of the searches the compact
-routes read nor any memo of the tableau statistics, and only the kernel
-sums over the walk.
+routes read nor any memo of the tableau statistics, only the kernel
+sums over the walk, and the CLI commands turn errors into usage errors
+through one boundary only.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
@@ -356,3 +357,49 @@ def test_only_the_kernel_and_the_enumerators_iterate_the_walk():
                for name in walk_readers((PACKAGE / module).read_text())]
     assert sorted(readers) == [("nonattacking.py", "enumerate_na"),
                                ("tableaux.py", "enumerate_sorted")]
+
+
+# The handlers that `cli._usage_errors` owns: a command that catches one of
+# these itself, or everything, bypasses the one usage-error boundary.
+BOUNDARY_ERRORS = {"ValueError", "MemoryError", "Exception", "BaseException"}
+
+
+def own_usage_handlers(source: str) -> list[str]:
+    """The module-level ``cmd_*`` functions holding an ``except`` clause,
+    nested functions included, that is bare or names one of
+    BOUNDARY_ERRORS, alone or in a tuple."""
+    out = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")):
+            continue
+        for handler in ast.walk(node):
+            if isinstance(handler, ast.ExceptHandler) and (
+                    handler.type is None
+                    or {n.id for n in ast.walk(handler.type)
+                        if isinstance(n, ast.Name)} & BOUNDARY_ERRORS):
+                out.append(node.name)
+                break
+    return out
+
+
+def test_checker_finds_every_own_usage_handler():
+    source = ("def cmd_a():\n    try:\n        f()\n"
+              "    except ValueError as exc:\n        raise U(str(exc))\n"
+              "def cmd_b():\n    try:\n        f()\n"
+              "    except (KeyError, MemoryError):\n        pass\n"
+              "def cmd_c():\n    def inner():\n        try:\n            f()\n"
+              "        except ValueError:\n            pass\n    inner()\n"
+              "def cmd_d():\n    try:\n        f()\n    except:\n        pass\n"
+              "def cmd_e():\n    with _usage_errors():\n        f()\n"
+              "def cmd_f():\n    try:\n        f()\n"
+              "    except BrokenPipeError:\n        raise\n"
+              "def _parse():\n    try:\n        f()\n"
+              "    except ValueError:\n        pass\n")
+    assert own_usage_handlers(source) == ["cmd_a", "cmd_b", "cmd_c", "cmd_d"]
+
+
+def test_commands_go_through_the_one_usage_error_boundary():
+    source = (PACKAGE / "cli.py").read_text()
+    assert "def _usage_errors(" in source
+    assert own_usage_handlers(source) == []

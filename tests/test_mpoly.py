@@ -192,11 +192,16 @@ def test_divided_difference_examples():
             swap_vars(x1, i, j)
 
 
-@given(polys())
-def test_divided_difference_reconstructs(p):
-    x1, x2 = MPoly.x(2, 1), MPoly.x(2, 2)
-    d = divided_difference(p, 1)
-    assert (x1 - x2) * d == p - swap_vars(p, 1, 2)
+@settings(max_examples=120)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.integers(1, n - 1), polys(nvars=n))))
+def test_divided_difference_reconstructs(case):
+    """(x_i - x_{i+1}) d_i p = p - s_i p at every i of n <= 4 variables;
+    hecke_T reads d_i, so this test judges d_i on its own."""
+    i, p = case
+    n = p.nvars
+    d = divided_difference(p, i)
+    assert (MPoly.x(n, i) - MPoly.x(n, i + 1)) * d == p - swap_vars(p, i, i + 1)
 
 
 def test_specialize():

@@ -11,7 +11,7 @@ from macpoly.nonattacking import e_integral, j_compact, pr2, schur_oracle
 from macpoly.quasisym import (NotQuasisymmetricError, demazure_t_atom,
                               g_integral, g_poly, hecke_T, placements,
                               qs_gamma, qsym_expand)
-from macpoly.shapes import multiplicities, partitions_of
+from macpoly.shapes import compositions, multiplicities, partitions_of
 
 
 def e_k(n, k):
@@ -54,6 +54,17 @@ def test_g_refines_j():
 
 def test_g_poly_single_cell_is_e1():
     assert g_poly((1,), 3) == e_k(3, 1)
+
+
+def test_pr2_of_g_ignores_zero_padding():
+    """Zero parts add no cell, no multiplicity and no arm, so G's scalar is
+    the same from the strong composition as from its padded sort."""
+    cases = [(gamma, n) for m in range(1, 7) for gamma in compositions(m)
+             for n in range(len(gamma), len(gamma) + 3)]
+    assert len(cases) == 189
+    for gamma, n in cases:
+        padded = (0,) * (n - len(gamma)) + tuple(sorted(gamma))
+        assert pr2(gamma, n) == pr2(padded, n), (gamma, n)
 
 
 def test_g_at_zero_is_qs():
@@ -115,18 +126,21 @@ def test_hecke_on_symmetric_input():
     assert hecke_T(p, 1) == MPoly.t(n) * p
 
 
-@settings(max_examples=40)
-@given(st.builds(
-    lambda terms: MPoly(2, terms),
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+@settings(max_examples=80)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.integers(1, n - 1),
+    st.builds(lambda terms: MPoly(n, terms), st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n, st.integers(0, 1),
                   st.integers(0, 1)),
-        st.integers(-3, 3), max_size=4)))
-def test_hecke_quadratic_relation(p):
+        st.integers(-3, 3), max_size=4)))))
+def test_hecke_quadratic_relation(case):
+    """(T_i - t)(T_i + 1) = 0 at every i of n <= 4 variables: a check of
+    hecke_T that reads no divided difference."""
+    i, p = case
     n = p.nvars
     t = MPoly.t(n)
-    tp = hecke_T(p, 1)
-    assert hecke_T(tp, 1) - (t - MPoly.one(n)) * tp - t * p == MPoly.zero(n)
+    tp = hecke_T(p, i)
+    assert hecke_T(tp, i) - (t - MPoly.one(n)) * tp - t * p == MPoly.zero(n)
 
 
 @settings(max_examples=60)
@@ -136,6 +150,9 @@ def test_hecke_quadratic_relation(p):
                               st.integers(0, 2)),
                     st.integers(-3, 3), max_size=6))))
 def test_hecke_matches_the_divided_difference_formula(case):
+    # hecke_T reads divided_difference, so this checks the combining step
+    # only; test_hecke_quadratic_relation and the reconstruction test of
+    # divided_difference judge each function on its own.
     n, i, terms = case
     p, t = MPoly(n, terms), MPoly.t(n)
     factor = t * MPoly.x(n, i) - MPoly.x(n, i + 1)
