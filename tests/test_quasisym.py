@@ -135,7 +135,8 @@ def test_hecke_on_symmetric_input():
         st.integers(-3, 3), max_size=4)))))
 def test_hecke_quadratic_relation(case):
     """(T_i - t)(T_i + 1) = 0 at every i of n <= 4 variables: a check of
-    hecke_T that reads no divided difference."""
+    hecke_T that reads no divided difference.  It holds for T_i = t as
+    well, so the recurrence tests are what catch a lost d_i p."""
     i, p = case
     n = p.nvars
     t = MPoly.t(n)
